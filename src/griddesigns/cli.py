@@ -32,6 +32,18 @@ def _read_graph(path: str) -> BiGraph:
     return parse_graph_text(text)
 
 
+def _workers(text: str) -> int:
+    """--workers: a process count of at least 1 (the pool is capped at the
+    CPU count and the number of jobs by workers.pool_size)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _budget_from(args) -> oracle.Budget:
     max_blocks = args.max_blocks
     if max_blocks is None:
@@ -315,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general3", action="store_true")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_scan)
 
@@ -329,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=10_000_000)
     p.add_argument("--max-seconds", type=int, default=None)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_search)
 
@@ -359,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-blocks", type=int, default=None)
     p.add_argument("--max-subsets", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(fn=_cmd_oracle)
 
     return parser

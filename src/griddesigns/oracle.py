@@ -21,6 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .bigraph import BiGraph
+from .workers import pool_size
 
 
 class BudgetExceededError(RuntimeError):
@@ -145,13 +146,14 @@ def lambda_table(
         raise BudgetExceededError(
             f"{total} t-subsets exceed budget of {budget.max_subsets}"
         )
-    if workers > 1 and d.b > 1:
+    size = pool_size(workers, d.b)
+    if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        step = max(1, -(-d.b // workers))
+        step = -(-d.b // size)
         chunks = [(d.blocks[i:i + step], t) for i in range(0, d.b, step)]
         coverage: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for part in pool.map(_coverage_of_blocks, chunks):
                 coverage.update(part)
     else:

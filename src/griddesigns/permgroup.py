@@ -9,6 +9,15 @@ transpose, and edge-orbit transitivity (the flag-transitivity test).
 The stabilizer search is a vertex-colored individualization/refinement
 backtrack over the m + n vertices; orders come from a stabilizer chain, never
 from enumerating group elements.
+
+Refinement runs once per partition of the searched graph and records its
+trace: per round, the sorted split keys of every cell with their bucket
+sizes, or a singleton's signature.  The candidate side only replays that
+trace and fails at the first round that differs (nauty's trace comparison).
+A vertex's signature is built from its neighbour list: the cell indices of
+its neighbours, sparse, in a form that sorts exactly like the dense vector
+of neighbour counts per cell.  Cells therefore split in the same order as
+with dense vectors, and the search finds the same first isomorphism.
 """
 
 from __future__ import annotations
@@ -133,16 +142,15 @@ class AutReport:
 # Colored-graph machinery on the vertex set R ∪ C (rows first, then columns)
 # ---------------------------------------------------------------------------
 
-def _adjacency(g: BiGraph) -> list[int]:
-    """Neighbor bitmask per vertex; row i is vertex i, column j is m + j."""
-    adj = [0] * (g.m + g.n)
+def _neighbours(g: BiGraph) -> list[tuple[int, ...]]:
+    """Ascending neighbour list per vertex; row i is vertex i, column j is
+    m + j."""
+    nbrs: list[list[int]] = [[] for _ in range(g.m + g.n)]
     for i, mask in enumerate(g.rows):
-        adj[i] = mask << g.m
-        while mask:
-            low = mask & -mask
-            adj[g.m + low.bit_length() - 1] |= 1 << i
-            mask ^= low
-    return adj
+        for j in _bits(mask):
+            nbrs[i].append(g.m + j)
+            nbrs[g.m + j].append(i)
+    return [tuple(vs) for vs in nbrs]
 
 
 def _bits(mask: int):
@@ -152,61 +160,100 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _refine(cells_a, cells_b, adj_a, adj_b):
-    """Lockstep equitable refinement of two ordered partitions.
+def _sig(v: int, cell_of: list[int], nbrs) -> tuple:
+    """The negated cell indices of v's neighbours, ascending by cell index.
 
-    Cells are bitmasks; positions in the two lists correspond.  Returns the
-    refined pair, or None when the split signatures diverge (no isomorphism
-    can respect the current correspondence).
+    cell_of holds -(cell index) per vertex.  These keys sort exactly like the
+    dense vectors of neighbour counts over all cells: where two vectors first
+    differ, the larger count puts an entry where the other key has a later
+    cell (a smaller entry) or has ended.  So cells split in the same order.
     """
+    return tuple(sorted(map(cell_of.__getitem__, nbrs[v]), reverse=True))
+
+
+def _split_round(cells, nbrs):
+    """One refinement round: the cells split by signature, each cell's buckets
+    in key order, and per cell its entry for the trace.
+
+    A cell's entry is its signature when it is a singleton, and otherwise its
+    split keys in order with their bucket sizes.  The two kinds never compare
+    equal, because a signature holds integers and a split holds pairs.
+    """
+    cell_of = [0] * len(nbrs)
+    for idx, cell in enumerate(cells):
+        if cell & (cell - 1):
+            for v in _bits(cell):
+                cell_of[v] = -idx
+        else:
+            cell_of[cell.bit_length() - 1] = -idx
+    new: list[int] = []
+    entries: list[tuple] = []
+    for cell in cells:
+        if cell & (cell - 1) == 0:
+            entries.append(_sig(cell.bit_length() - 1, cell_of, nbrs))
+            new.append(cell)
+            continue
+        buckets: dict[tuple, int] = {}
+        for v in _bits(cell):
+            key = _sig(v, cell_of, nbrs)
+            buckets[key] = buckets.get(key, 0) | (1 << v)
+        keys = sorted(buckets)
+        entries.append(tuple([(key, buckets[key].bit_count()) for key in keys]))
+        new.extend([buckets[key] for key in keys])
+    return new, entries
+
+
+def _refine(cells, nbrs):
+    """Equitable refinement of an ordered partition, with its split trace.
+
+    Cells are vertex bitmasks.  The trace holds, per round, the cell entries
+    of _split_round.  The last round splits nothing.
+    """
+    trace = []
     while True:
-        new_a: list[int] = []
-        new_b: list[int] = []
-        split = False
-        for cell_a, cell_b in zip(cells_a, cells_b):
-            if cell_a.bit_count() != cell_b.bit_count():
-                return None
-            if cell_a.bit_count() == 1:
-                va = cell_a.bit_length() - 1
-                vb = cell_b.bit_length() - 1
-                if _sig(va, cells_a, adj_a) != _sig(vb, cells_b, adj_b):
-                    return None
-                new_a.append(cell_a)
-                new_b.append(cell_b)
-                continue
-            buckets_a: dict[tuple, int] = {}
-            for v in _bits(cell_a):
-                key = _sig(v, cells_a, adj_a)
-                buckets_a[key] = buckets_a.get(key, 0) | (1 << v)
-            buckets_b: dict[tuple, int] = {}
-            for v in _bits(cell_b):
-                key = _sig(v, cells_b, adj_b)
-                buckets_b[key] = buckets_b.get(key, 0) | (1 << v)
-            keys = sorted(buckets_a)
-            if keys != sorted(buckets_b):
-                return None
-            for key in keys:
-                if buckets_a[key].bit_count() != buckets_b[key].bit_count():
-                    return None
-                new_a.append(buckets_a[key])
-                new_b.append(buckets_b[key])
-            if len(buckets_a) > 1:
-                split = True
-        if not split:
-            return new_a, new_b
-        cells_a, cells_b = new_a, new_b
+        new, entries = _split_round(cells, nbrs)
+        trace.append(entries)
+        if len(new) == len(cells):
+            return new, trace
+        cells = new
 
 
-def _sig(v: int, cells, adj) -> tuple:
-    return tuple((adj[v] & cell).bit_count() for cell in cells)
+def _replay(cells, nbrs, trace):
+    """Refine a partition that must split exactly as the trace records.
+
+    Returns the refined cells, in positions matching the traced side, or None
+    after the first round whose keys or bucket sizes differ: then no
+    isomorphism respects the correspondence.
+    """
+    for entries in trace:
+        cells, got = _split_round(cells, nbrs)
+        if got != entries:
+            return None
+    return cells
 
 
-def _search_iso(adj_a, adj_b, cells_a, cells_b, nverts: int):
-    """First color/partition-respecting isomorphism as a vertex map, or None."""
-    refined = _refine(cells_a, cells_b, adj_a, adj_b)
-    if refined is None:
+def _refined(cells, nbrs, done: dict):
+    """_refine(cells, nbrs), computed once per cell tuple in done.
+
+    The caller owns done and drops it when its search is over."""
+    key = tuple(cells)
+    hit = done.get(key)
+    if hit is None:
+        hit = done[key] = _refine(cells, nbrs)
+    return hit
+
+
+def _search_iso(nbrs_a, nbrs_b, cells_a, cells_b, done: dict):
+    """First color/partition-respecting isomorphism as a vertex map, or None.
+
+    The a-side refinement does not depend on the candidate images, so it is
+    looked up in done, which holds a-side refinements only; the b-side
+    replays its trace.
+    """
+    cells_a, trace = _refined(cells_a, nbrs_a, done)
+    cells_b = _replay(cells_b, nbrs_b, trace)
+    if cells_b is None:
         return None
-    cells_a, cells_b = refined
 
     branch = None
     for idx, cell in enumerate(cells_a):
@@ -214,14 +261,11 @@ def _search_iso(adj_a, adj_b, cells_a, cells_b, nverts: int):
         if size > 1 and (branch is None or size < cells_a[branch].bit_count()):
             branch = idx
     if branch is None:
-        mapping = [0] * nverts
+        mapping = [0] * len(nbrs_a)
         for cell_a, cell_b in zip(cells_a, cells_b):
             mapping[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
-        for v in range(nverts):
-            image = 0
-            for u in _bits(adj_a[v]):
-                image |= 1 << mapping[u]
-            if image != adj_b[mapping[v]]:
+        for v, vs in enumerate(nbrs_a):
+            if tuple(sorted(mapping[u] for u in vs)) != nbrs_b[mapping[v]]:
                 return None
         return mapping
 
@@ -231,7 +275,7 @@ def _search_iso(adj_a, adj_b, cells_a, cells_b, nverts: int):
     for b in _bits(cell_b):
         next_a = cells_a[:branch] + [a, cell_a ^ a] + cells_a[branch + 1:]
         next_b = cells_b[:branch] + [1 << b, cell_b ^ (1 << b)] + cells_b[branch + 1:]
-        found = _search_iso(adj_a, adj_b, next_a, next_b, nverts)
+        found = _search_iso(nbrs_a, nbrs_b, next_a, next_b, done)
         if found is not None:
             return found
     return None
@@ -252,15 +296,14 @@ def _side_cells(m: int, n: int, pins: tuple[int, ...]) -> list[int]:
     return cells
 
 
-def _find_side_iso(g: BiGraph, h: BiGraph):
-    """Vertex map realizing a side-preserving isomorphism g -> h, or None."""
+def _find_side_iso(nbrs_g, g: BiGraph, h: BiGraph):
+    """Vertex map realizing a side-preserving isomorphism g -> h, or None;
+    nbrs_g are the neighbour lists of g."""
     if g.m != h.m or g.n != h.n or g.k != h.k:
         return None
-    nverts = g.m + g.n
     return _search_iso(
-        _adjacency(g), _adjacency(h),
-        _side_cells(g.m, g.n, ()), _side_cells(h.m, h.n, ()),
-        nverts,
+        nbrs_g, _neighbours(h),
+        _side_cells(g.m, g.n, ()), _side_cells(h.m, h.n, ()), {},
     )
 
 
@@ -277,25 +320,25 @@ def _orbit(start: int, perms) -> set[int]:
     return orbit
 
 
-def _k_stabilizer(g: BiGraph):
+def _k_stabilizer(g: BiGraph, nbrs):
     """Generators (as vertex perms) and exact order of the stabilizer in K.
 
     Builds a stabilizer chain: repeatedly refine with the pinned prefix
     individualized, branch on the first non-singleton cell, and find one
     stabilizer element per coset by a constrained isomorphism search.  The
     order is the product of the orbit sizes along the chain.
+
+    The searches of one level share their a-side refinements.  The next
+    level's partition is the root of those searches, so each level starts
+    from the previous level's cache and then replaces it.
     """
-    adj = _adjacency(g)
-    nverts = g.m + g.n
     gens: list[list[int]] = []
     pins: list[int] = []
     order = 1
+    done: dict = {}
     while True:
-        cells = _refine(
-            _side_cells(g.m, g.n, tuple(pins)),
-            _side_cells(g.m, g.n, tuple(pins)),
-            adj, adj,
-        )[0]
+        cells = _refined(_side_cells(g.m, g.n, tuple(pins)), nbrs, done)[0]
+        done = {}
         target = next((c for c in cells if c.bit_count() > 1), None)
         if target is None:
             break
@@ -306,10 +349,10 @@ def _k_stabilizer(g: BiGraph):
             if w in orbit:
                 continue
             found = _search_iso(
-                adj, adj,
+                nbrs, nbrs,
                 _side_cells(g.m, g.n, tuple(pins) + (u,)),
                 _side_cells(g.m, g.n, tuple(pins) + (w,)),
-                nverts,
+                done,
             )
             if found is not None:
                 gens.append(found)
@@ -348,7 +391,8 @@ def automorphisms(g: BiGraph) -> AutReport:
     in K or extends it by a single swap element, which exists exactly when g
     is isomorphic to its transpose under K.
     """
-    vgens, chain_order = _k_stabilizer(g)
+    nbrs = _neighbours(g)
+    vgens, chain_order = _k_stabilizer(g, nbrs)
     k_gens = tuple(_vertex_map_to_gridperm(p, g.m, g.n) for p in vgens)
     k_order = order_from_generators(
         [_gridperm_to_vertex_map(p, g.m, g.n) for p in k_gens], g.m + g.n
@@ -359,7 +403,7 @@ def automorphisms(g: BiGraph) -> AutReport:
     g_order = None
     tau_eq = None
     if g.m == g.n:
-        mapping = _find_side_iso(g, transpose(g))
+        mapping = _find_side_iso(nbrs, g, transpose(g))
         tau_eq = mapping is not None
         if tau_eq:
             rows = tuple(mapping[g.m + j] - g.m for j in range(g.n))
@@ -384,7 +428,7 @@ def tau_equivalent(g: BiGraph) -> bool:
     coincide."""
     if g.m != g.n:
         raise ValueError("tau equivalence is only defined on square grids")
-    return _find_side_iso(g, transpose(g)) is not None
+    return _find_side_iso(_neighbours(g), g, transpose(g)) is not None
 
 
 def is_edge_transitive(g: BiGraph, report: AutReport, group: str = "K") -> bool:
@@ -432,6 +476,7 @@ def order_from_generators(perms, npoints: int) -> int:
     bases: list[int] = []
     placed: list[list[tuple[int, ...]]] = []  # gens first entering H_d at level d
     transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []  # of reps, filled on use
 
     def level_gens(d: int):
         return [g for lst in placed[d:] for g in lst]
@@ -446,9 +491,18 @@ def order_from_generators(perms, npoints: int) -> int:
             for q in gens:
                 w = q[u]
                 if w not in trans:
-                    trans[w] = tuple(q[x] for x in trans[u])
+                    trans[w] = tuple([q[x] for x in trans[u]])
                     frontier.append(w)
         transversals[d] = trans
+        inverses[d] = {}
+
+    def rep_inverse(d: int, image: int) -> tuple[int, ...]:
+        """Inverse of the level-d transversal element mapping the base to
+        image, computed once per rebuild of that level."""
+        inv = inverses[d].get(image)
+        if inv is None:
+            inv = inverses[d][image] = _inv(transversals[d][image])
+        return inv
 
     def sift(p):
         """Strip p through the chain; (residue, level) if it does not sift."""
@@ -458,11 +512,8 @@ def order_from_generators(perms, npoints: int) -> int:
                 continue
             if image not in transversals[d]:
                 return p, d
-            rep = transversals[d][image]
-            rep_inv = [0] * npoints
-            for i, v in enumerate(rep):
-                rep_inv[v] = i
-            p = tuple(rep_inv[x] for x in p)
+            rep_inv = rep_inverse(d, image)
+            p = tuple([rep_inv[x] for x in p])
         if p == ident:
             return None
         return p, len(bases)
@@ -472,6 +523,7 @@ def order_from_generators(perms, npoints: int) -> int:
             bases.append(next(i for i in range(npoints) if p[i] != i))
             placed.append([])
             transversals.append({})
+            inverses.append({})
         placed[d].append(p)
         for e in range(d + 1):
             rebuild(e)
@@ -494,12 +546,9 @@ def order_from_generators(perms, npoints: int) -> int:
             for u in sorted(transversals[d]):
                 tu = transversals[d][u]
                 for q in gens:
-                    s = tuple(q[x] for x in tu)
-                    rep = transversals[d][s[base]]
-                    rep_inv = [0] * npoints
-                    for i, v in enumerate(rep):
-                        rep_inv[v] = i
-                    schreier = tuple(rep_inv[x] for x in s)
+                    s = tuple([q[x] for x in tu])
+                    rep_inv = rep_inverse(d, s[base])
+                    schreier = tuple([rep_inv[x] for x in s])
                     res = sift(schreier)
                     if res is not None:
                         add(*res)

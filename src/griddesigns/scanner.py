@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .workers import pool_size
+
 
 @dataclass(frozen=True)
 class ParamTuple:
@@ -107,9 +109,10 @@ def _map_over(fn, items, workers: int):
     """Ordered map, optionally across processes; results are merged in input
     order so the worker count never changes the output."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    size = pool_size(workers, len(items))
+    if size == 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, items))

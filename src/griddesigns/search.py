@@ -18,6 +18,7 @@ from math import comb
 
 from . import criteria, permgroup
 from .bigraph import BiGraph, canonical_form, from_edge_list, parse_graph_text
+from .workers import pool_size
 
 TARGETS = ("d2", "d3", "dhat2", "dhat3", "flag-dhat2", "flag-dhat3")
 FIGURES = ("fig1", "fig2", "fig3")
@@ -302,20 +303,22 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     Deterministic: degree branches in lexicographically decreasing order,
     matrices by the realization order, duplicates dropped via canonical
     forms.  Budget exhaustion raises SearchBudgetError with the branch index
-    for resumption.  With workers > 1 the branches run in a process pool and
-    are merged in branch order, so the output stream is identical; the node
-    budget then applies per branch and a wall-clock limit is not supported.
+    for resumption.  When workers.pool_size allows more than one process,
+    the branches run in a process pool and are merged in branch order, so the
+    output stream is identical; the node budget then applies per branch.  A
+    wall-clock limit is not supported with workers > 1.
     """
     seen: set[bytes] = set()
     allow_tau = spec.dedup == "allow-tau"
     branches = degree_branches(spec)
-    if workers > 1:
-        if spec.max_seconds is not None:
-            raise ValueError("max_seconds is not supported with workers > 1")
+    size = pool_size(workers, len(branches) - spec.start_branch)
+    if workers > 1 and spec.max_seconds is not None:
+        raise ValueError("max_seconds is not supported with workers > 1")
+    if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = [(spec, i) for i in range(spec.start_branch, len(branches))]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for candidates in pool.map(_branch_candidates, jobs):
                 for rows, key, meets in candidates:
                     if key in seen:

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import griddesigns
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
 from griddesigns.search import family_figure, family_path
@@ -107,6 +111,45 @@ class TestVerify:
     def test_generators_in_report(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, ["verify", p4_file, "--t", "2", "--group", "G"])
         assert "generator = " in out
+
+
+class TestPrintedGenerators:
+    """The exact verify reports of the three figures, generator lines
+    included, so any change to the stabilizer search order shows here."""
+
+    @pytest.mark.parametrize("fig, group, code, sha256", [
+        ("fig1", "both", 0,
+         "f4da280be579d8dd14efc746c7c29d8d65e063f9b19cfc99d1dc0d71711101ea"),
+        ("fig2", "K", 0,
+         "799810cb94ba1ced96b227aed7fd3b5b687b429321c6c54cec497816e638bba5"),
+        ("fig3", "both", 0,
+         "0170c11ca8328b149ac22086dcee058eba711c99c55b4449ae19d1df13a79b59"),
+    ])
+    def test_report_bytes(self, capsys, tmp_path, fig, group, code, sha256):
+        path = tmp_path / f"{fig}.grid"
+        path.write_text(format_graph_text(family_figure(fig)))
+        got_code, out, _ = run_cli(
+            capsys, ["verify", str(path), "--t", "3", "--group", group]
+        )
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_fig1_generator_lines(self, capsys, tmp_path):
+        path = tmp_path / "fig1.grid"
+        path.write_text(format_graph_text(family_figure("fig1")))
+        _, out, _ = run_cli(capsys, ["verify", str(path), "--t", "3", "--group", "both"])
+        assert [line for line in out.splitlines() if line.startswith("generator")] == [
+            "generator = rowcyc (4 5)",
+            "generator = rowcyc (6 7)",
+            "generator = rowcyc (1 2)",
+            "generator = rowcyc (1 3 2)",
+            "generator = rowcyc (2 3)",
+            "generator = colcyc (1 2)",
+            "generator = colcyc (1 3 2)",
+            "generator = colcyc (2 3)",
+            "generator = colcyc (6 7)",
+            "generator = colcyc (4 5)",
+        ]
 
 
 class TestScan:
@@ -241,19 +284,24 @@ class TestSearchCommand:
         assert code == 1
 
 
+def run_module(argv):
+    """Run the CLI as `python -m griddesigns.cli`, importing the same package
+    as the tests (also from an uninstalled checkout)."""
+    src = str(Path(griddesigns.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "griddesigns.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "griddesigns.cli", "scan", "--square3",
-             "--max-m", "11"],
-            capture_output=True, text=True,
-        )
+        proc = run_module(["scan", "--square3", "--max-m", "11"])
         assert proc.returncode == 0
         assert proc.stdout == "feasible m=11 n=11 k=36 target=square3\n"
 
     def test_usage_error_exit_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "griddesigns.cli", "scan"],
-            capture_output=True, text=True,
-        )
+        proc = run_module(["scan"])
         assert proc.returncode == 2

@@ -1,0 +1,105 @@
+"""--workers validation and the pool-size cap, with no process started."""
+
+import concurrent.futures
+import os
+
+import pytest
+
+from griddesigns.cli import main
+from griddesigns.oracle import lambda_table, materialize
+from griddesigns.scanner import scan_general_3design, scan_square_3design
+from griddesigns.search import SearchSpec, degree_branches, exhaustive_search, family_figure
+from griddesigns.workers import pool_size
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return FakePool.sizes
+
+
+class TestPoolSize:
+    def test_caps(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_size(1, 100) == 1
+        assert pool_size(3, 100) == 3
+        assert pool_size(10_000, 100) == 4
+        assert pool_size(10_000, 2) == 2
+        assert pool_size(8, 0) == 1
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(8, 100) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(ValueError):
+            pool_size(workers, 10)
+
+
+class TestCapAtCallSites:
+    def test_scanner_capped_at_cpu_count(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert scan_square_3design(40, workers=10_000) == scan_square_3design(40)
+        assert fake_pool == [2]
+
+    def test_scanner_capped_at_job_count(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # one job per m in 2..4
+        assert scan_general_3design(4, 4, workers=10_000) == scan_general_3design(4, 4)
+        assert fake_pool == [3]
+
+    def test_oracle_capped(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        d = materialize(family_figure("fig2"), "K")
+        assert lambda_table(d, 2, workers=10_000) == lambda_table(d, 2)
+        assert fake_pool == [3]
+
+    def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+        spec = SearchSpec(m=4, n=4, k=5, target="dhat2")
+        serial = [g.edges() for g in exhaustive_search(spec)]
+        pooled = [g.edges() for g in exhaustive_search(spec, workers=10_000)]
+        assert pooled == serial
+        assert fake_pool == [len(degree_branches(spec))]
+
+    def test_single_worker_starts_no_pool(self, fake_pool):
+        scan_square_3design(40, workers=1)
+        d = materialize(family_figure("fig2"), "K")
+        lambda_table(d, 2, workers=1)
+        list(exhaustive_search(SearchSpec(m=4, n=4, k=5, target="dhat2"), workers=1))
+        assert fake_pool == []
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--square3", "--max-m", "11", "--workers", "0"],
+        ["scan", "--square3", "--max-m", "11", "--workers", "-1"],
+        ["search", "--m", "4", "--k", "5", "--target", "dhat2", "--workers", "0"],
+        ["oracle", "-", "--workers", "0"],
+        ["scan", "--square3", "--max-m", "11", "--workers", "two"],
+    ])
+    def test_bad_workers_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
