@@ -11,7 +11,6 @@ All arithmetic is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -198,62 +197,94 @@ def complement(g: BiGraph) -> BiGraph:
 #
 # Two graphs get the same key exactly when one is the image of the other under
 # some pair of independent row and column permutations.  The key is the
-# lexicographically least column-major reading of the bit matrix over all
-# column orders, with rows sorted ascending under the chosen column order.
+# lexicographically least column-major reading of the bit matrix over the
+# labellings that respect the degree partition: rows start grouped by degree,
+# highest degree first, and columns are placed one degree class at a time,
+# highest degree first.  Within that, the columns of a class may come in any
+# order, and rows are sorted ascending under the chosen column order.  An
+# isomorphism preserves degrees, so it maps these labellings of one graph onto
+# those of the other, and the least reading is the same.
 #
 # The search extends the column order one position at a time, keeping every
 # partial order that still achieves the minimal prefix.  States that induce
-# the same ordered row partition and leave the same multiset of columns are
-# interchangeable and deduplicated.  Adequate at search scales (small grids,
-# highly structured larger graphs); not a general-purpose canonical labeller.
+# the same ordered row partition and leave the same multiset of columns of
+# the current class are interchangeable and deduplicated.  Adequate at search
+# scales (small grids, highly structured larger graphs); not a general-purpose
+# canonical labeller.
+#
+# Under the transpose as well, the key reads one orientation.  A transpose
+# swaps the sorted row-degree and column-degree sequences.  When they differ,
+# the orientation whose sorted row degrees are smaller is keyed alone; only
+# when they are equal is the key the least of both orientations.
+#
+# Keys are compared, never printed or stored, and their bytes may change
+# between versions of this package.
 
 def canonical_form(g: BiGraph, allow_transpose: bool = False) -> bytes:
     """Canonical byte string; equal strings <=> isomorphic under row/column
     permutations.  With allow_transpose (square grids only) the key is also
     invariant under the transpose map, i.e. it canonicalizes under the full
-    automorphism group of K_{m,m}.
+    automorphism group of K_{m,m}; it then reads g or its transpose,
+    whichever has the smaller sorted row degrees, and the lesser of both
+    keys only when the sorted row and column degrees are equal.  Compare
+    keys within one version of the package; do not store them.
     """
-    key = _canonical_key(g)
-    if allow_transpose:
-        key = min(key, _canonical_key(transpose(g)))
-    return key
+    cols = g.columns()
+    x = [mask.bit_count() for mask in g.rows]
+    y = [mask.bit_count() for mask in cols]
+    if not allow_transpose:
+        return _canonical_key(cols, x, y)
+    if g.m != g.n:
+        raise ValueError("transpose is only defined on square grids")
+    # the transposed graph has the columns of g as rows and the rows as columns
+    sorted_x, sorted_y = sorted(x), sorted(y)
+    if sorted_x < sorted_y:
+        return _canonical_key(cols, x, y)
+    if sorted_y < sorted_x:
+        return _canonical_key(g.rows, y, x)
+    return min(_canonical_key(cols, x, y), _canonical_key(g.rows, y, x))
 
 
-def _canonical_key(g: BiGraph) -> bytes:
-    m, n = g.m, g.n
-    col_masks = g.columns()  # m-bit masks
-    all_rows = (1 << m) - 1
+def _canonical_key(cols, x, y) -> bytes:
+    """Key of the graph with column masks `cols` (bit i = row i), row degrees
+    x and column degrees y."""
+    m, n = len(x), len(y)
+    row_classes: dict[int, int] = {}
+    for i, d in enumerate(x):
+        row_classes[d] = row_classes.get(d, 0) | 1 << i
+    col_classes: dict[int, list[int]] = {}
+    for col, d in zip(cols, y):
+        col_classes.setdefault(d, []).append(col)
 
-    # state: (ordered row groups as bitmasks, multiset of unused column masks)
-    start = ((all_rows,), tuple(sorted(Counter(col_masks).items())))
-    frontier = {start}
-    blocks: list[int] = []
-
-    for _ in range(n):
-        best: int | None = None
-        best_states: dict = {}
-        for groups, remaining in frontier:
-            for col, cnt in remaining:
-                block, new_groups = _extend(groups, col, m)
-                if best is None or block < best:
-                    best = block
-                    best_states = {}
-                if block == best:
-                    left = tuple(
-                        (c, q - 1 if c == col else q)
-                        for c, q in remaining
-                        if not (c == col and q == 1)
-                    )
-                    best_states[(new_groups, left)] = None
-        assert best is not None
-        blocks.append(best)
-        frontier = set(best_states)
-
+    # state: (ordered row groups as bitmasks, sorted tuple of the unused
+    # column masks of the current degree class)
+    frontier = {tuple(row_classes[d] for d in sorted(row_classes, reverse=True))}
     packed = 0
-    for block in blocks:
-        packed = (packed << m) | block
+    for d in sorted(col_classes, reverse=True):
+        count = len(col_classes[d])
+        if d == 0:
+            packed <<= m * count  # empty columns read as zero blocks
+            continue
+        states = {(groups, tuple(sorted(col_classes[d]))) for groups in frontier}
+        for _ in range(count):
+            best: int | None = None
+            best_states: set = set()
+            for groups, remaining in states:
+                for i, col in enumerate(remaining):
+                    if i and remaining[i - 1] == col:
+                        continue  # equal columns lead to equal states
+                    block, new_groups = _extend(groups, col, m)
+                    if best is None or block < best:
+                        best = block
+                        best_states = set()
+                    if block == best:
+                        best_states.add((new_groups, remaining[:i] + remaining[i + 1:]))
+            packed = (packed << m) | best
+            states = best_states
+        frontier = {groups for groups, _ in states}
+
     width = (m * n + 7) // 8
-    return bytes([g.m, g.n]) + packed.to_bytes(width, "big")
+    return bytes([m, n]) + packed.to_bytes(width, "big")
 
 
 def _extend(groups: tuple[int, ...], col: int, m: int):
@@ -267,16 +298,15 @@ def _extend(groups: tuple[int, ...], col: int, m: int):
     pos = m
     new_groups = []
     for grp in groups:
+        pos -= grp.bit_count()
         ones = grp & col
-        zeros = grp & ~col
-        size = grp.bit_count()
-        t = ones.bit_count()
-        pos -= size
-        block |= ((1 << t) - 1) << pos
-        if zeros:
-            new_groups.append(zeros)
         if ones:
+            block |= ((1 << ones.bit_count()) - 1) << pos
+            if ones != grp:
+                new_groups.append(grp ^ ones)
             new_groups.append(ones)
+        else:
+            new_groups.append(grp)
     return block, tuple(new_groups)
 
 

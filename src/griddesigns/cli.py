@@ -266,6 +266,7 @@ def _cmd_search(args) -> int:
         m=args.m, n=args.n if args.n is not None else args.m, k=args.k,
         target=args.target, dedup=args.dedup,
         max_nodes=args.max_nodes, max_seconds=args.max_seconds,
+        start_branch=args.start_branch,
     )
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
@@ -340,6 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="allow-tau")
     p.add_argument("--max-nodes", type=int, default=10_000_000)
     p.add_argument("--max-seconds", type=int, default=None)
+    p.add_argument("--start-branch", type=int, default=0,
+                   help="first degree branch to search (resumes a search "
+                        "stopped by its budget)")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")

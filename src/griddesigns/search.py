@@ -4,7 +4,10 @@ The families: the k-edge path and the (even) k-edge cycle laid out along the
 diagonal of the grid, plus three bundled witness graphs that realize
 3-designs.  The exhaustive search enumerates block graphs at fixed (m, n, k)
 that meet a design target, one representative per isomorphism class, by
-degree-multiset branching followed by row-by-row realization.
+degree-multiset branching followed by row-by-row realization.  Each degree
+branch yields its realized matrices with canonical keys new to the branch;
+one merge loop, serial or fed by a process pool, drops keys seen in earlier
+branches and checks only new ones against the target.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from . import criteria, permgroup
-from .bigraph import BiGraph, canonical_form, from_edge_list, parse_graph_text
+from .bigraph import BiGraph, canonical_form, degrees, from_edge_list, parse_graph_text
 from .workers import pool_size
 
 TARGETS = ("d2", "d3", "dhat2", "dhat3", "flag-dhat2", "flag-dhat3")
@@ -39,6 +42,9 @@ class SearchSpec:
     dedup 'side-preserving' keeps one graph per row/column-permutation class;
     'allow-tau' (square grids) additionally identifies a graph with its
     transpose, matching the block sets of the full-group design.
+    start_branch is the index into degree_branches(spec) to begin at, as
+    named by SearchBudgetError; classes found before it are not known to
+    the resumed run.  max_nodes and max_seconds, when set, are at least 1.
     """
 
     m: int
@@ -59,6 +65,12 @@ class SearchSpec:
             raise ValueError("Dhat targets require a square grid")
         if self.dedup == "allow-tau" and self.m != self.n:
             raise ValueError("allow-tau dedup requires a square grid")
+        if self.start_branch < 0:
+            raise ValueError(f"start_branch must be at least 0, got {self.start_branch}")
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        if self.max_seconds is not None and self.max_seconds < 1:
+            raise ValueError(f"max_seconds must be at least 1, got {self.max_seconds}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,43 +145,43 @@ def _bounded_partitions(total: int, parts: int, bound: int):
 def degree_branches(spec: SearchSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (row degrees, column degrees) pairs compatible with the target's
     exact 2-path/3-claw counts; the p3 condition is checked after realization
-    since it depends on more than the degrees."""
+    since it depends on more than the degrees.
+
+    Column sequences are bucketed by their (2-path, 3-claw) counts, and each
+    row sequence, in order, looks up the one bucket it needs, so the list
+    comes out in the order of the full cross product without forming it.
+    """
     m, n, k = spec.m, spec.n, spec.k
     if m * n < 2:
         return []
-    xs = list(_bounded_partitions(k, m, n))
-    ys = list(_bounded_partitions(k, n, m))
+    claws = spec.target in ("d3", "dhat3", "flag-dhat3")
 
-    def c2(seq):
-        return sum(comb(d, 2) for d in seq)
+    def counts(seq):
+        p2 = sum(comb(d, 2) for d in seq)
+        return (p2, sum(comb(d, 3) for d in seq)) if claws else (p2,)
 
-    def c3(seq):
-        return sum(comb(d, 3) for d in seq)
+    ys_by_counts: dict[tuple, list] = {}
+    for y in _bounded_partitions(k, n, m):
+        ys_by_counts.setdefault(counts(y), []).append(y)
 
-    out = []
     if spec.target in ("d2", "d3"):
-        t_p2r = Fraction(k * (k - 1) * (n - 1), 2 * (m * n - 1))
-        t_p2c = Fraction(k * (k - 1) * (m - 1), 2 * (m * n - 1))
-        xs = [x for x in xs if c2(x) == t_p2r]
-        ys = [y for y in ys if c2(y) == t_p2c]
-        if spec.target == "d3":
-            t_clr = Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2),
-                             6 * (m * n - 1) * (m * n - 2))
-            t_clc = Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2),
-                             6 * (m * n - 1) * (m * n - 2))
-            xs = [x for x in xs if c3(x) == t_clr]
-            ys = [y for y in ys if c3(y) == t_clc]
-        out = [(x, y) for x in xs for y in ys]
-    else:
-        t_p2 = Fraction(k * (k - 1), m + 1)
-        t_claw = Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2))
-        for x in xs:
-            for y in ys:
-                if c2(x) + c2(y) != t_p2:
-                    continue
-                if spec.target in ("dhat3", "flag-dhat3") and c3(x) + c3(y) != t_claw:
-                    continue
-                out.append((x, y))
+        want_x = (Fraction(k * (k - 1) * (n - 1), 2 * (m * n - 1)),)
+        want_y = (Fraction(k * (k - 1) * (m - 1), 2 * (m * n - 1)),)
+        if claws:
+            want_x += (Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2),
+                                6 * (m * n - 1) * (m * n - 2)),)
+            want_y += (Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2),
+                                6 * (m * n - 1) * (m * n - 2)),)
+        ys = ys_by_counts.get(want_y, [])
+        return [(x, y) for x in _bounded_partitions(k, m, n)
+                if counts(x) == want_x for y in ys]
+    totals = (Fraction(k * (k - 1), m + 1),)
+    if claws:
+        totals += (Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2)),)
+    out = []
+    for x in _bounded_partitions(k, m, n):
+        need = tuple(t - c for t, c in zip(totals, counts(x)))
+        out.extend((x, y) for y in ys_by_counts.get(need, ()))
     return out
 
 
@@ -277,67 +289,83 @@ def _meets_target(g: BiGraph, target: str) -> bool:
     if not flag:
         return False
     if target.startswith("flag-"):
+        if not _uniform_edge_degrees(g):
+            return False
         report = permgroup.automorphisms(g)
         return permgroup.is_edge_transitive(g, report, "G")
     return True
 
 
-def _branch_candidates(args):
-    """One degree branch: realized matrices with canonical key and target
-    verdict, in generation order (process-pool work unit)."""
-    spec, index = args
-    x, y = degree_branches(spec)[index]
-    state = _RealizeState(spec=spec, branch=index)
+def _uniform_edge_degrees(g: BiGraph) -> bool:
+    """Whether every edge {R_i, C_j} has the same unordered degree pair
+    {x_i, y_j}.  An element of the full group that fixes g maps each edge to
+    an edge with the same pair, so edge-transitive graphs pass."""
+    x, y = degrees(g)
+    pairs = {tuple(sorted((x[i - 1], y[j - 1]))) for i, j in g.edges()}
+    return len(pairs) <= 1
+
+
+def _branch_stream(spec: SearchSpec, x, y, state: _RealizeState):
+    """Realized matrices of one degree branch with their canonical keys, in
+    realization order, skipping keys already seen in this branch."""
     allow_tau = spec.dedup == "allow-tau"
-    out = []
+    seen: set[bytes] = set()
     for rows in _realize(x, y, state):
-        g = BiGraph(spec.m, spec.n, rows)
-        key = canonical_form(g, allow_transpose=allow_tau)
-        out.append((rows, key, _meets_target(g, spec.target)))
-    return out
+        key = canonical_form(BiGraph(spec.m, spec.n, rows), allow_transpose=allow_tau)
+        if key not in seen:
+            seen.add(key)
+            yield rows, key
+
+
+def _branch_candidates(args):
+    """Process-pool work unit: one degree branch, with its own node budget."""
+    spec, index, x, y = args
+    return list(_branch_stream(spec, x, y, _RealizeState(spec=spec, branch=index)))
+
+
+def _candidates(spec: SearchSpec, branches, size: int):
+    """(rows, key) of every branch from spec.start_branch on, in branch
+    order: from `size` worker processes, or streamed lazily in this process
+    under one node budget and deadline."""
+    indices = range(spec.start_branch, len(branches))
+    if size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        jobs = [(spec, i, *branches[i]) for i in indices]
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            for batch in pool.map(_branch_candidates, jobs):
+                yield from batch
+        return
+    state = _RealizeState(spec=spec)
+    if spec.max_seconds is not None:
+        state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
+    for index in indices:
+        state.branch = index
+        yield from _branch_stream(spec, *branches[index], state)
 
 
 def exhaustive_search(spec: SearchSpec, workers: int = 1):
     """Yield every block graph meeting the target, one per dedup class.
 
-    Deterministic: degree branches in lexicographically decreasing order,
-    matrices by the realization order, duplicates dropped via canonical
-    forms.  Budget exhaustion raises SearchBudgetError with the branch index
-    for resumption.  When workers.pool_size allows more than one process,
-    the branches run in a process pool and are merged in branch order, so the
+    Deterministic: degree branches in lexicographically decreasing order from
+    spec.start_branch on, matrices by the realization order, duplicates
+    dropped via canonical forms.  Only graphs whose key is new to the whole
+    search are checked against the target.  Budget exhaustion raises
+    SearchBudgetError with the branch index for resumption.  When
+    workers.pool_size allows more than one process, the branches are
+    realized and keyed in a process pool and merged in branch order, so the
     output stream is identical; the node budget then applies per branch.  A
     wall-clock limit is not supported with workers > 1.
     """
-    seen: set[bytes] = set()
-    allow_tau = spec.dedup == "allow-tau"
     branches = degree_branches(spec)
     size = pool_size(workers, len(branches) - spec.start_branch)
     if workers > 1 and spec.max_seconds is not None:
         raise ValueError("max_seconds is not supported with workers > 1")
-    if size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(spec, i) for i in range(spec.start_branch, len(branches))]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for candidates in pool.map(_branch_candidates, jobs):
-                for rows, key, meets in candidates:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if meets:
-                        yield BiGraph(spec.m, spec.n, rows)
-        return
-    state = _RealizeState(spec=spec)
-    if spec.max_seconds is not None:
-        state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
-    for index in range(spec.start_branch, len(branches)):
-        x, y = branches[index]
-        state.branch = index
-        for rows in _realize(x, y, state):
-            g = BiGraph(spec.m, spec.n, rows)
-            key = canonical_form(g, allow_transpose=allow_tau)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _meets_target(g, spec.target):
-                yield g
+    seen: set[bytes] = set()
+    for rows, key in _candidates(spec, branches, size):
+        if key in seen:
+            continue
+        seen.add(key)
+        g = BiGraph(spec.m, spec.n, rows)
+        if _meets_target(g, spec.target):
+            yield g

@@ -18,8 +18,9 @@ from griddesigns.bigraph import (
 )
 from griddesigns.search import family_figure, family_path
 
+from canonical_reference import assert_same_partition
 from conftest import iso_class_reps, mask_to_graph, random_bigraph, random_gridperm
-from griddesigns.permgroup import apply
+from griddesigns.permgroup import GridPerm, apply
 
 
 def bigraphs(max_side=5):
@@ -228,6 +229,61 @@ class TestCanonicalForm:
             seen |= orbit
             orbits.add(min(orbit))
         assert len(keys) == len(orbits)
+
+
+@st.composite
+def graph_batches(draw):
+    """A few graphs on one grid of up to 7x7, each with a relabelled copy,
+    and its transpose on a square grid."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = BiGraph(m, n, tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(m)))
+        rows = tuple(draw(st.permutations(range(m))))
+        cols = tuple(draw(st.permutations(range(n))))
+        out += [g, apply(GridPerm(rows, cols), g)]
+        if m == n:
+            out.append(transpose(g))
+    return out
+
+
+class TestCanonicalMatchesReference:
+    """Keys from the degree-partition start with the degree-oriented
+    transpose are equal exactly when the keys of the previous frontier
+    search (tests/canonical_reference.py) are equal."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_class(self, m):
+        rng = random.Random(m)
+        for n in range(1, 5):
+            graphs = []
+            for g in iso_class_reps(m, n):
+                graphs += [g, apply(random_gridperm(m, n, rng), g)]
+                if m == n:
+                    graphs.append(transpose(g))
+            assert_same_partition(graphs)
+            if m == n:
+                assert_same_partition(graphs, allow_transpose=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_batches())
+    def test_random_graphs(self, graphs):
+        assert_same_partition(graphs)
+        if graphs[0].m == graphs[0].n:
+            assert_same_partition(graphs, allow_transpose=True)
+
+    def test_orientation_by_degrees(self):
+        # sorted column degrees (0, 2, 2) < sorted row degrees (1, 1, 2):
+        # only the transpose, whose rows have degrees (0, 2, 2), is keyed
+        g = from_edge_list(3, 3, [(1, 1), (2, 2), (3, 1), (3, 2)])
+        h = transpose(g)
+        assert canonical_form(g, allow_transpose=True) == canonical_form(h)
+        assert canonical_form(h, allow_transpose=True) == canonical_form(h)
+
+    def test_transpose_needs_square_grid(self):
+        with pytest.raises(ValueError):
+            canonical_form(BiGraph(2, 3, (1, 2)), allow_transpose=True)
 
 
 class TestTextFormat:

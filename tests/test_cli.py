@@ -10,7 +10,7 @@ import pytest
 import griddesigns
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
-from griddesigns.search import family_figure, family_path
+from griddesigns.search import SearchSpec, degree_branches, family_figure, family_path
 
 
 @pytest.fixture
@@ -282,6 +282,58 @@ class TestSearchCommand:
             capsys, ["search", "--m", "3", "--k", "3", "--target", "dhat2"]
         )
         assert code == 1
+
+
+class TestSearchPins:
+    """The exact stdout and exit code of searches, recorded before the
+    degree-oriented canonical form, so a change to which representative is
+    printed, or to the result order, shows here."""
+
+    @pytest.mark.parametrize("argv, code, sha256", [
+        ("--m 7 --k 8 --target dhat2", 0,
+         "7fc52051c19580c19530292a7b84c30728113c43987d4d9368a8cdab0c2696df"),
+        ("--m 7 --k 8 --target dhat2 --dedup side-preserving", 0,
+         "4f5f560e4046e4e2d2f20f4330e8490c868e1f6580bfe45dd9151a6952377e96"),
+        ("--m 6 --k 7 --target flag-dhat2", 1,
+         "74a92bb6dd6c65be4303b960037995845167213414658ed4f122a7585aac2f9b"),
+        ("--m 5 --k 10 --target dhat2", 0,
+         "a10a4ac6d9dc84c79ecf893806c15bf4c16e7ff5def3b29da29353423c6d40e7"),
+        ("--m 5 --k 4 --target flag-dhat2", 0,
+         "eb1c82fe69b1e0cebd80d29ebf6431311b19b8b8680a6468c5c119600994cd8d"),
+    ])
+    def test_search_bytes(self, capsys, argv, code, sha256):
+        got_code, out, _ = run_cli(capsys, ["search", *argv.split()])
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+class TestStartBranch:
+    ARGV = ["search", "--m", "5", "--k", "4", "--target", "flag-dhat2"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--start-branch", "-1"],
+        ["--max-nodes", "0"],
+        ["--max-seconds", "0"],
+    ])
+    def test_bad_values_exit_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, self.ARGV + extra)
+        assert code == 2
+        assert out == ""
+        assert "must be at least" in err
+
+    def test_zero_is_the_default(self, capsys):
+        _, default, _ = run_cli(capsys, self.ARGV)
+        code, out, _ = run_cli(capsys, self.ARGV + ["--start-branch", "0"])
+        assert code == 0
+        assert out == default
+        assert "result 0: k=4 lambda=12 edges (1,3) (1,4) (2,1) (2,2)" in out
+
+    def test_past_the_last_branch_finds_nothing(self, capsys):
+        spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
+        last = str(len(degree_branches(spec)))
+        code, out, _ = run_cli(capsys, self.ARGV + ["--start-branch", last])
+        assert code == 1
+        assert out == "found = 0\n"
 
 
 def run_module(argv):

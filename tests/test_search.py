@@ -1,16 +1,25 @@
+import concurrent.futures
 import hashlib
 import random
+from fractions import Fraction
 from importlib import resources
+from math import comb
 
 import pytest
 
-from griddesigns.bigraph import canonical_form, degrees, stats
+from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats
 from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import design_verdict, materialize
-from griddesigns.permgroup import apply, automorphisms
+from griddesigns import workers
+from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
+    TARGETS,
     SearchBudgetError,
     SearchSpec,
+    _bounded_partitions,
+    _realize,
+    _RealizeState,
+    _uniform_edge_degrees,
     degree_branches,
     exhaustive_search,
     family_cycle,
@@ -18,6 +27,7 @@ from griddesigns.search import (
     family_path,
 )
 
+from canonical_reference import assert_same_partition
 from conftest import iso_class_reps, random_gridperm
 
 
@@ -195,11 +205,28 @@ class TestExhaustiveSearch:
         b = [g.edges() for g in exhaustive_search(spec)]
         assert a == b
 
-    def test_workers_do_not_change_output(self):
-        spec = SearchSpec(m=5, n=5, k=4, target="dhat2")
-        serial = [g.edges() for g in exhaustive_search(spec)]
-        parallel = [g.edges() for g in exhaustive_search(spec, workers=2)]
-        assert serial == parallel
+    def test_workers_do_not_change_output(self, monkeypatch):
+        # two CPUs even on a one-CPU machine, so the pool path runs; one pool
+        # of at most two processes at a time
+        monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        specs = [
+            SearchSpec(m=5, n=5, k=4, target="dhat2"),
+            SearchSpec(m=5, n=5, k=4, target="flag-dhat2"),
+            SearchSpec(m=5, n=5, k=4, target="dhat2", dedup="side-preserving"),
+        ]
+        for spec in specs:
+            serial = [g.edges() for g in exhaustive_search(spec)]
+            parallel = [g.edges() for g in exhaustive_search(spec, workers=2)]
+            assert serial == parallel, spec
+        assert sizes == [2] * len(specs)
 
     def test_workers_reject_time_limit(self):
         spec = SearchSpec(m=3, n=3, k=4, target="dhat2", max_seconds=5)
@@ -211,3 +238,108 @@ class TestExhaustiveSearch:
             SearchSpec(m=3, n=3, k=4, target="bogus")
         with pytest.raises(ValueError):
             SearchSpec(m=3, n=4, k=4, target="dhat2")
+        for field, value in [("start_branch", -1), ("max_nodes", 0), ("max_seconds", 0)]:
+            with pytest.raises(ValueError, match=field):
+                SearchSpec(m=5, n=5, k=4, target="flag-dhat2", **{field: value})
+
+    def test_start_branch_skips_earlier_branches(self):
+        spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
+        full = [g.edges() for g in exhaustive_search(spec)]
+        assert full[0] == [(1, 3), (1, 4), (2, 1), (2, 2)]
+        # branch 0 holds only the first result; a resumed search does not
+        # know the keys seen before it, so transposes of earlier results in
+        # later branches come out again
+        resumed = SearchSpec(m=5, n=5, k=4, target="flag-dhat2", start_branch=1)
+        assert [g.edges() for g in exhaustive_search(resumed)][0] == full[1]
+
+
+def _cross_product_branches(spec):
+    """degree_branches as it was before the hash join: the filtered cross
+    product of row and column sequences."""
+    m, n, k = spec.m, spec.n, spec.k
+    if m * n < 2:
+        return []
+    xs = list(_bounded_partitions(k, m, n))
+    ys = list(_bounded_partitions(k, n, m))
+
+    def c2(seq):
+        return sum(comb(d, 2) for d in seq)
+
+    def c3(seq):
+        return sum(comb(d, 3) for d in seq)
+
+    out = []
+    if spec.target in ("d2", "d3"):
+        t_p2r = Fraction(k * (k - 1) * (n - 1), 2 * (m * n - 1))
+        t_p2c = Fraction(k * (k - 1) * (m - 1), 2 * (m * n - 1))
+        xs = [x for x in xs if c2(x) == t_p2r]
+        ys = [y for y in ys if c2(y) == t_p2c]
+        if spec.target == "d3":
+            t_clr = Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2),
+                             6 * (m * n - 1) * (m * n - 2))
+            t_clc = Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2),
+                             6 * (m * n - 1) * (m * n - 2))
+            xs = [x for x in xs if c3(x) == t_clr]
+            ys = [y for y in ys if c3(y) == t_clc]
+        out = [(x, y) for x in xs for y in ys]
+    else:
+        t_p2 = Fraction(k * (k - 1), m + 1)
+        t_claw = Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2))
+        for x in xs:
+            for y in ys:
+                if c2(x) + c2(y) != t_p2:
+                    continue
+                if spec.target in ("dhat3", "flag-dhat3") and c3(x) + c3(y) != t_claw:
+                    continue
+                out.append((x, y))
+    return out
+
+
+class TestDegreeBranches:
+    def test_equals_cross_product(self):
+        nonempty = 0
+        for m in range(1, 7):
+            for n in range(1, 7):
+                if m * n < 3:
+                    continue  # d3 targets divide by mn - 2
+                for k in range(m * n + 1):
+                    targets = TARGETS if m == n else ("d2", "d3")
+                    for target in targets:
+                        dedup = "allow-tau" if m == n else "side-preserving"
+                        spec = SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
+                        got = degree_branches(spec)
+                        assert got == _cross_product_branches(spec), spec
+                        nonempty += bool(got)
+        assert nonempty > 100
+
+    @pytest.mark.parametrize("m, k, target", [
+        (8, 20, "dhat3"), (8, 9, "dhat2"), (7, 21, "flag-dhat3"), (9, 10, "dhat2"),
+    ])
+    def test_equals_cross_product_larger(self, m, k, target):
+        spec = SearchSpec(m=m, n=m, k=k, target=target)
+        assert degree_branches(spec) == _cross_product_branches(spec)
+
+
+class TestCanonicalOnSearch:
+    def test_realized_matrices_7x7_k8(self):
+        # every matrix `search --m 7 --k 8 --target dhat2` realizes
+        spec = SearchSpec(m=7, n=7, k=8, target="dhat2")
+        state = _RealizeState(spec=spec)
+        graphs = [BiGraph(7, 7, rows)
+                  for x, y in degree_branches(spec)
+                  for rows in _realize(x, y, state)]
+        assert len(graphs) > 500
+        assert_same_partition(graphs, allow_transpose=True)
+        assert_same_partition(graphs)
+
+
+class TestFlagPrecheck:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_never_rejects_edge_transitive(self, m):
+        rejected = 0
+        for g in iso_class_reps(m, m):
+            if _uniform_edge_degrees(g):
+                continue
+            rejected += 1
+            assert not is_edge_transitive(g, automorphisms(g), "G"), g
+        assert rejected > 0 or m == 1
