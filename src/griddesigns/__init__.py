@@ -18,7 +18,6 @@ from .bigraph import (
     from_edge_list,
     parse_graph_text,
     stats,
-    stats_by_enumeration,
     transpose,
 )
 from .criteria import (
@@ -27,6 +26,7 @@ from .criteria import (
     check_D,
     check_Dhat,
     classify_case,
+    count_targets,
     evaluate,
 )
 from .oracle import (
@@ -74,13 +74,13 @@ __all__ = [
     "from_edge_list",
     "parse_graph_text",
     "stats",
-    "stats_by_enumeration",
     "transpose",
     "CaseReport",
     "CriteriaReport",
     "check_D",
     "check_Dhat",
     "classify_case",
+    "count_targets",
     "evaluate",
     "Budget",
     "BudgetExceededError",

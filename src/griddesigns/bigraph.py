@@ -12,7 +12,6 @@ All arithmetic is exact; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 
@@ -151,33 +150,6 @@ def stats(g: BiGraph) -> SubgraphStats:
     return SubgraphStats(p2_r, p2_c, p3, claw3_r, claw3_c)
 
 
-def stats_by_enumeration(g: BiGraph) -> SubgraphStats:
-    """Subgraph counts by explicit enumeration of 2- and 3-edge subsets.
-
-    Independent of the degree formulas; used as the debug/oracle path.  Cost
-    is C(k, 3), fine for the sizes it is meant for.
-    """
-    cells = g.edges()
-    p2_r = p2_c = 0
-    for (a, b), (c, d) in combinations(cells, 2):
-        if a == c and b != d:
-            p2_r += 1
-        elif b == d and a != c:
-            p2_c += 1
-    p3 = claw3_r = claw3_c = 0
-    for triple in combinations(cells, 3):
-        rows = {e[0] for e in triple}
-        cols = {e[1] for e in triple}
-        if len(rows) == 1 and len(cols) == 3:
-            claw3_r += 1
-        elif len(cols) == 1 and len(rows) == 3:
-            claw3_c += 1
-        elif len(rows) == 2 and len(cols) == 2:
-            # three distinct cells in a 2x2 window form an L, i.e. a 3-path
-            p3 += 1
-    return SubgraphStats(p2_r, p2_c, p3, claw3_r, claw3_c)
-
-
 def transpose(g: BiGraph) -> BiGraph:
     """The image of g under the row/column exchange map; requires m = n."""
     if g.m != g.n:
@@ -283,8 +255,9 @@ def _canonical_key(cols, x, y) -> bytes:
             states = best_states
         frontier = {groups for groups, _ in states}
 
+    # the sides in decimal, so any size fits and equal sides give equal headers
     width = (m * n + 7) // 8
-    return bytes([m, n]) + packed.to_bytes(width, "big")
+    return b"%d,%d:" % (m, n) + packed.to_bytes(width, "big")
 
 
 def _extend(groups: tuple[int, ...], col: int, m: int):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .bigraph import BiGraph, stats
+from .bigraph import BiGraph, SubgraphStats, stats
 from .permgroup import AutReport, group_order
 
 
@@ -73,29 +73,46 @@ def outside_standard_range(g: BiGraph) -> bool:
     return not (3 <= g.k and 2 * g.k <= g.m * g.n)
 
 
-def _d2_targets(m: int, n: int, k: int):
-    """Required 2-path counts for D to be a 2-design (exact fractions)."""
+def count_targets(design: str, m: int, n: int, t: int) -> dict[str, tuple[int, int]]:
+    """Exact count targets that level t adds, for design "D" or "Dhat".
+
+    Maps each count, named as its SubgraphStats field, to an integer pair
+    (c, d): the count must equal c * k(k-1)...(k-t+1) / d.  Level 3 lists
+    only what it adds to level 2; a t-design must hit the targets of every
+    level up to t.  Defined for v = mn >= t, where every d is positive.
+    """
+    if t not in (2, 3):
+        raise ValueError("t must be 2 or 3")
+    if m * n < t:
+        raise ValueError(f"count targets need at least t = {t} points")
     v = m * n
-    p2_r = Fraction(k * (k - 1) * (n - 1), 2 * (v - 1))
-    p2_c = Fraction(k * (k - 1) * (m - 1), 2 * (v - 1))
-    return p2_r, p2_c
+    if design == "D":
+        if t == 2:
+            return {"p2_r": (n - 1, 2 * (v - 1)), "p2_c": (m - 1, 2 * (v - 1))}
+        d3 = (v - 1) * (v - 2)
+        return {
+            "claw3_r": ((n - 1) * (n - 2), 6 * d3),
+            "claw3_c": ((m - 1) * (m - 2), 6 * d3),
+            "p3": ((m - 1) * (n - 1), d3),
+        }
+    if design != "Dhat":
+        raise ValueError(f"unknown design {design!r}")
+    if m != n:
+        raise ValueError("Dhat criteria require a square grid")
+    if t == 2:
+        return {"p2_total": (1, m + 1)}
+    d3 = (m + 1) * (m * m - 2)
+    return {"claw3_total": (m - 2, 3 * d3), "p3": (m - 1, d3)}
 
 
-def _d3_targets(m: int, n: int, k: int):
-    """Additional claw/3-path counts for D to be a 3-design."""
-    v = m * n
-    claw_r = Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2), 6 * (v - 1) * (v - 2))
-    claw_c = Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2), 6 * (v - 1) * (v - 2))
-    p3 = Fraction(k * (k - 1) * (k - 2) * (m - 1) * (n - 1), (v - 1) * (v - 2))
-    return claw_r, claw_c, p3
-
-
-def _dhat_targets(m: int, k: int):
-    """Required totals for Dhat on an m x m grid (exact fractions)."""
-    p2 = Fraction(k * (k - 1), m + 1)
-    claw = Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2))
-    p3 = Fraction(k * (k - 1) * (k - 2) * (m - 1), (m + 1) * (m * m - 2))
-    return p2, claw, p3
+def _hits(st: SubgraphStats, design: str, m: int, n: int, k: int, t: int,
+          names=None) -> bool:
+    """Whether the level-t counts (only `names`, when given) hit their
+    targets, compared as integers: count * d == c * k(k-1)...(k-t+1)."""
+    f = perm(k, t)
+    return all(getattr(st, name) * d == c * f
+               for name, (c, d) in count_targets(design, m, n, t).items()
+               if names is None or name in names)
 
 
 def _exact_int(x: Fraction) -> int:
@@ -108,10 +125,10 @@ def check_D(g: BiGraph, aut: AutReport | None = None):
     """Verdicts (and lambdas, when aut is given) for the row/column-orbit
     design D.
 
-    2-design: the counts of 2-paths of each type equal
-    k(k-1)(n-1) / (2(mn-1)) and k(k-1)(m-1) / (2(mn-1)).
+    2-design: the counts of 2-paths of each type hit their targets in
+    count_targets("D", m, n, 2), e.g. k(k-1)(n-1) / (2(mn-1)) for type R.
     3-design: additionally the two 3-claw counts and the 3-path count hit
-    their own exact values.  Non-integral right-hand sides simply fail.
+    the level-3 targets.  Non-integral right-hand sides simply fail.
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
     m, n, k = g.m, g.n, g.k
@@ -119,12 +136,8 @@ def check_D(g: BiGraph, aut: AutReport | None = None):
     if v < 2 or k < 2:
         return False, False, None, None
     st = stats(g)
-    t_p2r, t_p2c = _d2_targets(m, n, k)
-    is2 = st.p2_r == t_p2r and st.p2_c == t_p2c
-    is3 = False
-    if is2 and v >= 3 and k >= 3:
-        t_clr, t_clc, t_p3 = _d3_targets(m, n, k)
-        is3 = st.claw3_r == t_clr and st.claw3_c == t_clc and st.p3 == t_p3
+    is2 = _hits(st, "D", m, n, k, 2)
+    is3 = is2 and v >= 3 and k >= 3 and _hits(st, "D", m, n, k, 3)
     lam2 = lam3 = None
     if aut is not None:
         if is2:
@@ -144,8 +157,8 @@ def check_Dhat(g: BiGraph, aut: AutReport | None = None):
     """Verdicts (and lambdas) for the full-group design Dhat; m = n required.
 
     2-design: total 2-paths = k(k-1)/(m+1).
-    3-design: additionally total 3-claws = k(k-1)(k-2)(m-2) / (3(m+1)(m^2-2))
-    and 3-paths = k(k-1)(k-2)(m-1) / ((m+1)(m^2-2)).
+    3-design: additionally the total 3-claws and the 3-paths hit the
+    level-3 targets of count_targets("Dhat", m, m, 3).
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
     if g.m != g.n:
@@ -154,9 +167,8 @@ def check_Dhat(g: BiGraph, aut: AutReport | None = None):
     if m < 2 or k < 2:
         return False, False, None, None
     st = stats(g)
-    t_p2, t_claw, t_p3 = _dhat_targets(m, k)
-    is2 = st.p2_total == t_p2
-    is3 = is2 and k >= 3 and st.claw3_total == t_claw and st.p3 == t_p3
+    is2 = _hits(st, "Dhat", m, m, k, 2)
+    is3 = is2 and k >= 3 and _hits(st, "Dhat", m, m, k, 3)
     lam2 = lam3 = None
     if aut is not None:
         if aut.g_order is None:
@@ -172,19 +184,6 @@ def check_Dhat(g: BiGraph, aut: AutReport | None = None):
                          (m + 1) * (m * m - 2) * aut.g_order)
             )
     return is2, is3, lam2, lam3
-
-
-def check_D_tau_reduced(g: BiGraph) -> bool | None:
-    """Redundant verdict path for tau-equivalent square graphs: then D is a
-    2-design iff the total 2-path count is k(k-1)/(m+1).  Returns None when
-    the reduction does not apply (callers must check tau-equivalence)."""
-    if g.m != g.n or g.k < 2:
-        return None
-    st = stats(g)
-    if st.p2_r != st.p2_c:
-        # tau-equivalence forces equal type counts; reduction not applicable
-        return None
-    return st.p2_total == Fraction(g.k * (g.k - 1), g.m + 1)
 
 
 def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
@@ -207,12 +206,12 @@ def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
     d_design = d2 if t == 2 else d3
     dhat_design = h2 if t == 2 else h3
 
-    row_2paths_match = st.p2_r == Fraction(k * (k - 1), 2 * (m + 1))
+    # the half shares are D's row-side targets on the square grid; on a
+    # 1x1 grid every count is zero and k < t, so they hold vacuously
+    row_2paths_match = m == 1 or _hits(st, "D", m, m, k, 2, ("p2_r",))
     row_claws_match = None
     if t == 3:
-        row_claws_match = st.claw3_r == Fraction(
-            k * (k - 1) * (k - 2) * (m - 2), 6 * (m + 1) * (m * m - 2)
-        )
+        row_claws_match = m == 1 or _hits(st, "D", m, m, k, 3, ("claw3_r",))
 
     if aut.tau_equivalent and d_design:
         label = "case1"

@@ -1,15 +1,20 @@
 """Divisibility feasibility scans over design parameters.
 
 Before any graph search, the candidate parameters must make the exact count
-formulas of the criteria module integral; these scans enumerate the tuples
-that survive.  All checks are integer divisibility, the output is sorted and
-deterministic, and the per-m work units are independent (safe to distribute).
+targets of the criteria module integral; these scans enumerate the tuples
+that survive.  Each level t of the target table folds into one modulus q_t,
+and k survives when q_t | k(k-1)...(k-t+1) for every level.  All checks are
+integer divisibility, the output is sorted and deterministic, and the per-m
+work units are independent (safe to distribute).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from math import gcd, lcm
 
+from .criteria import count_targets
 from .workers import pool_size
 
 
@@ -21,19 +26,25 @@ class ParamTuple:
     target: str
 
 
-def _square3_feasible(m: int, k: int) -> bool:
-    # integrality of the three Dhat 3-design counts on an m x m grid
-    a = k * (k - 1)
-    b = a * (k - 2)
-    return (
-        a % (m + 1) == 0
-        and b * (m - 2) % (3 * (m + 1) * (m * m - 2)) == 0
-        and b * (m - 1) % ((m + 1) * (m * m - 2)) == 0
-    )
+def _modulus(design: str, m: int, n: int, t: int) -> int:
+    """The q for which every level-t target of the design is integral
+    exactly when q | k(k-1)...(k-t+1): c*F/d is an integer exactly when
+    d/gcd(c, d) divides F, and the level needs the lcm of these."""
+    return lcm(*(d // gcd(c, d) for c, d in count_targets(design, m, n, t).values()))
 
 
-def _scan_square3_one(m: int) -> list[list[int]]:
-    return [[m, k] for k in range(3, m * m // 2 + 1) if _square3_feasible(m, k)]
+def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
+    """The k in 3..mn/2 for which every target up to level t is integral."""
+    q2 = _modulus(design, m, n, 2)
+    ks = [k for k in range(3, m * n // 2 + 1) if k * (k - 1) % q2 == 0]
+    if t == 3:
+        q3 = _modulus(design, m, n, 3)
+        ks = [k for k in ks if k * (k - 1) * (k - 2) % q3 == 0]
+    return ks
+
+
+def _scan_square_one(t: int, m: int) -> list[list[int]]:
+    return [[m, k] for k in _feasible_ks("Dhat", m, m, t)]
 
 
 def scan_square_3design(max_m: int, workers: int = 1) -> list[list[int]]:
@@ -41,50 +52,22 @@ def scan_square_3design(max_m: int, workers: int = 1) -> list[list[int]]:
     3-design on an m x m grid is arithmetically possible."""
     if max_m < 2:
         raise ValueError("max_m must be at least 2")
-    chunks = _map_over(_scan_square3_one, range(2, max_m + 1), workers)
+    chunks = _map_over(partial(_scan_square_one, 3), range(2, max_m + 1), workers)
     return [pair for chunk in chunks for pair in chunk]
-
-
-def _scan_square2_one(m: int) -> list[list[int]]:
-    return [
-        [m, k]
-        for k in range(3, m * m // 2 + 1)
-        if k * (k - 1) % (m + 1) == 0
-    ]
 
 
 def scan_square_2design(max_m: int, workers: int = 1) -> list[list[int]]:
     """All [m, k] passing the Dhat 2-design divisibility (m+1 | k(k-1))."""
     if max_m < 2:
         raise ValueError("max_m must be at least 2")
-    chunks = _map_over(_scan_square2_one, range(2, max_m + 1), workers)
+    chunks = _map_over(partial(_scan_square_one, 2), range(2, max_m + 1), workers)
     return [pair for chunk in chunks for pair in chunk]
-
-
-def _general3_feasible(m: int, n: int, k: int) -> bool:
-    # integrality of the five D 3-design counts on an m x n grid
-    v = m * n
-    a = k * (k - 1)
-    b = a * (k - 2)
-    d2 = 2 * (v - 1)
-    d3 = 6 * (v - 1) * (v - 2)
-    return (
-        a * (n - 1) % d2 == 0
-        and a * (m - 1) % d2 == 0
-        and b * (n - 1) * (n - 2) % d3 == 0
-        and b * (m - 1) * (m - 2) % d3 == 0
-        and b * (m - 1) * (n - 1) % ((v - 1) * (v - 2)) == 0
-    )
 
 
 def _scan_general3_one(args) -> list[tuple[int, int, int]]:
     m, max_n = args
-    out = []
-    for n in range(2, min(m, max_n) + 1):
-        for k in range(3, m * n // 2 + 1):
-            if _general3_feasible(m, n, k):
-                out.append((m, n, k))
-    return out
+    return [(m, n, k) for n in range(2, min(m, max_n) + 1)
+            for k in _feasible_ks("D", m, n, 3)]
 
 
 def scan_general_3design(max_m: int, max_n: int, workers: int = 1) -> list[list[int]]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations
-from math import comb
+from math import comb, perm
 
 from . import criteria, permgroup
 from .bigraph import BiGraph, canonical_form, degrees, from_edge_list, parse_graph_text
@@ -144,43 +143,45 @@ def _bounded_partitions(total: int, parts: int, bound: int):
 
 def degree_branches(spec: SearchSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (row degrees, column degrees) pairs compatible with the target's
-    exact 2-path/3-claw counts; the p3 condition is checked after realization
-    since it depends on more than the degrees.
+    exact 2-path/3-claw counts from criteria.count_targets; the p3 condition
+    is checked after realization since it depends on more than the degrees.
+    Empty below t points, and when any target up to level t, p3 included,
+    is not an integer, since then no graph can meet it.
 
     Column sequences are bucketed by their (2-path, 3-claw) counts, and each
     row sequence, in order, looks up the one bucket it needs, so the list
     comes out in the order of the full cross product without forming it.
     """
     m, n, k = spec.m, spec.n, spec.k
-    if m * n < 2:
+    t = 3 if spec.target in ("d3", "dhat3", "flag-dhat3") else 2
+    if m * n < t:
         return []
-    claws = spec.target in ("d3", "dhat3", "flag-dhat3")
+    design = "D" if spec.target in ("d2", "d3") else "Dhat"
+    want: dict[str, int] = {}
+    for level in range(2, t + 1):
+        for name, (c, d) in criteria.count_targets(design, m, n, level).items():
+            q, r = divmod(c * perm(k, level), d)
+            if r:
+                return []
+            want[name] = q
+    kinds = ("p2", "claw3")[:t - 1]
 
     def counts(seq):
-        p2 = sum(comb(d, 2) for d in seq)
-        return (p2, sum(comb(d, 3) for d in seq)) if claws else (p2,)
+        return tuple(sum(comb(d, level) for d in seq) for level in range(2, t + 1))
 
     ys_by_counts: dict[tuple, list] = {}
     for y in _bounded_partitions(k, n, m):
         ys_by_counts.setdefault(counts(y), []).append(y)
 
-    if spec.target in ("d2", "d3"):
-        want_x = (Fraction(k * (k - 1) * (n - 1), 2 * (m * n - 1)),)
-        want_y = (Fraction(k * (k - 1) * (m - 1), 2 * (m * n - 1)),)
-        if claws:
-            want_x += (Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2),
-                                6 * (m * n - 1) * (m * n - 2)),)
-            want_y += (Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2),
-                                6 * (m * n - 1) * (m * n - 2)),)
-        ys = ys_by_counts.get(want_y, [])
+    if design == "D":
+        want_x = tuple(want[f"{kind}_r"] for kind in kinds)
+        ys = ys_by_counts.get(tuple(want[f"{kind}_c"] for kind in kinds), [])
         return [(x, y) for x in _bounded_partitions(k, m, n)
                 if counts(x) == want_x for y in ys]
-    totals = (Fraction(k * (k - 1), m + 1),)
-    if claws:
-        totals += (Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2)),)
+    totals = tuple(want[f"{kind}_total"] for kind in kinds)
     out = []
     for x in _bounded_partitions(k, m, n):
-        need = tuple(t - c for t, c in zip(totals, counts(x)))
+        need = tuple(w - c for w, c in zip(totals, counts(x)))
         out.extend((x, y) for y in ys_by_counts.get(need, ()))
     return out
 

@@ -13,12 +13,12 @@ from griddesigns.bigraph import (
     from_edge_list,
     parse_graph_text,
     stats,
-    stats_by_enumeration,
     transpose,
 )
 from griddesigns.search import family_figure, family_path
 
 from canonical_reference import assert_same_partition
+from count_reference import stats_by_enumeration
 from conftest import iso_class_reps, mask_to_graph, random_bigraph, random_gridperm
 from griddesigns.permgroup import GridPerm, apply
 
@@ -192,6 +192,17 @@ class TestCanonicalForm:
             reps = iso_class_reps(m, n)
             keys = {canonical_form(g) for g in reps}
             assert len(keys) == len(reps), (m, n)
+
+    def test_sides_above_255(self):
+        empty = canonical_form(BiGraph(256, 1, (0,) * 256))
+        first = canonical_form(BiGraph(256, 1, (1,) + (0,) * 255))
+        later = canonical_form(BiGraph(256, 1, (0,) * 200 + (1,) + (0,) * 55))
+        assert first == later != empty
+        # same number of cells, so only the header tells the grids apart
+        assert empty != canonical_form(BiGraph(1, 256, (0,)))
+        g = family_path(7, 300, 300)
+        assert (canonical_form(g, allow_transpose=True)
+                == canonical_form(transpose(g), allow_transpose=True))
 
     def test_transpose_variant_counts_g_orbits(self):
         # distinct transpose-variant keys over all 3x3 graphs equal the

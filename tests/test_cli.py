@@ -283,6 +283,18 @@ class TestSearchCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("m, n, k, target", [
+        (1, 2, 1, "d3"),    # fewer points than t: no targets, no branches
+        (256, 2, 1, "d2"),  # a side above 255 in the canonical key header
+    ])
+    def test_degenerate_grids_find_nothing(self, capsys, m, n, k, target):
+        code, out, _ = run_cli(
+            capsys,
+            ["search", "--m", str(m), "--n", str(n), "--k", str(k),
+             "--target", target, "--dedup", "side-preserving"],
+        )
+        assert (code, out) == (1, "found = 0\n")
+
 
 class TestSearchPins:
     """The exact stdout and exit code of searches, recorded before the

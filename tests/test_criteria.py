@@ -7,9 +7,9 @@ import pytest
 from griddesigns.bigraph import BiGraph, from_edge_list, stats
 from griddesigns.criteria import (
     check_D,
-    check_D_tau_reduced,
     check_Dhat,
     classify_case,
+    count_targets,
     evaluate,
     lambda_identity_holds,
     outside_standard_range,
@@ -18,6 +18,7 @@ from griddesigns.permgroup import automorphisms
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps
+from count_reference import check_D_tau_reduced
 
 
 def path_lambda_closed_form(k: int) -> int:
@@ -33,6 +34,47 @@ def path_lambda_closed_form(k: int) -> int:
 def cycle_lambda_closed_form(k: int) -> int:
     """Lambda of the even-cycle 2-design on the (k-2) x (k-2) grid."""
     return factorial(k - 3) * factorial(k - 4) // factorial(k // 2 - 2) ** 2
+
+
+def _written_out(design, m, n, k, t):
+    """The level-t targets, as in the paper, by SubgraphStats field."""
+    v = m * n
+    a, b = k * (k - 1), k * (k - 1) * (k - 2)
+    if design == "D" and t == 2:
+        return {"p2_r": Fraction(a * (n - 1), 2 * (v - 1)),
+                "p2_c": Fraction(a * (m - 1), 2 * (v - 1))}
+    if design == "D":
+        return {"claw3_r": Fraction(b * (n - 1) * (n - 2), 6 * (v - 1) * (v - 2)),
+                "claw3_c": Fraction(b * (m - 1) * (m - 2), 6 * (v - 1) * (v - 2)),
+                "p3": Fraction(b * (m - 1) * (n - 1), (v - 1) * (v - 2))}
+    if t == 2:
+        return {"p2_total": Fraction(a, m + 1)}
+    return {"claw3_total": Fraction(b * (m - 2), 3 * (m + 1) * (m * m - 2)),
+            "p3": Fraction(b * (m - 1), (m + 1) * (m * m - 2))}
+
+
+class TestCountTargets:
+    def test_equals_written_out(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for design in ("D", "Dhat") if m == n else ("D",):
+                    for t in (2, 3):
+                        if m * n < t:
+                            continue
+                        table = count_targets(design, m, n, t)
+                        for k in range(m * n + 1):
+                            falling = factorial(k) // factorial(k - t) if k >= t else 0
+                            got = {name: Fraction(c * falling, d)
+                                   for name, (c, d) in table.items()}
+                            assert got == _written_out(design, m, n, k, t)
+
+    @pytest.mark.parametrize("args", [
+        ("D", 1, 1, 2), ("D", 1, 2, 3), ("Dhat", 1, 1, 2), ("Dhat", 2, 3, 2),
+        ("D", 3, 3, 4), ("E", 3, 3, 2),
+    ])
+    def test_rejects(self, args):
+        with pytest.raises(ValueError):
+            count_targets(*args)
 
 
 class TestCheckD:

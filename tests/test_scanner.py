@@ -86,3 +86,50 @@ class TestSquare2:
     def test_targets_integral(self):
         for m, k in scan_square_2design(12):
             assert (k * (k - 1)) % (m + 1) == 0
+
+
+def _dhat_targets(m, k, t):
+    """The Dhat counts a t-design on the m x m grid must hit."""
+    out = [Fraction(k * (k - 1), m + 1)]
+    if t == 3:
+        out += [
+            Fraction(k * (k - 1) * (k - 2) * (m - 2), 3 * (m + 1) * (m * m - 2)),
+            Fraction(k * (k - 1) * (k - 2) * (m - 1), (m + 1) * (m * m - 2)),
+        ]
+    return out
+
+
+def _d3_targets(m, n, k):
+    """The D counts a 3-design on the m x n grid must hit."""
+    v = m * n
+    return [
+        Fraction(k * (k - 1) * (n - 1), 2 * (v - 1)),
+        Fraction(k * (k - 1) * (m - 1), 2 * (v - 1)),
+        Fraction(k * (k - 1) * (k - 2) * (n - 1) * (n - 2), 6 * (v - 1) * (v - 2)),
+        Fraction(k * (k - 1) * (k - 2) * (m - 1) * (m - 2), 6 * (v - 1) * (v - 2)),
+        Fraction(k * (k - 1) * (k - 2) * (m - 1) * (n - 1), (v - 1) * (v - 2)),
+    ]
+
+
+def _integral(targets):
+    return all(x.denominator == 1 for x in targets)
+
+
+class TestCompleteness:
+    """Every tuple in range whose targets are all integral, and no other,
+    is what a scan prints."""
+
+    @pytest.mark.parametrize("t, scan", [
+        (2, scan_square_2design), (3, scan_square_3design),
+    ])
+    def test_square(self, t, scan):
+        want = [[m, k] for m in range(2, 41) for k in range(3, m * m // 2 + 1)
+                if _integral(_dhat_targets(m, k, t))]
+        assert want
+        assert scan(40) == want
+
+    def test_general3(self):
+        want = [[m, n, k] for m in range(2, 17) for n in range(2, m + 1)
+                for k in range(3, m * n // 2 + 1) if _integral(_d3_targets(m, n, k))]
+        assert want
+        assert scan_general_3design(16, 16) == want
