@@ -32,9 +32,10 @@ def _read_graph(path: str) -> BiGraph:
     return parse_graph_text(text)
 
 
-def _workers(text: str) -> int:
-    """--workers: a process count of at least 1 (the pool is capped at the
-    CPU count and the number of jobs by workers.pool_size)."""
+def _positive(text: str) -> int:
+    """An integer of at least 1: --workers (the pool is capped at the CPU
+    count and the number of jobs by workers.pool_size), --max-blocks and
+    --max-subsets."""
     try:
         value = int(text)
     except ValueError:
@@ -45,15 +46,21 @@ def _workers(text: str) -> int:
 
 
 def _budget_from(args) -> oracle.Budget:
-    max_blocks = args.max_blocks
-    if max_blocks is None:
-        max_blocks = int(os.environ.get("GRIDDESIGNS_BUDGET_BLOCKS",
-                                        oracle.DEFAULT_BUDGET.max_blocks))
-    max_subsets = args.max_subsets
-    if max_subsets is None:
-        max_subsets = int(os.environ.get("GRIDDESIGNS_BUDGET_SUBSETS",
-                                         oracle.DEFAULT_BUDGET.max_subsets))
-    return oracle.Budget(max_blocks=max_blocks, max_subsets=max_subsets)
+    """Budget from the flags, else GRIDDESIGNS_BUDGET_BLOCKS/_SUBSETS, else
+    the default.  An environment value that is not an integer of at least 1
+    is a usage error naming the variable."""
+    limits = {}
+    for field, var in (("max_blocks", "GRIDDESIGNS_BUDGET_BLOCKS"),
+                       ("max_subsets", "GRIDDESIGNS_BUDGET_SUBSETS")):
+        value = getattr(args, field)
+        if value is None and var in os.environ:
+            try:
+                value = _positive(os.environ[var])
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{var}: {exc}") from None
+        if value is not None:
+            limits[field] = value
+    return oracle.Budget(**limits)
 
 
 def _report_dict(rep: criteria.CriteriaReport) -> dict:
@@ -220,6 +227,9 @@ def _cmd_family(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
     budget = _budget_from(args)
+    if args.ratio and args.t not in (2, 3):
+        print("error: --ratio needs --t 2 or 3", file=sys.stderr)
+        return EXIT_USAGE
     design = oracle.materialize(g, args.group, budget)
     hist = oracle.lambda_table(design, args.t, budget, workers=args.workers)
     verdict = len(hist) == 1 and design.k >= args.t
@@ -318,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true",
                    help="also materialize the design and count coverages")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-blocks", type=int, default=None)
-    p.add_argument("--max-subsets", type=int, default=None)
+    p.add_argument("--max-blocks", type=_positive, default=None)
+    p.add_argument("--max-subsets", type=_positive, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("scan", help="divisibility feasibility scans")
@@ -328,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general3", action="store_true")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_scan)
 
@@ -345,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first degree branch to search (resumes a search "
                         "stopped by its budget)")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_search)
 
@@ -373,9 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-blocks", default=None,
                    help="write the block list to this path")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-blocks", type=int, default=None)
-    p.add_argument("--max-subsets", type=int, default=None)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--max-blocks", type=_positive, default=None)
+    p.add_argument("--max-subsets", type=_positive, default=None)
+    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(fn=_cmd_oracle)
 
     return parser

@@ -1,7 +1,7 @@
 """Brute-force ground truth for the design criteria.
 
-Materializes the block orbit explicitly (breadth-first closure under a small
-generating set of the acting group, never a loop over all group elements) and
+Materializes the block orbit explicitly (closure of integer bitmasks under
+adjacent row and column swaps, never a loop over all group elements) and
 decides the t-design property by direct counting: either a full coverage
 histogram over all t-subsets of points, or the orbit-ratio test on the t-set
 orbits of the acting group.  Everything here is independent of the degree
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .bigraph import BiGraph
@@ -34,6 +34,12 @@ class Budget:
 
     max_blocks: int = 500_000
     max_subsets: int = 5_000_000
+
+    def __post_init__(self):
+        for name in ("max_blocks", "max_subsets"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -65,27 +71,75 @@ class ExplicitDesign:
         return len(self.blocks)
 
 
-def _cell_generators(m: int, n: int, group: str) -> list[list[int]]:
-    """Cell permutations for adjacent row/column transpositions, plus the
-    transpose map for G; these generate the acting group."""
+def _check_group(m: int, n: int, group: str) -> None:
     if group not in ("K", "G"):
         raise ValueError(f"unknown group {group!r}")
     if group == "G" and m != n:
         raise ValueError("G requires a square grid")
+
+
+# Inside this module a block is an integer bitmask with cell c = i * n + j at
+# bit v - 1 - c.  The highest bit then holds the smallest cell, so among
+# blocks of one size descending masks are ascending sorted cell lists.
+
+
+def _mask(cells, v: int) -> int:
+    return sum(1 << (v - 1 - c) for c in cells)
+
+
+def _cells(x: int, v: int) -> list[int]:
+    """Ascending cells of a mask."""
+    out = []
+    while x:
+        top = x.bit_length()
+        out.append(v - top)
+        x ^= 1 << (top - 1)
+    return out
+
+
+def _transpose(x: int, n: int) -> int:
+    """Mask of the transposed block on an n x n grid."""
+    return _mask(((c % n) * n + c // n for c in _cells(x, n * n)), n * n)
+
+
+def _swaps(m: int, n: int, copies: int = 1) -> list[tuple[int, int, int, int]]:
+    """(keep, high, low, shift) for each adjacent row and column swap; these
+    generate K = S_m x S_n.  Masks of `copies` stacked v-bit grids move
+    together, so a flag (one-cell mask above the block mask) uses copies = 2.
+    Apply one as (x & keep) | ((x & high) >> shift) | ((x & low) << shift)."""
+    v = m * n
+    full = (1 << (v * copies)) - 1
+    spread = sum(1 << (v * c) for c in range(copies))
+
+    def cells(pairs) -> int:
+        return _mask((i * n + j for i, j in pairs), v) * spread
+
     gens = []
     for r in range(m - 1):
-        perm = list(range(m * n))
-        for j in range(n):
-            perm[r * n + j], perm[(r + 1) * n + j] = perm[(r + 1) * n + j], perm[r * n + j]
-        gens.append(perm)
+        high = cells((r, j) for j in range(n))
+        low = cells((r + 1, j) for j in range(n))
+        gens.append((full & ~(high | low), high, low, n))
     for c in range(n - 1):
-        perm = list(range(m * n))
-        for i in range(m):
-            perm[i * n + c], perm[i * n + c + 1] = perm[i * n + c + 1], perm[i * n + c]
-        gens.append(perm)
-    if group == "G":
-        gens.append([(idx % n) * n + idx // n for idx in range(m * n)])
+        high = cells((i, c) for i in range(m))
+        low = cells((i, c + 1) for i in range(m))
+        gens.append((full & ~(high | low), high, low, 1))
     return gens
+
+
+def _closure(starts, gens, limit: int) -> set[int]:
+    """The union of the K-orbits of the start masks, by closure under the
+    swap generators.  Stops as soon as it holds more than `limit` masks, so
+    a result larger than `limit` means the orbit is."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier and len(seen) <= limit:
+        x = frontier.pop()
+        for keep, high, low, shift in gens:
+            y = (x & keep) | ((x & high) >> shift) | ((x & low) << shift)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def block_of(g: BiGraph) -> frozenset[int]:
@@ -96,37 +150,29 @@ def block_of(g: BiGraph) -> frozenset[int]:
 def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> ExplicitDesign:
     """The exact orbit of the block under the chosen group.
 
-    Breadth-first closure under the generator set; the orbit size times the
-    block stabilizer order equals the group order.  Raises
-    BudgetExceededError rather than returning a partial orbit.
+    Closure of the block mask under adjacent row and column swaps; for G the
+    closure starts from the block and its transpose, since K has index 2 in
+    G and so the G-orbit of B is K-orbit(B) united with K-orbit(B^T).  The
+    orbit size times the block stabilizer order equals the group order.
+    Raises BudgetExceededError rather than returning a partial orbit.
     """
     budget = budget or DEFAULT_BUDGET
-    gens = _cell_generators(g.m, g.n, group)
-    start = block_of(g)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        blk = frontier.pop()
-        for perm in gens:
-            image = frozenset(perm[c] for c in blk)
-            if image not in seen:
-                if len(seen) >= budget.max_blocks:
-                    raise BudgetExceededError(
-                        f"block orbit exceeds budget of {budget.max_blocks} blocks"
-                    )
-                seen.add(image)
-                frontier.append(image)
-    blocks = tuple(sorted(seen, key=sorted))
+    _check_group(g.m, g.n, group)
+    v = g.m * g.n
+    start = _mask(block_of(g), v)
+    starts = (start, _transpose(start, g.n)) if group == "G" else (start,)
+    orbit = _closure(starts, _swaps(g.m, g.n), budget.max_blocks)
+    if len(orbit) > budget.max_blocks:
+        raise BudgetExceededError(
+            f"block orbit exceeds budget of {budget.max_blocks} blocks"
+        )
+    blocks = tuple(frozenset(_cells(x, v)) for x in sorted(orbit, reverse=True))
     return ExplicitDesign(g.m, g.n, blocks, group)
 
 
 def _coverage_of_blocks(args) -> Counter:
     blocks, t = args
-    coverage: Counter = Counter()
-    for blk in blocks:
-        for sub in combinations(sorted(blk), t):
-            coverage[sub] += 1
-    return coverage
+    return Counter(chain.from_iterable(combinations(sorted(b), t) for b in blocks))
 
 
 def lambda_table(
@@ -260,10 +306,7 @@ def orbit_ratio_check(g: BiGraph, group: str, t: int):
     """
     if t not in (2, 3):
         raise ValueError("t must be 2 or 3")
-    if group not in ("K", "G"):
-        raise ValueError(f"unknown group {group!r}")
-    if group == "G" and g.m != g.n:
-        raise ValueError("G requires a square grid")
+    _check_group(g.m, g.n, group)
 
     sizes = _orbit_sizes(g.m, g.n, t)
     counts = {name: 0 for name in sizes}
@@ -292,31 +335,25 @@ def orbit_ratio_check(g: BiGraph, group: str, t: int):
 
 def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> bool:
     """Whether the acting group has a single orbit on incident (point, block)
-    pairs, checked by closure on the explicit flags."""
+    pairs, checked by closure on the explicit flags.
+
+    A flag (c, B) is the mask of B with the one-cell mask of c stacked above
+    it, so the block generators move both at once; for G the closure also
+    starts from (c^T, B^T)."""
     budget = budget or DEFAULT_BUDGET
     if not d.blocks or d.k == 0:
         raise ValueError("flag transitivity is undefined without flags")
     nflags = d.b * d.k
     if nflags > budget.max_subsets:
         raise BudgetExceededError(f"{nflags} flags exceed budget")
-    gens = _cell_generators(d.m, d.n, d.group_tag)
-    index = {blk: i for i, blk in enumerate(d.blocks)}
-    block_maps = []
-    for perm in gens:
-        block_maps.append(
-            [index[frozenset(perm[c] for c in blk)] for blk in d.blocks]
-        )
-    start = (min(d.blocks[0]), 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cell, bi = frontier.pop()
-        for perm, bmap in zip(gens, block_maps):
-            flag = (perm[cell], bmap[bi])
-            if flag not in seen:
-                seen.add(flag)
-                frontier.append(flag)
-    return len(seen) == nflags
+    _check_group(d.m, d.n, d.group_tag)
+    v = d.v
+    block = d.blocks[0]
+    point, mask = _mask([min(block)], v), _mask(block, v)
+    starts = [point << v | mask]
+    if d.group_tag == "G":
+        starts.append(_transpose(point, d.n) << v | _transpose(mask, d.n))
+    return len(_closure(starts, _swaps(d.m, d.n, copies=2), nflags)) == nflags
 
 
 def export_block_list(d: ExplicitDesign) -> str:

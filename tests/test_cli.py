@@ -252,6 +252,75 @@ class TestOracleCommand:
         assert out_path.read_text().count("block ") == 4
 
 
+
+def exit_code(capsys, argv):
+    """Exit code of a CLI call, whether argparse exits or main returns."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.grid"
+    path.write_text("grid 3 3\n")
+    return str(path)
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--max-blocks", "--max-subsets"])
+    def test_oracle_flag_below_one(self, capsys, empty_file, fig2_file, flag, value):
+        for path in (empty_file, fig2_file):
+            code, err = exit_code(capsys, ["oracle", path, "--t", "2", flag, value])
+            assert code == 2
+            assert flag in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--max-blocks", "--max-subsets"])
+    def test_verify_flag_below_one(self, capsys, fig2_file, flag, value):
+        code, err = exit_code(
+            capsys, ["verify", fig2_file, "--t", "3", "--with-oracle", flag, value])
+        assert code == 2
+        assert flag in err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "ten"])
+    @pytest.mark.parametrize("var", ["GRIDDESIGNS_BUDGET_BLOCKS",
+                                     "GRIDDESIGNS_BUDGET_SUBSETS"])
+    def test_env_below_one(self, capsys, monkeypatch, empty_file, fig2_file, var, value):
+        monkeypatch.setenv(var, value)
+        for argv in (["oracle", empty_file, "--t", "2"],
+                     ["oracle", fig2_file, "--t", "3"],
+                     ["verify", fig2_file, "--t", "3", "--with-oracle"]):
+            code, err = exit_code(capsys, argv)
+            assert code == 2
+            assert var in err
+
+    def test_flag_overrides_env(self, capsys, monkeypatch, fig2_file):
+        monkeypatch.setenv("GRIDDESIGNS_BUDGET_BLOCKS", "0")
+        code, _ = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "2240"])
+        assert code == 0
+
+    def test_positive_budget_still_refuses(self, capsys, fig2_file):
+        code, err = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "1"])
+        assert code == 3
+        assert "block orbit exceeds budget of 1 blocks" in err
+
+
+class TestRatioNeedsT2or3:
+    def test_t4_fails_before_materializing(self, capsys, fig2_file):
+        code, err = exit_code(
+            capsys,
+            ["oracle", fig2_file, "--group", "K", "--t", "4", "--ratio", "--max-blocks", "1"])
+        assert code == 2
+        assert "--ratio" in err
+
+    def test_t4_without_ratio_runs(self, capsys, fig2_file):
+        code, _ = exit_code(capsys, ["oracle", fig2_file, "--group", "K", "--t", "4"])
+        assert code == 1
+
 class TestSearchCommand:
     def test_search_writes_results(self, capsys, tmp_path):
         out_dir = tmp_path / "results"

@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from griddesigns.bigraph import BiGraph, from_edge_list
+from griddesigns.criteria import check_D, check_Dhat
 from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
@@ -19,6 +22,7 @@ from griddesigns.oracle import (
 from griddesigns.permgroup import automorphisms, group_order, is_edge_transitive
 from griddesigns.search import family_cycle, family_figure, family_path
 
+import oracle_reference
 from conftest import iso_class_reps
 
 
@@ -179,3 +183,143 @@ class TestExport:
         assert is_complete(d)  # all four 1-subsets appear
         d2 = materialize(family_cycle(4, 2), "G")
         assert is_complete(d2)  # the 4-cycle fills the 2x2 grid entirely
+
+
+def _assert_same_design(g, group, budget=None):
+    """The library and the frozenset reference agree on the blocks (order
+    included), the export text, the histograms for t = 2, 3, 4 and the flag
+    verdict; or both refuse the budget with the same message."""
+    try:
+        want = oracle_reference.materialize(g, group, budget)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as got:
+            materialize(g, group, budget)
+        assert str(got.value) == str(exc)
+        return
+    d = materialize(g, group, budget)
+    assert d == want
+    assert export_block_list(d) == export_block_list(want)
+    for t in (2, 3, 4):
+        assert lambda_table(d, t) == oracle_reference.lambda_table(want, t)
+    if d.k:
+        assert flag_transitive_direct(d) == oracle_reference.flag_transitive_direct(want)
+
+
+@st.composite
+def small_graphs(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(m))
+    return BiGraph(m, n, rows)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_every_class(self, m, n):
+        for g in iso_class_reps(m, n):
+            _assert_same_design(g, "K")
+            if m == n:
+                _assert_same_design(g, "G")
+
+    def test_figures(self):
+        _assert_same_design(family_figure("fig2"), "K")
+        # the 11x11 and 38x38 orbits exceed any budget; both engines refuse
+        for which in ("fig1", "fig3"):
+            for group in ("K", "G"):
+                _assert_same_design(family_figure(which), group, Budget(max_blocks=200))
+
+    def test_families(self):
+        for m in (3, 4, 5):
+            for k in range(2, m + 2):
+                _assert_same_design(family_path(k, m, m), "K")
+                _assert_same_design(family_path(k, m, m), "G")
+        for m in (2, 3, 4, 5):
+            for k in range(4, 2 * m + 1, 2):
+                _assert_same_design(family_cycle(k, m), "G")
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_random_graphs(self, g):
+        budget = Budget(max_blocks=3000)
+        _assert_same_design(g, "K", budget)
+        if g.m == g.n:
+            _assert_same_design(g, "G", budget)
+
+    def test_workers_path(self, monkeypatch):
+        # one chunk per worker, merged, equals the reference coverage
+        monkeypatch.setattr("griddesigns.workers.os.cpu_count", lambda: 2)
+        d = materialize(family_cycle(6, 4), "G")
+        assert lambda_table(d, 3, workers=2) == oracle_reference.lambda_table(d, 3)
+
+
+class TestBudgetBoundary:
+    def test_exact_orbit_size_fits(self):
+        cases = [(family_figure("fig2"), "K"), (family_path(5, 4, 4), "G"),
+                 (family_path(4, 3, 3), "G"), (from_edge_list(2, 2, [(1, 1)]), "K"),
+                 (from_edge_list(3, 3, [(1, 1), (1, 2)]), "G")]
+        for g, group in cases:
+            b = materialize(g, group).b
+            assert materialize(g, group, Budget(max_blocks=b)).b == b
+            if b > 1:
+                with pytest.raises(BudgetExceededError,
+                                   match=f"block orbit exceeds budget of {b - 1} blocks"):
+                    materialize(g, group, Budget(max_blocks=b - 1))
+
+    def test_single_block_orbit(self):
+        g = BiGraph(3, 3, (0, 0, 0))
+        assert materialize(g, "G", Budget(max_blocks=1)).blocks == (frozenset(),)
+
+    @pytest.mark.parametrize("field", ["max_blocks", "max_subsets"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_budget_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            Budget(**{field: value})
+
+
+class TestLargeGrids:
+    """One edge on a long or large grid: the orbit is every cell, and the
+    cost follows the orbit, not 2^n or 2^v."""
+
+    def test_one_edge_1x64(self):
+        start = time.perf_counter()
+        d = materialize(from_edge_list(1, 64, [(1, 7)]), "K")
+        assert d.b == 64
+        assert d.blocks == tuple(frozenset([c]) for c in range(64))
+        assert flag_transitive_direct(d) is True
+        assert time.perf_counter() - start < 2.0
+
+    def test_one_edge_40x40(self):
+        start = time.perf_counter()
+        d = materialize(from_edge_list(40, 40, [(3, 5)]), "G")
+        assert d.b == 1600
+        assert d.blocks == tuple(frozenset([c]) for c in range(1600))
+        assert flag_transitive_direct(d) is True
+        assert time.perf_counter() - start < 2.0
+
+
+def _random_graph(rng, m, n, k):
+    cells = rng.sample(range(m * n), k)
+    rows = [0] * m
+    for c in cells:
+        rows[c // n] |= 1 << (c % n)
+    return BiGraph(m, n, tuple(rows))
+
+
+class TestCriteriaAgreeBeyond4x4:
+    """criteria == oracle on random graphs past the m, n <= 4 sweep."""
+
+    @pytest.mark.parametrize("m,n,groups", [(5, 5, ("K", "G")), (6, 4, ("K",))])
+    def test_random_graphs(self, m, n, groups):
+        rng = random.Random(20 * m + n)
+        for k in range(3, 7):
+            for _ in range(5):
+                g = _random_graph(rng, m, n, k)
+                aut = automorphisms(g)
+                for group in groups:
+                    d = materialize(g, group)
+                    stab = aut.k_order if group == "K" else aut.g_order
+                    assert d.b * stab == group_order(m, n, group)
+                    check = check_D if group == "K" else check_Dhat
+                    is2, is3, _, _ = check(g, aut)
+                    assert design_verdict(d, 2)[0] == is2
+                    assert design_verdict(d, 3)[0] == is3
