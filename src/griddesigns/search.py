@@ -4,10 +4,14 @@ The families: the k-edge path and the (even) k-edge cycle laid out along the
 diagonal of the grid, plus three bundled witness graphs that realize
 3-designs.  The exhaustive search enumerates block graphs at fixed (m, n, k)
 that meet a design target, one representative per isomorphism class, by
-degree-multiset branching followed by row-by-row realization.  Each degree
-branch yields its realized matrices with canonical keys new to the branch;
-one merge loop, serial or fed by a process pool, drops keys seen in earlier
-branches and checks only new ones against the target.
+degree-multiset branching followed by row-by-row realization.  Realization
+keeps equal-degree rows and equal-degree columns in lex-leader order, so it
+yields few matrices besides the largest of each class.  Each degree branch
+yields its realized matrices with canonical keys new to the branch.  Under
+allow-tau a branch (x, y) is skipped when its mirror (y, x) comes earlier,
+so no class lies in two searched branches and no key set spans branches;
+one merge loop, serial or fed by a process pool, checks each class against
+the target.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ class SearchSpec:
     'allow-tau' (square grids) additionally identifies a graph with its
     transpose, matching the block sets of the full-group design.
     start_branch is the index into degree_branches(spec) to begin at, as
-    named by SearchBudgetError; classes found before it are not known to
-    the resumed run.  max_nodes and max_seconds, when set, are at least 1.
+    named by SearchBudgetError; the resumed run prints what the full run
+    prints from that branch on.  max_nodes counts realization-tree nodes
+    (per degree branch with workers > 1); max_nodes and max_seconds, when
+    set, are at least 1.
     """
 
     m: int
@@ -196,19 +202,30 @@ class _RealizeState:
     def tick(self):
         self.nodes += 1
         if self.nodes > self.spec.max_nodes:
-            raise SearchBudgetError("node budget exhausted", self.branch)
+            raise SearchBudgetError(
+                f"node budget of {self.spec.max_nodes} exhausted", self.branch)
         if self.deadline_ns is not None and time.monotonic_ns() > self.deadline_ns:
-            raise SearchBudgetError("time budget exhausted", self.branch)
+            raise SearchBudgetError(
+                f"time budget of {self.spec.max_seconds} s exhausted after "
+                f"{self.nodes} nodes", self.branch)
 
 
 def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
-    """All bit matrices with the given row/column degree sequences.
+    """Bit matrices with the given row/column degree sequences, at least the
+    largest of each row/column-permutation class, in decreasing row-major
+    order.
 
-    Rows are filled top-down (x is non-increasing); rows of equal degree are
-    forced into non-increasing mask order, which removes permutations of
-    interchangeable rows without losing any isomorphism class.
+    Rows are filled top-down (x is non-increasing) with masks in decreasing
+    order; rows of equal degree are forced into non-increasing mask order.
+    Columns of equal degree are forced into lex-leader order: bit j of
+    `tied` stays set while columns j and j + 1 have equal degree and agree
+    on every row placed so far, and a row that puts a 1 in column j and a 0
+    in column j + 1 of a tied pair is rejected.  The largest matrix of each
+    class meets both constraints (swapping a violating pair would make it
+    larger), so it is realized, and first among its class.
     """
     m, n = len(x), len(y)
+    tied0 = sum(1 << j for j in range(n - 1) if y[j] == y[j + 1])
     col_masks_by_count: dict[int, list[int]] = {}
 
     def masks_of_weight(weight: int):
@@ -219,7 +236,7 @@ def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
     rows: list[int] = []
     caps = list(y)
 
-    def rec(i: int):
+    def rec(i: int, tied: int):
         state.tick()
         if i == m:
             if all(c == 0 for c in caps):
@@ -235,6 +252,8 @@ def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
         ceiling = rows[-1] if i > 0 and x[i] == x[i - 1] else None
         for mask in masks_of_weight(need):
             if ceiling is not None and mask > ceiling:
+                continue
+            if tied & mask & ~(mask >> 1):
                 continue
             ok = True
             mm = mask
@@ -255,7 +274,7 @@ def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
             # remaining row edges must fit the remaining column capacity
             if sum(min(c, m - i - 1) for c in caps) >= remaining_after:
                 rows.append(mask)
-                yield from rec(i + 1)
+                yield from rec(i + 1, tied & ~(mask ^ (mask >> 1)))
                 rows.pop()
             mm = mask
             while mm:
@@ -263,7 +282,7 @@ def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
                 caps[low.bit_length() - 1] += 1
                 mm ^= low
 
-    yield from rec(0)
+    yield from rec(0, tied0)
 
 
 def _combinations_masks(n: int, weight: int):
@@ -324,11 +343,21 @@ def _branch_candidates(args):
     return list(_branch_stream(spec, x, y, _RealizeState(spec=spec, branch=index)))
 
 
-def _candidates(spec: SearchSpec, branches, size: int):
-    """(rows, key) of every branch from spec.start_branch on, in branch
-    order: from `size` worker processes, or streamed lazily in this process
-    under one node budget and deadline."""
+def _searched_branches(spec: SearchSpec, branches) -> list[int]:
+    """Indices of the branches to search, from spec.start_branch on.  Under
+    allow-tau the transpose of every class in branch (x, y) lies in branch
+    (y, x), so a branch whose mirror comes earlier in the list is skipped."""
     indices = range(spec.start_branch, len(branches))
+    if spec.dedup != "allow-tau":
+        return list(indices)
+    position = {branch: i for i, branch in enumerate(branches)}
+    return [i for i in indices if position.get(branches[i][::-1], i) >= i]
+
+
+def _candidates(spec: SearchSpec, branches, indices, size: int):
+    """(rows, key) of the branches at `indices`, in that order: from `size`
+    worker processes, or streamed lazily in this process under one node
+    budget and deadline."""
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -350,8 +379,10 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
 
     Deterministic: degree branches in lexicographically decreasing order from
     spec.start_branch on, matrices by the realization order, duplicates
-    dropped via canonical forms.  Only graphs whose key is new to the whole
-    search are checked against the target.  Budget exhaustion raises
+    within a branch dropped via canonical forms.  No class lies in two
+    searched branches (a class's degree sequences are invariants, and under
+    allow-tau the mirror branch is skipped), so the output of a resumed run
+    is the full run's output from that branch on.  Budget exhaustion raises
     SearchBudgetError with the branch index for resumption.  When
     workers.pool_size allows more than one process, the branches are
     realized and keyed in a process pool and merged in branch order, so the
@@ -359,14 +390,11 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     wall-clock limit is not supported with workers > 1.
     """
     branches = degree_branches(spec)
-    size = pool_size(workers, len(branches) - spec.start_branch)
+    indices = _searched_branches(spec, branches)
+    size = pool_size(workers, len(indices))
     if workers > 1 and spec.max_seconds is not None:
         raise ValueError("max_seconds is not supported with workers > 1")
-    seen: set[bytes] = set()
-    for rows, key in _candidates(spec, branches, size):
-        if key in seen:
-            continue
-        seen.add(key)
+    for rows, _ in _candidates(spec, branches, indices, size):
         g = BiGraph(spec.m, spec.n, rows)
         if _meets_target(g, spec.target):
             yield g

@@ -1,0 +1,82 @@
+"""The row-by-row realizer as it was before lex-leader column pruning, kept as
+a reference for the tests.
+
+It breaks only the row symmetry, so each isomorphism class is realized once
+per ordering of its equal-degree columns.  It yields matrices in the same
+decreasing row-major order as `griddesigns.search._realize`, which realizes
+a subset of them; the first matrix of each class must be the same in both.
+"""
+
+from griddesigns.bigraph import BiGraph, canonical_form
+from griddesigns.search import _combinations_masks
+
+
+def _realize(x, y, state):
+    m, n = len(x), len(y)
+    col_masks_by_count: dict[int, list[int]] = {}
+
+    def masks_of_weight(weight: int):
+        if weight not in col_masks_by_count:
+            col_masks_by_count[weight] = _combinations_masks(n, weight)
+        return col_masks_by_count[weight]
+
+    rows: list[int] = []
+    caps = list(y)
+
+    def rec(i: int):
+        state.tick()
+        if i == m:
+            if all(c == 0 for c in caps):
+                yield tuple(rows)
+            return
+        need = x[i]
+        if need == 0:
+            # remaining rows are empty; succeed only if columns are saturated
+            if all(c == 0 for c in caps):
+                yield tuple(rows + [0] * (m - i))
+            return
+        remaining_after = sum(x[i + 1:])
+        ceiling = rows[-1] if i > 0 and x[i] == x[i - 1] else None
+        for mask in masks_of_weight(need):
+            if ceiling is not None and mask > ceiling:
+                continue
+            ok = True
+            mm = mask
+            while mm:
+                low = mm & -mm
+                j = low.bit_length() - 1
+                if caps[j] == 0:
+                    ok = False
+                    break
+                mm ^= low
+            if not ok:
+                continue
+            mm = mask
+            while mm:
+                low = mm & -mm
+                caps[low.bit_length() - 1] -= 1
+                mm ^= low
+            # remaining row edges must fit the remaining column capacity
+            if sum(min(c, m - i - 1) for c in caps) >= remaining_after:
+                rows.append(mask)
+                yield from rec(i + 1)
+                rows.pop()
+            mm = mask
+            while mm:
+                low = mm & -mm
+                caps[low.bit_length() - 1] += 1
+                mm ^= low
+
+    yield from rec(0)
+
+
+def branch_stream(spec, x, y, state):
+    """(rows, key) of the reference realizer's matrices whose key is new to
+    the branch, in realization order."""
+    allow_tau = spec.dedup == "allow-tau"
+    seen: set[bytes] = set()
+    for rows in _realize(x, y, state):
+        key = canonical_form(BiGraph(spec.m, spec.n, rows), allow_transpose=allow_tau)
+        if key not in seen:
+            seen.add(key)
+            yield rows, key

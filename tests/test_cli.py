@@ -409,6 +409,20 @@ class TestStartBranch:
         assert out == default
         assert "result 0: k=4 lambda=12 edges (1,3) (1,4) (2,1) (2,2)" in out
 
+    def test_resume_prints_the_rest_of_the_full_run(self, capsys):
+        # branch 0 holds result 0; the transpose of result 0 lies in the
+        # mirror branch, which is skipped also in a resumed run
+        code, out, _ = run_cli(capsys, self.ARGV + ["--start-branch", "1"])
+        assert code == 0
+        assert out == ("result 0: k=4 lambda=18 edges (1,2) (1,3) (2,1) (3,1)\n"
+                       "found = 1\n")
+
+    def test_node_budget_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, self.ARGV + ["--max-nodes", "5"])
+        assert code == 3
+        assert out == ""
+        assert "node budget of 5 exhausted (resume at degree branch 1)" in err
+
     def test_past_the_last_branch_finds_nothing(self, capsys):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
         last = str(len(degree_branches(spec)))

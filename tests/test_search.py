@@ -19,6 +19,7 @@ from griddesigns.search import (
     _bounded_partitions,
     _realize,
     _RealizeState,
+    _branch_stream,
     _uniform_edge_degrees,
     degree_branches,
     exhaustive_search,
@@ -27,6 +28,7 @@ from griddesigns.search import (
     family_path,
 )
 
+import search_reference
 from canonical_reference import assert_same_partition
 from conftest import iso_class_reps, random_gridperm
 
@@ -198,6 +200,18 @@ class TestExhaustiveSearch:
         with pytest.raises(SearchBudgetError) as exc:
             list(exhaustive_search(spec))
         assert exc.value.branch_index >= 0
+        assert str(exc.value) == (
+            f"node budget of 5 exhausted (resume at degree branch {exc.value.branch_index})")
+
+    def test_time_budget_states_use(self):
+        spec = SearchSpec(m=5, n=5, k=4, target="dhat2", max_seconds=2)
+        # a deadline already past, reached on the third node
+        state = _RealizeState(spec=spec, deadline_ns=0, branch=3, nodes=2)
+        with pytest.raises(SearchBudgetError) as exc:
+            state.tick()
+        assert exc.value.branch_index == 3
+        assert str(exc.value) == (
+            "time budget of 2 s exhausted after 3 nodes (resume at degree branch 3)")
 
     def test_deterministic_order(self):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
@@ -221,6 +235,9 @@ class TestExhaustiveSearch:
             SearchSpec(m=5, n=5, k=4, target="dhat2"),
             SearchSpec(m=5, n=5, k=4, target="flag-dhat2"),
             SearchSpec(m=5, n=5, k=4, target="dhat2", dedup="side-preserving"),
+            # mirror branches skipped, one of them before the start branch
+            SearchSpec(m=5, n=5, k=9, target="dhat2"),
+            SearchSpec(m=6, n=6, k=8, target="dhat2", start_branch=2),
         ]
         for spec in specs:
             serial = [g.edges() for g in exhaustive_search(spec)]
@@ -246,11 +263,34 @@ class TestExhaustiveSearch:
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
         full = [g.edges() for g in exhaustive_search(spec)]
         assert full[0] == [(1, 3), (1, 4), (2, 1), (2, 2)]
-        # branch 0 holds only the first result; a resumed search does not
-        # know the keys seen before it, so transposes of earlier results in
-        # later branches come out again
+        # branch 0 holds only the first result; the mirror of an earlier
+        # branch is skipped, so the transpose of that result does not come
+        # out again
         resumed = SearchSpec(m=5, n=5, k=4, target="flag-dhat2", start_branch=1)
-        assert [g.edges() for g in exhaustive_search(resumed)][0] == full[1]
+        assert [g.edges() for g in exhaustive_search(resumed)] == full[1:]
+
+    @pytest.mark.parametrize("spec", [
+        SearchSpec(m=5, n=5, k=9, target="dhat2"),
+        SearchSpec(m=6, n=6, k=8, target="dhat2"),
+        SearchSpec(m=5, n=5, k=9, target="dhat2", dedup="side-preserving"),
+        SearchSpec(m=3, n=5, k=7, target="d2", dedup="side-preserving"),
+    ])
+    def test_resume_at_every_branch_matches_full_run(self, spec):
+        branches = degree_branches(spec)
+        position = {branch: i for i, branch in enumerate(branches)}
+
+        def branch_of(g):
+            x, y = (tuple(sorted(d, reverse=True)) for d in degrees(g))
+            pairs = ((x, y), (y, x)) if spec.dedup == "allow-tau" else ((x, y),)
+            return min(position.get(pair, len(branches)) for pair in pairs)
+
+        full = list(exhaustive_search(spec))
+        assert len({branch_of(g) for g in full}) > 1
+        for start in range(len(branches) + 1):
+            resumed = SearchSpec(m=spec.m, n=spec.n, k=spec.k, target=spec.target,
+                                 dedup=spec.dedup, start_branch=start)
+            assert list(exhaustive_search(resumed)) == [
+                g for g in full if branch_of(g) >= start], start
 
 
 def _cross_product_branches(spec):
@@ -322,15 +362,60 @@ class TestDegreeBranches:
 
 class TestCanonicalOnSearch:
     def test_realized_matrices_7x7_k8(self):
-        # every matrix `search --m 7 --k 8 --target dhat2` realizes
+        # every matrix the unpruned reference realizer yields for
+        # `search --m 7 --k 8 --target dhat2`
         spec = SearchSpec(m=7, n=7, k=8, target="dhat2")
         state = _RealizeState(spec=spec)
         graphs = [BiGraph(7, 7, rows)
                   for x, y in degree_branches(spec)
-                  for rows in _realize(x, y, state)]
+                  for rows in search_reference._realize(x, y, state)]
         assert len(graphs) > 500
         assert_same_partition(graphs, allow_transpose=True)
         assert_same_partition(graphs)
+
+
+def _small_specs():
+    """Every search spec with m, n <= 6: each k, each target the grid
+    allows, and both dedup modes on square grids."""
+    for m in range(1, 7):
+        for n in range(1, 7):
+            targets = TARGETS if m == n else ("d2", "d3")
+            dedups = ("allow-tau", "side-preserving") if m == n else ("side-preserving",)
+            for k in range(m * n + 1):
+                for target in targets:
+                    for dedup in dedups:
+                        yield SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
+
+
+class TestLexLeaderRealization:
+    """The pruned realizer against the unpruned reference on every distinct
+    degree branch with m, n <= 6."""
+
+    @pytest.fixture(scope="class")
+    def branches(self):
+        out = {}
+        for spec in _small_specs():
+            for x, y in degree_branches(spec):
+                out.setdefault((spec.m, spec.n, x, y, spec.dedup), spec)
+        return out
+
+    def test_branch_count(self, branches):
+        # k = 0 included
+        assert len(branches) == 822
+
+    def test_same_representatives_as_reference(self, branches):
+        pruned_total = full_total = 0
+        for (_, _, x, y, _), spec in branches.items():
+            pruned = list(_realize(x, y, _RealizeState(spec=spec)))
+            full = list(search_reference._realize(x, y, _RealizeState(spec=spec)))
+            rest = iter(full)
+            assert all(rows in rest for rows in pruned), spec
+            pruned_total += len(pruned)
+            full_total += len(full)
+            got = list(_branch_stream(spec, x, y, _RealizeState(spec=spec)))
+            want = list(search_reference.branch_stream(spec, x, y, _RealizeState(spec=spec)))
+            assert got == want, (spec, x, y)
+        assert pruned_total < full_total
 
 
 class TestFlagPrecheck:
