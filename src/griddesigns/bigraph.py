@@ -184,11 +184,6 @@ def complement(g: BiGraph) -> BiGraph:
 # scales (small grids, highly structured larger graphs); not a general-purpose
 # canonical labeller.
 #
-# Under the transpose as well, the key reads one orientation.  A transpose
-# swaps the sorted row-degree and column-degree sequences.  When they differ,
-# the orientation whose sorted row degrees are smaller is keyed alone; only
-# when they are equal is the key the least of both orientations.
-#
 # Keys are compared, never printed or stored, and their bytes may change
 # between versions of this package.
 
@@ -196,10 +191,8 @@ def canonical_form(g: BiGraph, allow_transpose: bool = False) -> bytes:
     """Canonical byte string; equal strings <=> isomorphic under row/column
     permutations.  With allow_transpose (square grids only) the key is also
     invariant under the transpose map, i.e. it canonicalizes under the full
-    automorphism group of K_{m,m}; it then reads g or its transpose,
-    whichever has the smaller sorted row degrees, and the lesser of both
-    keys only when the sorted row and column degrees are equal.  Compare
-    keys within one version of the package; do not store them.
+    automorphism group of K_{m,m}: the lesser key of both orientations.
+    Compare keys within one version of the package; do not store them.
     """
     cols = g.columns()
     x = [mask.bit_count() for mask in g.rows]
@@ -209,11 +202,6 @@ def canonical_form(g: BiGraph, allow_transpose: bool = False) -> bytes:
     if g.m != g.n:
         raise ValueError("transpose is only defined on square grids")
     # the transposed graph has the columns of g as rows and the rows as columns
-    sorted_x, sorted_y = sorted(x), sorted(y)
-    if sorted_x < sorted_y:
-        return _canonical_key(cols, x, y)
-    if sorted_y < sorted_x:
-        return _canonical_key(g.rows, y, x)
     return min(_canonical_key(cols, x, y), _canonical_key(g.rows, y, x))
 
 

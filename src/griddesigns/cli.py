@@ -295,11 +295,9 @@ def _cmd_search(args) -> int:
              "results": [_report_dict(rep) for _, rep in results]},
             indent=2, sort_keys=True))
     else:
+        design, t, _ = search.TARGETS[spec.target]
         for idx, (g, rep) in enumerate(results):
-            lam = (rep.lambda_dhat_2 if spec.target.endswith("dhat2")
-                   else rep.lambda_dhat_3 if spec.target.endswith("dhat3")
-                   else rep.lambda_d_2 if spec.target == "d2"
-                   else rep.lambda_d_3)
+            lam = getattr(rep, f"lambda_{design.lower()}_{t}")
             edges = " ".join(f"({i},{j})" for i, j in g.edges())
             print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
         print(f"found = {len(results)}")

@@ -7,11 +7,11 @@ that meet a design target, one representative per isomorphism class, by
 degree-multiset branching followed by row-by-row realization.  Realization
 keeps equal-degree rows and equal-degree columns in lex-leader order, so it
 yields few matrices besides the largest of each class.  Each degree branch
-yields its realized matrices with canonical keys new to the branch.  Under
-allow-tau a branch (x, y) is skipped when its mirror (y, x) comes earlier,
-so no class lies in two searched branches and no key set spans branches;
-one merge loop, serial or fed by a process pool, checks each class against
-the target.
+yields its realized matrices whose canonical keys are new to the branch.
+Under allow-tau a branch (x, y) is skipped when its mirror (y, x) comes
+earlier, so no class lies in two searched branches and only a branch that
+is its own mirror keys under the transpose; one merge loop, serial or fed
+by a process pool, checks each class against the target in TARGETS.
 """
 
 from __future__ import annotations
@@ -26,16 +26,28 @@ from . import criteria, permgroup
 from .bigraph import BiGraph, canonical_form, degrees, from_edge_list, parse_graph_text
 from .workers import pool_size
 
-TARGETS = ("d2", "d3", "dhat2", "dhat3", "flag-dhat2", "flag-dhat3")
+# target -> (design, t, flag-transitive)
+TARGETS = {
+    "d2": ("D", 2, False),
+    "d3": ("D", 3, False),
+    "dhat2": ("Dhat", 2, False),
+    "dhat3": ("Dhat", 3, False),
+    "flag-dhat2": ("Dhat", 2, True),
+    "flag-dhat3": ("Dhat", 3, True),
+}
 FIGURES = ("fig1", "fig2", "fig3")
 
 
 class SearchBudgetError(RuntimeError):
-    """Search budget exhausted; carries the frontier for resumption."""
+    """Search budget exhausted; carries the frontier for resumption.  Both
+    arguments stay in args, so the error pickles out of a worker process."""
 
     def __init__(self, message: str, branch_index: int):
-        super().__init__(f"{message} (resume at degree branch {branch_index})")
+        super().__init__(message, branch_index)
         self.branch_index = branch_index
+
+    def __str__(self):
+        return f"{self.args[0]} (resume at degree branch {self.branch_index})"
 
 
 @dataclass(frozen=True)
@@ -48,8 +60,8 @@ class SearchSpec:
     start_branch is the index into degree_branches(spec) to begin at, as
     named by SearchBudgetError; the resumed run prints what the full run
     prints from that branch on.  max_nodes counts realization-tree nodes
-    (per degree branch with workers > 1); max_nodes and max_seconds, when
-    set, are at least 1.
+    (per degree branch with workers > 1).  m, n, max_nodes and max_seconds
+    (when set) are at least 1, and k at least 0; k above mn finds nothing.
     """
 
     m: int
@@ -66,14 +78,15 @@ class SearchSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if self.dedup not in ("side-preserving", "allow-tau"):
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
-        if self.target.startswith(("dhat", "flag-dhat")) and self.m != self.n:
+        lows = (("m", 1), ("n", 1), ("k", 0), ("start_branch", 0), ("max_nodes", 1))
+        for field, low in lows:
+            value = getattr(self, field)
+            if value < low:
+                raise ValueError(f"{field} must be at least {low}, got {value}")
+        if TARGETS[self.target][0] == "Dhat" and self.m != self.n:
             raise ValueError("Dhat targets require a square grid")
         if self.dedup == "allow-tau" and self.m != self.n:
             raise ValueError("allow-tau dedup requires a square grid")
-        if self.start_branch < 0:
-            raise ValueError(f"start_branch must be at least 0, got {self.start_branch}")
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
         if self.max_seconds is not None and self.max_seconds < 1:
             raise ValueError(f"max_seconds must be at least 1, got {self.max_seconds}")
 
@@ -137,9 +150,7 @@ def _bounded_partitions(total: int, parts: int, bound: int):
                 yield prefix
             return
         # largest feasible next part first
-        hi = min(cap, remaining)
-        lo_needed = 0  # smallest value that still lets the rest sum up
-        for value in range(hi, lo_needed - 1, -1):
+        for value in range(min(cap, remaining), -1, -1):
             if remaining - value > value * (parts_left - 1):
                 break  # smaller values cannot absorb the remainder either
             yield from rec(remaining - value, parts_left - 1, value, prefix + (value,))
@@ -159,10 +170,9 @@ def degree_branches(spec: SearchSpec) -> list[tuple[tuple[int, ...], tuple[int, 
     comes out in the order of the full cross product without forming it.
     """
     m, n, k = spec.m, spec.n, spec.k
-    t = 3 if spec.target in ("d3", "dhat3", "flag-dhat3") else 2
+    design, t, _ = TARGETS[spec.target]
     if m * n < t:
         return []
-    design = "D" if spec.target in ("d2", "d3") else "Dhat"
     want: dict[str, int] = {}
     for level in range(2, t + 1):
         for name, (c, d) in criteria.count_targets(design, m, n, level).items():
@@ -194,10 +204,10 @@ def degree_branches(spec: SearchSpec) -> list[tuple[tuple[int, ...], tuple[int, 
 
 @dataclass
 class _RealizeState:
+    spec: SearchSpec
     nodes: int = 0
     deadline_ns: int | None = None
     branch: int = 0
-    spec: SearchSpec = None  # type: ignore[assignment]
 
     def tick(self):
         self.nodes += 1
@@ -298,22 +308,16 @@ def _combinations_masks(n: int, weight: int):
 
 
 def _meets_target(g: BiGraph, target: str) -> bool:
-    if target == "d2":
-        return criteria.check_D(g)[0]
-    if target == "d3":
-        return criteria.check_D(g)[1]
-    if target in ("dhat2", "flag-dhat2"):
-        flag = criteria.check_Dhat(g)[0]
-    else:
-        flag = criteria.check_Dhat(g)[1]
-    if not flag:
+    design, t, flag = TARGETS[target]
+    check = criteria.check_D if design == "D" else criteria.check_Dhat
+    if not check(g)[t - 2]:
         return False
-    if target.startswith("flag-"):
-        if not _uniform_edge_degrees(g):
-            return False
-        report = permgroup.automorphisms(g)
-        return permgroup.is_edge_transitive(g, report, "G")
-    return True
+    if not flag:
+        return True
+    if not _uniform_edge_degrees(g):
+        return False
+    report = permgroup.automorphisms(g)
+    return permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G")
 
 
 def _uniform_edge_degrees(g: BiGraph) -> bool:
@@ -326,15 +330,17 @@ def _uniform_edge_degrees(g: BiGraph) -> bool:
 
 
 def _branch_stream(spec: SearchSpec, x, y, state: _RealizeState):
-    """Realized matrices of one degree branch with their canonical keys, in
-    realization order, skipping keys already seen in this branch."""
-    allow_tau = spec.dedup == "allow-tau"
+    """Realized matrices of one degree branch, in realization order, whose
+    canonical keys are new to the branch.  The transpose of a graph in
+    branch (x, y) lies in branch (y, x), so only a branch that is its own
+    mirror keys under the transpose as well."""
+    allow_tau = spec.dedup == "allow-tau" and x == y
     seen: set[bytes] = set()
     for rows in _realize(x, y, state):
         key = canonical_form(BiGraph(spec.m, spec.n, rows), allow_transpose=allow_tau)
         if key not in seen:
             seen.add(key)
-            yield rows, key
+            yield rows
 
 
 def _branch_candidates(args):
@@ -355,9 +361,9 @@ def _searched_branches(spec: SearchSpec, branches) -> list[int]:
 
 
 def _candidates(spec: SearchSpec, branches, indices, size: int):
-    """(rows, key) of the branches at `indices`, in that order: from `size`
-    worker processes, or streamed lazily in this process under one node
-    budget and deadline."""
+    """Rows of the new classes of the branches at `indices`, in that order:
+    from `size` worker processes, or streamed lazily in this process under
+    one node budget and deadline."""
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -394,7 +400,7 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     size = pool_size(workers, len(indices))
     if workers > 1 and spec.max_seconds is not None:
         raise ValueError("max_seconds is not supported with workers > 1")
-    for rows, _ in _candidates(spec, branches, indices, size):
+    for rows in _candidates(spec, branches, indices, size):
         g = BiGraph(spec.m, spec.n, rows)
         if _meets_target(g, spec.target):
             yield g

@@ -260,9 +260,9 @@ def graph_batches(draw):
 
 
 class TestCanonicalMatchesReference:
-    """Keys from the degree-partition start with the degree-oriented
-    transpose are equal exactly when the keys of the previous frontier
-    search (tests/canonical_reference.py) are equal."""
+    """Keys from the degree-partition start, with the transpose allowed the
+    lesser key of both orientations, are equal exactly when the keys of the
+    previous frontier search (tests/canonical_reference.py) are equal."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_class(self, m):
@@ -284,13 +284,13 @@ class TestCanonicalMatchesReference:
         if graphs[0].m == graphs[0].n:
             assert_same_partition(graphs, allow_transpose=True)
 
-    def test_orientation_by_degrees(self):
-        # sorted column degrees (0, 2, 2) < sorted row degrees (1, 1, 2):
-        # only the transpose, whose rows have degrees (0, 2, 2), is keyed
-        g = from_edge_list(3, 3, [(1, 1), (2, 2), (3, 1), (3, 2)])
-        h = transpose(g)
-        assert canonical_form(g, allow_transpose=True) == canonical_form(h)
-        assert canonical_form(h, allow_transpose=True) == canonical_form(h)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_transpose_key_is_the_lesser_orientation(self, m):
+        rng = random.Random(m)
+        for g in iso_class_reps(m, m):
+            for h in (g, apply(random_gridperm(m, m, rng, allow_swap=True), g)):
+                both = min(canonical_form(h), canonical_form(transpose(h)))
+                assert canonical_form(h, allow_transpose=True) == both
 
     def test_transpose_needs_square_grid(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +356,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize("m, n, k, target", [
         (1, 2, 1, "d3"),    # fewer points than t: no targets, no branches
         (256, 2, 1, "d2"),  # a side above 255 in the canonical key header
+        (2, 2, 5, "d2"),    # more edges than cells
     ])
     def test_degenerate_grids_find_nothing(self, capsys, m, n, k, target):
         code, out, _ = run_cli(
@@ -363,6 +365,25 @@ class TestSearchCommand:
              "--target", target, "--dedup", "side-preserving"],
         )
         assert (code, out) == (1, "found = 0\n")
+
+    @pytest.mark.parametrize("argv, field", [
+        ("--m 0 --k 1 --target d2 --dedup side-preserving", "m"),
+        ("--m -2 --k 3 --target dhat2", "m"),
+        ("--m 3 --k -1 --target dhat2", "k"),
+    ])
+    def test_bad_grid_exit_2(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, ["search", *argv.split()])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must be at least")
+
+    def test_pooled_node_budget_exit_3(self, capsys, monkeypatch):
+        # two CPUs even on a one-CPU machine, so the branches run in a pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, ["search", "--m", "6", "--k", "7", "--target",
+                                          "dhat2", "--max-nodes", "5", "--workers", "2"])
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: node budget of 5 exhausted \(resume at degree branch \d+\)\n", err)
 
 
 class TestSearchPins:
