@@ -281,34 +281,34 @@ def _cmd_search(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    for idx, g in enumerate(search.exhaustive_search(spec, workers=args.workers)):
-        aut = permgroup.automorphisms(g)
+    design, t, _ = search.TARGETS[spec.target]
+    reports = []
+    for idx, (g, aut) in enumerate(search.exhaustive_search(spec, workers=args.workers)):
         rep = criteria.evaluate(g, aut)
-        results.append((g, rep))
+        reports.append(rep)
         if out_dir:
             (out_dir / f"result_{idx:04d}.grid").write_text(format_graph_text(g))
+        if args.format == "text":
+            # printed as found, so a budget stop keeps the finished branches
+            lam = getattr(rep, f"lambda_{design.lower()}_{t}")
+            edges = " ".join(f"({i},{j})" for i, j in g.edges())
+            print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
     if args.format == "json":
         print(json.dumps(
             {"spec": {"m": spec.m, "n": spec.n, "k": spec.k,
                       "target": spec.target, "dedup": spec.dedup},
-             "results": [_report_dict(rep) for _, rep in results]},
+             "results": [_report_dict(rep) for rep in reports]},
             indent=2, sort_keys=True))
     else:
-        design, t, _ = search.TARGETS[spec.target]
-        for idx, (g, rep) in enumerate(results):
-            lam = getattr(rep, f"lambda_{design.lower()}_{t}")
-            edges = " ".join(f"({i},{j})" for i, j in g.edges())
-            print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
-        print(f"found = {len(results)}")
+        print(f"found = {len(reports)}")
     if out_dir:
         index_lines = []
-        for idx, (_, rep) in enumerate(results):
+        for idx, rep in enumerate(reports):
             index_lines.append(
                 f"result_{idx:04d}.grid " + json.dumps(_report_dict(rep), sort_keys=True)
             )
         (out_dir / "index.txt").write_text("\n".join(index_lines) + "\n")
-    return EXIT_POSITIVE if results else EXIT_NEGATIVE
+    return EXIT_POSITIVE if reports else EXIT_NEGATIVE
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,10 @@ both groups: generators, exact orders, equivalence of a graph with its
 transpose, and edge-orbit transitivity (the flag-transitivity test).
 
 The stabilizer search is a vertex-colored individualization/refinement
-backtrack over the m + n vertices; orders come from a stabilizer chain, never
-from enumerating group elements.
+backtrack over the m + n vertices; orders come from its stabilizer chain,
+never from enumerating group elements.  The Schreier-Sims count at the end
+of this module is independent of the chain and not used here; the tests
+check the chain order against it.
 
 Refinement runs once per partition of the searched graph and records its
 trace: per round, the sorted split keys of every cell with their bucket
@@ -307,17 +309,21 @@ def _find_side_iso(nbrs_g, g: BiGraph, h: BiGraph):
     )
 
 
-def _orbit(start: int, perms) -> set[int]:
-    orbit = {start}
+def _schreier(start: int, perms) -> dict:
+    """The orbit of start under perms (sequences indexed by point), as a
+    Schreier vector: each reached point maps to the point it was first
+    reached from and the perm that took it there; start maps to (None, None).
+    A point is inserted only after the point it was reached from."""
+    tree = {start: (None, None)}
     frontier = [start]
     while frontier:
         v = frontier.pop()
         for p in perms:
             w = p[v]
-            if w not in orbit:
-                orbit.add(w)
+            if w not in tree:
+                tree[w] = (v, p)
                 frontier.append(w)
-    return orbit
+    return tree
 
 
 def _k_stabilizer(g: BiGraph, nbrs):
@@ -344,7 +350,7 @@ def _k_stabilizer(g: BiGraph, nbrs):
             break
         u = (target & -target).bit_length() - 1
         level_gens = [p for p in gens if all(p[q] == q for q in pins)]
-        orbit = _orbit(u, level_gens)
+        orbit = _schreier(u, level_gens)
         for w in _bits(target):
             if w in orbit:
                 continue
@@ -357,7 +363,7 @@ def _k_stabilizer(g: BiGraph, nbrs):
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)
-                orbit = _orbit(u, level_gens)
+                orbit = _schreier(u, level_gens)
         order *= len(orbit)
         pins.append(u)
     return gens, order
@@ -369,21 +375,6 @@ def _vertex_map_to_gridperm(mapping, m: int, n: int) -> GridPerm:
     return GridPerm(rows, cols, False)
 
 
-def _gridperm_to_vertex_map(p: GridPerm, m: int, n: int) -> tuple[int, ...]:
-    out = [0] * (m + n)
-    if p.swap:
-        for i in range(m):
-            out[i] = m + p.cols[i]
-        for j in range(n):
-            out[m + j] = p.rows[j]
-    else:
-        for i in range(m):
-            out[i] = p.rows[i]
-        for j in range(n):
-            out[m + j] = m + p.cols[j]
-    return tuple(out)
-
-
 def automorphisms(g: BiGraph) -> AutReport:
     """Stabilizer of the block graph in K, and in G on square grids.
 
@@ -392,12 +383,8 @@ def automorphisms(g: BiGraph) -> AutReport:
     is isomorphic to its transpose under K.
     """
     nbrs = _neighbours(g)
-    vgens, chain_order = _k_stabilizer(g, nbrs)
+    vgens, k_order = _k_stabilizer(g, nbrs)
     k_gens = tuple(_vertex_map_to_gridperm(p, g.m, g.n) for p in vgens)
-    k_order = order_from_generators(
-        [_gridperm_to_vertex_map(p, g.m, g.n) for p in k_gens], g.m + g.n
-    )
-    assert k_order == chain_order
 
     g_gens = None
     g_order = None
@@ -446,17 +433,11 @@ def is_edge_transitive(g: BiGraph, report: AutReport, group: str = "K") -> bool:
         gens = report.g_gens
     else:
         raise ValueError(f"unknown group {group!r}")
-    start = (g.edges()[0][0] - 1, g.edges()[0][1] - 1)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        cell = frontier.pop()
-        for p in gens:
-            image = apply_cell(p, cell)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return len(orbit) == g.k
+    # the stabilizer permutes the edges, so close over edge indices
+    cells = [(i - 1, j - 1) for i, j in g.edges()]
+    index = {cell: e for e, cell in enumerate(cells)}
+    perms = [[index[apply_cell(p, cell)] for cell in cells] for p in gens]
+    return len(_schreier(0, perms)) == g.k
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +463,9 @@ def order_from_generators(perms, npoints: int) -> int:
         return [g for lst in placed[d:] for g in lst]
 
     def rebuild(d: int):
-        gens = level_gens(d)
-        base = bases[d]
-        trans = {base: ident}
-        frontier = [base]
-        while frontier:
-            u = frontier.pop()
-            for q in gens:
-                w = q[u]
-                if w not in trans:
-                    trans[w] = tuple([q[x] for x in trans[u]])
-                    frontier.append(w)
+        trans = {}
+        for w, (u, q) in _schreier(bases[d], level_gens(d)).items():
+            trans[w] = ident if q is None else tuple([q[x] for x in trans[u]])
         transversals[d] = trans
         inverses[d] = {}
 

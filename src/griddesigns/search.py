@@ -11,7 +11,8 @@ yields its realized matrices whose canonical keys are new to the branch.
 Under allow-tau a branch (x, y) is skipped when its mirror (y, x) comes
 earlier, so no class lies in two searched branches and only a branch that
 is its own mirror keys under the transpose; one merge loop, serial or fed
-by a process pool, checks each class against the target in TARGETS.
+by a process pool, checks each class against the target in TARGETS and
+yields it with its stabilizer report.
 """
 
 from __future__ import annotations
@@ -307,17 +308,18 @@ def _combinations_masks(n: int, weight: int):
     return out
 
 
-def _meets_target(g: BiGraph, target: str) -> bool:
+def _target_report(g: BiGraph, target: str) -> permgroup.AutReport | None:
+    """The stabilizer report of g when g meets the target, else None.  The
+    group is computed only for graphs that pass the criteria, and at most
+    once per graph."""
     design, t, flag = TARGETS[target]
     check = criteria.check_D if design == "D" else criteria.check_Dhat
-    if not check(g)[t - 2]:
-        return False
-    if not flag:
-        return True
-    if not _uniform_edge_degrees(g):
-        return False
+    if not check(g)[t - 2] or (flag and not _uniform_edge_degrees(g)):
+        return None
     report = permgroup.automorphisms(g)
-    return permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G")
+    if flag and not permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G"):
+        return None
+    return report
 
 
 def _uniform_edge_degrees(g: BiGraph) -> bool:
@@ -361,9 +363,9 @@ def _searched_branches(spec: SearchSpec, branches) -> list[int]:
 
 
 def _candidates(spec: SearchSpec, branches, indices, size: int):
-    """Rows of the new classes of the branches at `indices`, in that order:
-    from `size` worker processes, or streamed lazily in this process under
-    one node budget and deadline."""
+    """Rows of the new classes of the branches at `indices`, in that order,
+    each branch's rows only once the branch is finished: from `size` worker
+    processes, or in this process under one node budget and deadline."""
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -377,11 +379,12 @@ def _candidates(spec: SearchSpec, branches, indices, size: int):
         state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
     for index in indices:
         state.branch = index
-        yield from _branch_stream(spec, *branches[index], state)
+        yield from list(_branch_stream(spec, *branches[index], state))
 
 
 def exhaustive_search(spec: SearchSpec, workers: int = 1):
-    """Yield every block graph meeting the target, one per dedup class.
+    """Yield (graph, AutReport) for every block graph meeting the target, one
+    per dedup class.
 
     Deterministic: degree branches in lexicographically decreasing order from
     spec.start_branch on, matrices by the realization order, duplicates
@@ -389,7 +392,8 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     searched branches (a class's degree sequences are invariants, and under
     allow-tau the mirror branch is skipped), so the output of a resumed run
     is the full run's output from that branch on.  Budget exhaustion raises
-    SearchBudgetError with the branch index for resumption.  When
+    SearchBudgetError with the branch index for resumption, after the
+    results of every finished branch have been yielded.  When
     workers.pool_size allows more than one process, the branches are
     realized and keyed in a process pool and merged in branch order, so the
     output stream is identical; the node budget then applies per branch.  A
@@ -402,5 +406,6 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
         raise ValueError("max_seconds is not supported with workers > 1")
     for rows in _candidates(spec, branches, indices, size):
         g = BiGraph(spec.m, spec.n, rows)
-        if _meets_target(g, spec.target):
-            yield g
+        report = _target_report(g, spec.target)
+        if report is not None:
+            yield g, report

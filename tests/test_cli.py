@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import griddesigns
+from griddesigns import permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
 from griddesigns.search import SearchSpec, degree_branches, family_figure, family_path
@@ -439,10 +440,39 @@ class TestStartBranch:
                        "found = 1\n")
 
     def test_node_budget_exit_3(self, capsys):
+        # branch 0 is finished within the budget, so its result is printed
         code, out, err = run_cli(capsys, self.ARGV + ["--max-nodes", "5"])
         assert code == 3
-        assert out == ""
+        assert out == "result 0: k=4 lambda=12 edges (1,3) (1,4) (2,1) (2,2)\n"
         assert "node budget of 5 exhausted (resume at degree branch 1)" in err
+
+    @pytest.mark.parametrize("budget", ["1", "5", "10"])
+    def test_stopped_run_then_resume_is_the_full_run(self, capsys, budget):
+        def edge_lists(out):
+            return [line.partition(" edges ")[2] for line in out.splitlines()
+                    if line.startswith("result ")]
+
+        _, full, _ = run_cli(capsys, self.ARGV)
+        code, stopped, err = run_cli(capsys, self.ARGV + ["--max-nodes", budget])
+        assert code == 3
+        assert "found =" not in stopped
+        hint = re.search(r"resume at degree branch (\d+)", err).group(1)
+        _, resumed, _ = run_cli(capsys, self.ARGV + ["--start-branch", hint])
+        assert edge_lists(stopped) + edge_lists(resumed) == edge_lists(full)
+
+    def test_one_group_per_flag_result(self, capsys, monkeypatch):
+        calls = []
+        original = permgroup.automorphisms
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(permgroup, "automorphisms", counting)
+        code, out, _ = run_cli(capsys, self.ARGV)
+        assert code == 0
+        assert out.endswith("found = 2\n")
+        assert len(calls) == 2
 
     def test_past_the_last_branch_finds_nothing(self, capsys):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")

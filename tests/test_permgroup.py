@@ -17,7 +17,6 @@ from griddesigns.permgroup import (
     is_edge_transitive,
     order_from_generators,
     tau_equivalent,
-    _gridperm_to_vertex_map,
 )
 from griddesigns.search import family_cycle, family_figure, family_path
 
@@ -29,6 +28,26 @@ from conftest import (
     random_bigraph,
     random_gridperm,
 )
+
+
+def vertex_map(p: GridPerm, m: int, n: int) -> tuple[int, ...]:
+    """p as a permutation of the m + n vertices, rows first, then columns."""
+    rows = tuple(p.rows)
+    cols = tuple(m + c for c in p.cols)
+    return cols + rows if p.swap else rows + cols
+
+
+def recount_graphs() -> list[BiGraph]:
+    """Every class with m, n <= 4, the three figures, and the path and cycle
+    families on their smallest grids and on a few larger square ones."""
+    graphs = [g for m in range(1, 5) for n in range(1, 5) for g in iso_class_reps(m, n)]
+    graphs += [family_figure(which) for which in ("fig1", "fig2", "fig3")]
+    for k in range(1, 13):
+        graphs.append(family_path(k, k // 2 + 1, (k + 1) // 2))
+        graphs += [family_path(k, m, m) for m in range(k // 2 + 1, k // 2 + 4)]
+    for k in range(4, 15, 2):
+        graphs += [family_cycle(k, m) for m in range(k // 2, k // 2 + 3)]
+    return graphs
 
 
 class TestGridPermAlgebra:
@@ -155,13 +174,21 @@ class TestAutomorphisms:
             assert rep.g_order == expected
 
     def test_order_from_generators_agrees(self):
+        # the chain order against an independent Schreier-Sims count
         rng = random.Random(23)
-        for _ in range(30):
-            g = random_bigraph(rng, max_cells=16)
+        graphs = [random_bigraph(rng, max_cells=16) for _ in range(30)]
+        for g in graphs + recount_graphs():
             rep = automorphisms(g)
-            n = g.m + g.n
-            perms = [_gridperm_to_vertex_map(p, g.m, g.n) for p in rep.k_gens]
-            assert order_from_generators(perms, n) == rep.k_order
+            perms = [vertex_map(p, g.m, g.n) for p in rep.k_gens]
+            assert order_from_generators(perms, g.m + g.n) == rep.k_order, g
+
+    def test_order_from_generators_agrees_in_g(self):
+        for g in recount_graphs():
+            if g.m != g.n:
+                continue
+            rep = automorphisms(g)
+            perms = [vertex_map(p, g.m, g.n) for p in rep.g_gens]
+            assert order_from_generators(perms, g.m + g.n) == rep.g_order, g
 
     def test_complement_has_same_stabilizer_order(self):
         # an element fixes an edge set iff it fixes the complementary one

@@ -123,7 +123,7 @@ class TestFamilyFigure:
 class TestExhaustiveSearch:
     def test_block_size_four_flag_transitive(self):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
-        results = list(exhaustive_search(spec))
+        results = [g for g, _ in exhaustive_search(spec)]
         assert len(results) == 2
         lams = set()
         for g in results:
@@ -133,7 +133,7 @@ class TestExhaustiveSearch:
 
     def test_3x3_k4_dhat2_is_the_path(self):
         spec = SearchSpec(m=3, n=3, k=4, target="dhat2")
-        results = list(exhaustive_search(spec))
+        results = [g for g, _ in exhaustive_search(spec)]
         assert len(results) == 1
         want = canonical_form(family_path(4, 3, 3), allow_transpose=True)
         assert canonical_form(results[0], allow_transpose=True) == want
@@ -146,7 +146,7 @@ class TestExhaustiveSearch:
 
     def test_results_verify(self):
         spec = SearchSpec(m=4, n=4, k=5, target="dhat2")
-        results = list(exhaustive_search(spec))
+        results = [g for g, _ in exhaustive_search(spec)]
         assert results, "the diagonal path qualifies, so results exist"
         for g in results:
             assert check_Dhat(g)[0]
@@ -155,7 +155,7 @@ class TestExhaustiveSearch:
 
     def test_dedup_soundness(self):
         spec = SearchSpec(m=4, n=4, k=5, target="dhat2")
-        results = list(exhaustive_search(spec))
+        results = [g for g, _ in exhaustive_search(spec)]
         rng = random.Random(19)
         for i, g in enumerate(results):
             for h in results[i + 1:]:
@@ -186,7 +186,7 @@ class TestExhaustiveSearch:
             dedup = "allow-tau" if m == n else "side-preserving"
             spec = SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
             got = {canonical_form(g, allow_transpose=(m == n))
-                   for g in exhaustive_search(spec)}
+                   for g, _ in exhaustive_search(spec)}
             naive = set()
             for g in iso_class_reps(m, n):
                 if g.k != k:
@@ -224,8 +224,8 @@ class TestExhaustiveSearch:
 
     def test_deterministic_order(self):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
-        a = [g.edges() for g in exhaustive_search(spec)]
-        b = [g.edges() for g in exhaustive_search(spec)]
+        a = [g.edges() for g, _ in exhaustive_search(spec)]
+        b = [g.edges() for g, _ in exhaustive_search(spec)]
         assert a == b
 
     def test_workers_do_not_change_output(self, monkeypatch):
@@ -249,8 +249,8 @@ class TestExhaustiveSearch:
             SearchSpec(m=6, n=6, k=8, target="dhat2", start_branch=2),
         ]
         for spec in specs:
-            serial = [g.edges() for g in exhaustive_search(spec)]
-            parallel = [g.edges() for g in exhaustive_search(spec, workers=2)]
+            serial = [g.edges() for g, _ in exhaustive_search(spec)]
+            parallel = [g.edges() for g, _ in exhaustive_search(spec, workers=2)]
             assert serial == parallel, spec
         assert sizes == [2] * len(specs)
 
@@ -271,13 +271,13 @@ class TestExhaustiveSearch:
 
     def test_start_branch_skips_earlier_branches(self):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")
-        full = [g.edges() for g in exhaustive_search(spec)]
+        full = [g.edges() for g, _ in exhaustive_search(spec)]
         assert full[0] == [(1, 3), (1, 4), (2, 1), (2, 2)]
         # branch 0 holds only the first result; the mirror of an earlier
         # branch is skipped, so the transpose of that result does not come
         # out again
         resumed = SearchSpec(m=5, n=5, k=4, target="flag-dhat2", start_branch=1)
-        assert [g.edges() for g in exhaustive_search(resumed)] == full[1:]
+        assert [g.edges() for g, _ in exhaustive_search(resumed)] == full[1:]
 
     @pytest.mark.parametrize("spec", [
         SearchSpec(m=5, n=5, k=9, target="dhat2"),
@@ -294,12 +294,12 @@ class TestExhaustiveSearch:
             pairs = ((x, y), (y, x)) if spec.dedup == "allow-tau" else ((x, y),)
             return min(position.get(pair, len(branches)) for pair in pairs)
 
-        full = list(exhaustive_search(spec))
+        full = [g for g, _ in exhaustive_search(spec)]
         assert len({branch_of(g) for g in full}) > 1
         for start in range(len(branches) + 1):
             resumed = SearchSpec(m=spec.m, n=spec.n, k=spec.k, target=spec.target,
                                  dedup=spec.dedup, start_branch=start)
-            assert list(exhaustive_search(resumed)) == [
+            assert [g for g, _ in exhaustive_search(resumed)] == [
                 g for g in full if branch_of(g) >= start], start
 
 

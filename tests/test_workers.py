@@ -77,8 +77,8 @@ class TestCapAtCallSites:
     def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
         spec = SearchSpec(m=4, n=4, k=5, target="dhat2")
-        serial = [g.edges() for g in exhaustive_search(spec)]
-        pooled = [g.edges() for g in exhaustive_search(spec, workers=10_000)]
+        serial = [g.edges() for g, _ in exhaustive_search(spec)]
+        pooled = [g.edges() for g, _ in exhaustive_search(spec, workers=10_000)]
         assert pooled == serial
         # three degree branches; the last is the mirror of the first and is
         # not searched, so the pool is sized for two
