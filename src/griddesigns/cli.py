@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import criteria, oracle, permgroup, scanner, search
@@ -191,24 +192,28 @@ def _cmd_scan(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     mode = modes[0]
-    if mode == "square3":
-        found = [scanner.ParamTuple(m, m, k, mode) for m, k in
-                 scanner.scan_square_3design(args.max_m, args.workers)]
-    elif mode == "square2":
-        found = [scanner.ParamTuple(m, m, k, mode) for m, k in
-                 scanner.scan_square_2design(args.max_m, args.workers)]
-    else:
+    if mode == "general3":
         if args.max_n is None:
             print("error: --general3 needs --max-n", file=sys.stderr)
             return EXIT_USAGE
-        found = [scanner.ParamTuple(m, n, k, mode) for m, n, k in
-                 scanner.scan_general_3design(args.max_m, args.max_n, args.workers)]
-    if args.format == "json":
-        print(json.dumps({"mode": mode,
-                          "tuples": [[p.m, p.n, p.k] for p in found]}))
+        found = scanner.scan_general_3design(args.max_m, args.max_n, args.workers)
+    elif args.max_n is not None:
+        print(f"error: --max-n applies only to --general3, not --{mode}",
+              file=sys.stderr)
+        return EXIT_USAGE
     else:
-        for p in found:
-            print(f"feasible m={p.m} n={p.n} k={p.k} target={p.target}")
+        scan = (scanner.scan_square_3design if mode == "square3"
+                else scanner.scan_square_2design)
+        found = scan(args.max_m, args.workers)
+    tuples = found if mode == "general3" else ([m, m, k] for m, k in found)
+    if args.format == "json":
+        print(json.dumps({"mode": mode, "tuples": list(tuples)}))
+    else:
+        lines = (f"feasible m={m} n={n} k={k} target={mode}\n" for m, n, k in tuples)
+        # bounded chunks: one print per line is slow, one string for the
+        # whole output holds it all in memory
+        while chunk := "".join(islice(lines, 4096)):
+            sys.stdout.write(chunk)
     return EXIT_POSITIVE if found else EXIT_NEGATIVE
 
 
@@ -283,16 +288,21 @@ def _cmd_search(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     design, t, _ = search.TARGETS[spec.target]
     reports = []
-    for idx, (g, aut) in enumerate(search.exhaustive_search(spec, workers=args.workers)):
-        rep = criteria.evaluate(g, aut)
-        reports.append(rep)
+    try:
+        for idx, (g, aut) in enumerate(search.exhaustive_search(spec, workers=args.workers)):
+            rep = criteria.evaluate(g, aut)
+            reports.append(rep)
+            if out_dir:
+                (out_dir / f"result_{idx:04d}.grid").write_text(format_graph_text(g))
+            if args.format == "text":
+                # printed as found, so a budget stop keeps the finished branches
+                lam = getattr(rep, f"lambda_{design.lower()}_{t}")
+                edges = " ".join(f"({i},{j})" for i, j in g.edges())
+                print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
+    except search.SearchBudgetError as exc:
         if out_dir:
-            (out_dir / f"result_{idx:04d}.grid").write_text(format_graph_text(g))
-        if args.format == "text":
-            # printed as found, so a budget stop keeps the finished branches
-            lam = getattr(rep, f"lambda_{design.lower()}_{t}")
-            edges = " ".join(f"({i},{j})" for i, j in g.edges())
-            print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
+            _write_index(out_dir, reports, f"stopped: {exc}")
+        raise
     if args.format == "json":
         print(json.dumps(
             {"spec": {"m": spec.m, "n": spec.n, "k": spec.k,
@@ -302,13 +312,18 @@ def _cmd_search(args) -> int:
     else:
         print(f"found = {len(reports)}")
     if out_dir:
-        index_lines = []
-        for idx, rep in enumerate(reports):
-            index_lines.append(
-                f"result_{idx:04d}.grid " + json.dumps(_report_dict(rep), sort_keys=True)
-            )
-        (out_dir / "index.txt").write_text("\n".join(index_lines) + "\n")
+        _write_index(out_dir, reports)
     return EXIT_POSITIVE if reports else EXIT_NEGATIVE
+
+
+def _write_index(out_dir: Path, reports, stopped: str | None = None) -> None:
+    """index.txt: one line per result file, then, for a run stopped by its
+    budget, a line saying so with the branch to resume at."""
+    lines = [f"result_{idx:04d}.grid " + json.dumps(_report_dict(rep), sort_keys=True)
+             for idx, rep in enumerate(reports)]
+    if stopped:
+        lines.append(stopped)
+    (out_dir / "index.txt").write_text("\n".join(lines) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

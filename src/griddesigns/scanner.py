@@ -3,19 +3,20 @@
 Before any graph search, the candidate parameters must make the exact count
 targets of the criteria module integral; these scans enumerate the tuples
 that survive.  Each level t of the target table folds into one modulus q_t,
-and k survives when q_t | k(k-1)...(k-t+1) for every level.  All checks are
-integer divisibility, the output is sorted and deterministic, and the per-m
-work units are independent (safe to distribute).
+and k survives when q_t | k(k-1)...(k-t+1) for every level.  The survivors
+are residue classes: for each prime power p^e of q_2 q_3 the admissible
+residues mod p^e are few, and the Chinese remainder theorem combines them,
+so a scan's work follows the number of tuples it returns, not the number of
+k it could test.  All arithmetic is exact and the output is sorted and
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, lcm
 
 from .criteria import count_targets
-from .workers import pool_size
 
 
 @dataclass(frozen=True)
@@ -33,41 +34,89 @@ def _modulus(design: str, m: int, n: int, t: int) -> int:
     return lcm(*(d // gcd(c, d) for c, d in count_targets(design, m, n, t).values()))
 
 
+def _factor(q: int) -> dict[int, int]:
+    """Prime -> exponent in q, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= q:
+        while q % p == 0:
+            out[p] = out.get(p, 0) + 1
+            q //= p
+        p += 1 if p == 2 else 2
+    if q > 1:
+        out[q] = out.get(q, 0) + 1
+    return out
+
+
+def _residues(p: int, a: int, b: int) -> list[int]:
+    """The r mod p^max(a, b) with p^a | r(r-1) and p^b | r(r-1)(r-2).
+
+    For odd p at most one of r, r-1, r-2 is divisible by p, so p^a and p^b
+    must divide that one: r = 0, 1, or also 2 when a = 0.  For p = 2, r and
+    r-2 are even together, so the classes are lifted one bit at a time; a
+    class mod 2^j is kept when it meets both conditions truncated to 2^j,
+    which depend only on r mod 2^j.
+    """
+    if p > 2:
+        return [0, 1] if a else [0, 1, 2]
+    rs = [0]
+    for j in range(1, max(a, b) + 1):
+        qa, qb = 1 << min(a, j), 1 << min(b, j)
+        rs = [r for s in rs for r in (s, s + (1 << (j - 1)))
+              if r * (r - 1) % qa == 0 and r * (r - 1) * (r - 2) % qb == 0]
+    return rs
+
+
 def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
-    """The k in 3..mn/2 for which every target up to level t is integral."""
+    """The k in 3..mn/2 for which every target up to level t is integral,
+    in increasing order."""
+    bound = m * n // 2
     q2 = _modulus(design, m, n, 2)
-    ks = [k for k in range(3, m * n // 2 + 1) if k * (k - 1) % q2 == 0]
-    if t == 3:
-        q3 = _modulus(design, m, n, 3)
-        ks = [k for k in ks if k * (k - 1) * (k - 2) % q3 == 0]
+    q3 = _modulus(design, m, n, 3) if t == 3 else 1
+    f2, f3 = _factor(q2), _factor(q3)
+    levels = [(p, f2.get(p, 0), f3.get(p, 0)) for p in f2 | f3]
+    classes = sorted(((p ** max(a, b), _residues(p, a, b)) for p, a, b in levels),
+                     reverse=True)
+    # combine by CRT, largest prime power first, until the modulus passes
+    # the bound; each root is then one candidate, and the prime powers not
+    # combined only filter
+    mod, roots = 1, [0]
+    while classes and mod <= bound:
+        pe, rs = classes.pop(0)
+        inv = pow(mod, -1, pe)
+        roots = [s + mod * ((r - s) * inv % pe) for s in roots for r in rs]
+        mod *= pe
+    roots.sort()
+    ks = [k for base in range(0, bound + 1, mod) for r in roots
+          if 3 <= (k := base + r) <= bound]
+    for pe, rs in classes:
+        ks = [k for k in ks if k % pe in rs]
     return ks
 
 
-def _scan_square_one(t: int, m: int) -> list[list[int]]:
-    return [[m, k] for k in _feasible_ks("Dhat", m, m, t)]
+def _check_workers(workers: int) -> None:
+    """The scans run serially, since a process pool only added start-up
+    cost; `workers` is still accepted and validated."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _scan_square(t: int, max_m: int, workers: int) -> list[list[int]]:
+    _check_workers(workers)
+    if max_m < 2:
+        raise ValueError("max_m must be at least 2")
+    return [[m, k] for m in range(2, max_m + 1) for k in _feasible_ks("Dhat", m, m, t)]
 
 
 def scan_square_3design(max_m: int, workers: int = 1) -> list[list[int]]:
     """All [m, k] with 2 <= m <= max_m and 3 <= k <= m^2/2 for which a Dhat
     3-design on an m x m grid is arithmetically possible."""
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
-    chunks = _map_over(partial(_scan_square_one, 3), range(2, max_m + 1), workers)
-    return [pair for chunk in chunks for pair in chunk]
+    return _scan_square(3, max_m, workers)
 
 
 def scan_square_2design(max_m: int, workers: int = 1) -> list[list[int]]:
     """All [m, k] passing the Dhat 2-design divisibility (m+1 | k(k-1))."""
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
-    chunks = _map_over(partial(_scan_square_one, 2), range(2, max_m + 1), workers)
-    return [pair for chunk in chunks for pair in chunk]
-
-
-def _scan_general3_one(args) -> list[tuple[int, int, int]]:
-    m, max_n = args
-    return [(m, n, k) for n in range(2, min(m, max_n) + 1)
-            for k in _feasible_ks("D", m, n, 3)]
+    return _scan_square(2, max_m, workers)
 
 
 def scan_general_3design(max_m: int, max_n: int, workers: int = 1) -> list[list[int]]:
@@ -78,24 +127,8 @@ def scan_general_3design(max_m: int, max_n: int, workers: int = 1) -> list[list[
     tuple is [8, 2, 6] and the next side pair is (11, 7), with e.g. [17, 2,
     12] coming later even though its grid is smaller.
     """
+    _check_workers(workers)
     if max_m < 2 or max_n < 2:
         raise ValueError("bounds must be at least 2")
-    chunks = _map_over(
-        _scan_general3_one, [(m, max_n) for m in range(2, max_m + 1)], workers
-    )
-    triples = [t for chunk in chunks for t in chunk]
-    triples.sort()
-    return [list(t) for t in triples]
-
-
-def _map_over(fn, items, workers: int):
-    """Ordered map, optionally across processes; results are merged in input
-    order so the worker count never changes the output."""
-    items = list(items)
-    size = pool_size(workers, len(items))
-    if size == 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, items))
+    return [[m, n, k] for m in range(2, max_m + 1) for n in range(2, min(m, max_n) + 1)
+            for k in _feasible_ks("D", m, n, 3)]

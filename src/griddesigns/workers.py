@@ -1,4 +1,4 @@
-"""Process-pool sizing shared by the scanners, the oracle and the search."""
+"""Process-pool sizing shared by the oracle and the search."""
 
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ import griddesigns
 from griddesigns import permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
+from griddesigns.scanner import scan_square_2design
 from griddesigns.search import SearchSpec, degree_branches, family_figure, family_path
 
 
@@ -189,6 +190,19 @@ class TestScan:
     def test_needs_exactly_one_mode(self, capsys):
         code, _, err = run_cli(capsys, ["scan", "--max-m", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["--square3", "--square2"])
+    def test_max_n_only_with_general3(self, capsys, mode):
+        code, out, err = run_cli(capsys, ["scan", mode, "--max-m", "10", "--max-n", "4"])
+        assert (code, out) == (2, "")
+        assert "--max-n" in err
+
+    def test_output_longer_than_one_chunk(self, capsys):
+        # 5867 lines, written in chunks of 4096
+        code, out, _ = run_cli(capsys, ["scan", "--square2", "--max-m", "80"])
+        assert code == 0
+        assert out == "".join(f"feasible m={m} n={m} k={k} target=square2\n"
+                              for m, k in scan_square_2design(80))
 
 
 class TestFamilyAndPipe:
@@ -445,6 +459,19 @@ class TestStartBranch:
         assert code == 3
         assert out == "result 0: k=4 lambda=12 edges (1,3) (1,4) (2,1) (2,2)\n"
         assert "node budget of 5 exhausted (resume at degree branch 1)" in err
+
+    def test_stopped_run_writes_index(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, self.ARGV + ["--max-nodes", "5",
+                                                      "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert out == "result 0: k=4 lambda=12 edges (1,3) (1,4) (2,1) (2,2)\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["index.txt",
+                                                              "result_0000.grid"]
+        lines = (tmp_path / "index.txt").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("result_0000.grid {")
+        assert lines[1] == ("stopped: node budget of 5 exhausted "
+                            "(resume at degree branch 1)")
 
     @pytest.mark.parametrize("budget", ["1", "5", "10"])
     def test_stopped_run_then_resume_is_the_full_run(self, capsys, budget):

@@ -3,13 +3,23 @@ from fractions import Fraction
 import pytest
 
 from griddesigns.scanner import (
+    _feasible_ks,
     scan_general_3design,
     scan_square_2design,
     scan_square_3design,
 )
+from scan_reference import feasible_ks
 
 GOLDEN_SQUARE3 = [
     [11, 36], [25, 91], [38, 105], [41, 805], [54, 1365], [74, 2025], [87, 2256],
+]
+
+# recorded with the exhaustive scan over every k, which took about 18 s
+GOLDEN_SQUARE3_1000 = GOLDEN_SQUARE3 + [
+    [153, 11572], [159, 2976], [164, 10285], [246, 4979], [251, 24165],
+    [311, 21568], [318, 6293], [331, 7388], [340, 37697], [506, 97344],
+    [509, 88111], [524, 125350], [580, 82503], [666, 13892], [683, 158517],
+    [716, 65487], [716, 130972], [816, 287756], [844, 123370], [864, 193760],
 ]
 
 
@@ -22,6 +32,9 @@ class TestSquare3:
 
     def test_smallest_case(self):
         assert scan_square_3design(11) == [[11, 36]]
+
+    def test_golden_to_1000(self):
+        assert scan_square_3design(1000) == GOLDEN_SQUARE3_1000
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
@@ -133,3 +146,23 @@ class TestCompleteness:
                 for k in range(3, m * n // 2 + 1) if _integral(_d3_targets(m, n, k))]
         assert want
         assert scan_general_3design(16, 16) == want
+
+
+class TestResidueClasses:
+    """The residue-class scan gives the same k lists as trying every k."""
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_dhat(self, t):
+        for m in range(2, 151):
+            assert _feasible_ks("Dhat", m, m, t) == feasible_ks("Dhat", m, m, t), m
+
+    def test_d3(self):
+        for m in range(2, 46):
+            for n in range(2, 46):
+                assert _feasible_ks("D", m, n, 3) == feasible_ks("D", m, n, 3), (m, n)
+
+    # m + 1 a high power of 2 or 3, so q_2 and q_3 hold that prime power
+    @pytest.mark.parametrize("m", [63, 80, 127, 242, 255])
+    @pytest.mark.parametrize("design, t", [("Dhat", 2), ("Dhat", 3), ("D", 2), ("D", 3)])
+    def test_high_prime_powers(self, m, design, t):
+        assert _feasible_ks(design, m, m, t) == feasible_ks(design, m, m, t)

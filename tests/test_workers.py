@@ -7,7 +7,7 @@ import pytest
 
 from griddesigns.cli import main
 from griddesigns.oracle import lambda_table, materialize
-from griddesigns.scanner import scan_general_3design, scan_square_3design
+from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
 from griddesigns.search import SearchSpec, degree_branches, exhaustive_search, family_figure
 from griddesigns.workers import pool_size
 
@@ -57,16 +57,33 @@ class TestPoolSize:
 
 
 class TestCapAtCallSites:
-    def test_scanner_capped_at_cpu_count(self, monkeypatch, fake_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert scan_square_3design(40, workers=10_000) == scan_square_3design(40)
-        assert fake_pool == [2]
-
-    def test_scanner_capped_at_job_count(self, monkeypatch, fake_pool):
+    def test_scanner_starts_no_pool(self, monkeypatch, fake_pool, capsys):
+        # the scans run serially whatever --workers says
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        # one job per m in 2..4
-        assert scan_general_3design(4, 4, workers=10_000) == scan_general_3design(4, 4)
-        assert fake_pool == [3]
+        scans = [
+            (lambda w: scan_square_3design(40, workers=w), "--square3 --max-m 40"),
+            (lambda w: scan_square_2design(12, workers=w), "--square2 --max-m 12"),
+            (lambda w: scan_general_3design(14, 14, workers=w),
+             "--general3 --max-m 14 --max-n 14"),
+        ]
+        for scan, argv in scans:
+            results, outputs = set(), set()
+            for workers in (1, 2, 10_000):
+                results.add(repr(scan(workers)))
+                assert main(["scan", *argv.split(), "--workers", str(workers)]) == 0
+                outputs.add(capsys.readouterr().out)
+            assert len(results) == len(outputs) == 1, argv
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("scan", [
+        lambda w: scan_square_3design(11, workers=w),
+        lambda w: scan_square_2design(11, workers=w),
+        lambda w: scan_general_3design(11, 7, workers=w),
+    ])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_scanner_rejects_workers_below_one(self, scan, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            scan(workers)
 
     def test_oracle_capped(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
