@@ -57,15 +57,10 @@ class TestPoolSize:
 
 
 class TestCapAtCallSites:
-    def test_scanner_starts_no_pool(self, monkeypatch, fake_pool, capsys):
-        # the scans run serially whatever --workers says
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        scans = [
-            (lambda w: scan_square_3design(40, workers=w), "--square3 --max-m 40"),
-            (lambda w: scan_square_2design(12, workers=w), "--square2 --max-m 12"),
-            (lambda w: scan_general_3design(14, 14, workers=w),
-             "--general3 --max-m 14 --max-n 14"),
-        ]
+    # The scans run serially whatever --workers says: the pool they are
+    # capped to is no pool at all, and every workers value prints the same.
+    @staticmethod
+    def _assert_serial(scans, capsys, fake_pool):
         for scan, argv in scans:
             results, outputs = set(), set()
             for workers in (1, 2, 10_000):
@@ -74,6 +69,20 @@ class TestCapAtCallSites:
                 outputs.add(capsys.readouterr().out)
             assert len(results) == len(outputs) == 1, argv
         assert fake_pool == []
+
+    def test_scanner_capped_at_cpu_count(self, monkeypatch, fake_pool, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self._assert_serial([
+            (lambda w: scan_square_3design(40, workers=w), "--square3 --max-m 40"),
+            (lambda w: scan_square_2design(12, workers=w), "--square2 --max-m 12"),
+        ], capsys, fake_pool)
+
+    def test_scanner_capped_at_job_count(self, monkeypatch, fake_pool, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        self._assert_serial([
+            (lambda w: scan_general_3design(14, 14, workers=w),
+             "--general3 --max-m 14 --max-n 14"),
+        ], capsys, fake_pool)
 
     @pytest.mark.parametrize("scan", [
         lambda w: scan_square_3design(11, workers=w),
