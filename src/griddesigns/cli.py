@@ -10,6 +10,7 @@ integers are decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,6 +148,12 @@ def _verdict(rep: criteria.CriteriaReport, t: int, group: str) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    if not args.with_oracle:
+        for flag, value in (("--max-blocks", args.max_blocks),
+                            ("--max-subsets", args.max_subsets)):
+            if value is not None:
+                print(f"error: {flag} applies only with --with-oracle", file=sys.stderr)
+                return EXIT_USAGE
     g = _read_graph(args.file)
     if args.group in ("G", "both") and g.m != g.n:
         if args.group == "G":
@@ -326,7 +333,10 @@ def _write_index(out_dir: Path, reports, stopped: str | None = None) -> None:
     (out_dir / "index.txt").write_text("\n".join(lines) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: each of its
+    arguments asks for the terminal size, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="griddesigns",
         description="Exact verification, scanning and search for "

@@ -13,13 +13,18 @@ of this module is independent of the chain and not used here; the tests
 check the chain order against it.
 
 Refinement runs once per partition of the searched graph and records its
-trace: per round, the sorted split keys of every cell with their bucket
-sizes, or a singleton's signature.  The candidate side only replays that
-trace and fails at the first round that differs (nauty's trace comparison).
-A vertex's signature is built from its neighbour list: the cell indices of
-its neighbours, sparse, in a form that sorts exactly like the dense vector
-of neighbour counts per cell.  Cells therefore split in the same order as
-with dense vectors, and the search finds the same first isomorphism.
+trace; the candidate side only replays that trace and fails at the first
+round that differs (nauty's trace comparison).  Refinement is incremental,
+as in nauty: cells are named by their start positions, a round signs only
+the cells next to a cell that split in the round before, and a child
+partition in the search starts from its equitable parent.  A trace round
+holds an entry for each cell it signs; the cells it leaves out cannot split
+(see _split_round), so the refined cells, the failing round and the first
+isomorphism found are those of signing every cell in every round.  A
+vertex's signature is built from its neighbour list: the cell starts of its
+neighbours, sparse, in a form that sorts exactly like the dense vector of
+neighbour counts per cell.  Cells therefore split in the same order as with
+dense vectors, and the search finds the same first isomorphism.
 """
 
 from __future__ import annotations
@@ -144,15 +149,18 @@ class AutReport:
 # Colored-graph machinery on the vertex set R ∪ C (rows first, then columns)
 # ---------------------------------------------------------------------------
 
-def _neighbours(g: BiGraph) -> list[tuple[int, ...]]:
-    """Ascending neighbour list per vertex; row i is vertex i, column j is
-    m + j."""
-    nbrs: list[list[int]] = [[] for _ in range(g.m + g.n)]
+def _neighbours(g: BiGraph):
+    """Per vertex, row i as vertex i and column j as m + j: the ascending
+    neighbour lists, and the neighbours as bitmasks."""
+    lists: list[list[int]] = [[] for _ in range(g.m + g.n)]
+    masks = [0] * (g.m + g.n)
     for i, mask in enumerate(g.rows):
+        masks[i] = mask << g.m
         for j in _bits(mask):
-            nbrs[i].append(g.m + j)
-            nbrs[g.m + j].append(i)
-    return [tuple(vs) for vs in nbrs]
+            lists[i].append(g.m + j)
+            lists[g.m + j].append(i)
+            masks[g.m + j] |= 1 << i
+    return [tuple(vs) for vs in lists], masks
 
 
 def _bits(mask: int):
@@ -162,124 +170,221 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _sig(v: int, cell_of: list[int], nbrs) -> tuple:
-    """The negated cell indices of v's neighbours, ascending by cell index.
+def _sig(v: int, cell_of: list[int], lists) -> tuple:
+    """The negated cell starts of v's neighbours, ascending by start.
 
-    cell_of holds -(cell index) per vertex.  These keys sort exactly like the
+    cell_of holds -(cell start) per vertex.  These keys sort exactly like the
     dense vectors of neighbour counts over all cells: where two vectors first
     differ, the larger count puts an entry where the other key has a later
     cell (a smaller entry) or has ended.  So cells split in the same order.
     """
-    return tuple(sorted(map(cell_of.__getitem__, nbrs[v]), reverse=True))
+    return tuple(sorted(map(cell_of.__getitem__, lists[v]), reverse=True))
 
 
-def _split_round(cells, nbrs):
-    """One refinement round: the cells split by signature, each cell's buckets
-    in key order, and per cell its entry for the trace.
+def _layout(cells, nv: int):
+    """The ordered partition `cells` (vertex bitmasks) as (ptn, cell_of).
 
-    A cell's entry is its signature when it is a singleton, and otherwise its
-    split keys in order with their bucket sizes.  The two kinds never compare
-    equal, because a signature holds integers and a split holds pairs.
+    A cell is named by its start, the total size of the cells before it.
+    ptn[s] is the cell that starts at s, else 0; cell_of[v] is minus the
+    start of v's cell.  Starts sort cells as their indices do, and a split
+    keeps every other cell's start.
     """
-    cell_of = [0] * len(nbrs)
-    for idx, cell in enumerate(cells):
-        if cell & (cell - 1):
-            for v in _bits(cell):
-                cell_of[v] = -idx
-        else:
-            cell_of[cell.bit_length() - 1] = -idx
-    new: list[int] = []
-    entries: list[tuple] = []
+    ptn = [0] * nv
+    cell_of = [0] * nv
+    start = 0
     for cell in cells:
+        ptn[start] = cell
+        for v in _bits(cell):
+            cell_of[v] = -start
+        start += cell.bit_count()
+    return ptn, cell_of
+
+
+def _split_round(part, nbrs, dirty: int):
+    """One refinement round, in place: each cell that meets the vertex mask
+    dirty splits by signature into its buckets in key order.  Returns the
+    round's trace entries and the next round's mask.
+
+    The entries are (cell start, entry) for the cells that meet dirty, in
+    order: a singleton's signature, or the split keys in order with their
+    bucket sizes (pairs, so never equal to a signature).
+
+    The next mask holds the neighbours of every bucket of a split cell but
+    its first largest one (nauty's "all but the largest"; any one bucket may
+    be left out).  A cell that misses it had equal signatures when last
+    signed, and no vertex of it is next to a bucket left in: its count into
+    the largest bucket is its count into the cell that split, and 0 into the
+    others.  So it cannot split, and its entry follows from those recorded
+    before, on either side of a trace comparison.  An empty mask means no
+    cell can split any more.
+    """
+    ptn, cell_of = part
+    lists, masks = nbrs
+    starts = []
+    while dirty:
+        start = -cell_of[(dirty & -dirty).bit_length() - 1]
+        starts.append(start)
+        dirty &= ~ptn[start]
+    starts.sort()
+    entries: list[tuple] = []
+    splits = []
+    for start in starts:
+        cell = ptn[start]
         if cell & (cell - 1) == 0:
-            entries.append(_sig(cell.bit_length() - 1, cell_of, nbrs))
-            new.append(cell)
+            entries.append((start, _sig(cell.bit_length() - 1, cell_of, lists)))
             continue
         buckets: dict[tuple, int] = {}
         for v in _bits(cell):
-            key = _sig(v, cell_of, nbrs)
+            key = _sig(v, cell_of, lists)
             buckets[key] = buckets.get(key, 0) | (1 << v)
         keys = sorted(buckets)
-        entries.append(tuple([(key, buckets[key].bit_count()) for key in keys]))
-        new.extend([buckets[key] for key in keys])
-    return new, entries
+        entries.append((start, tuple([(key, buckets[key].bit_count()) for key in keys])))
+        if len(keys) > 1:
+            splits.append((start, [buckets[key] for key in keys]))
+    # every signature of the round is taken before any cell moves
+    touched = 0
+    for start, buckets in splits:
+        largest = max(buckets, key=int.bit_count)
+        pos = start
+        for bucket in buckets:
+            ptn[pos] = bucket
+            for v in _bits(bucket):
+                cell_of[v] = -pos
+                if bucket != largest:
+                    touched |= masks[v]
+            pos += bucket.bit_count()
+    return entries, touched
+
+
+def _refine_part(part, nbrs, dirty: int) -> list:
+    """Refine part in place until no cell can split; the trace holds the
+    entries of each round.  dirty must meet every cell whose vertices may
+    differ in signature."""
+    trace = []
+    while True:
+        entries, dirty = _split_round(part, nbrs, dirty)
+        trace.append(entries)
+        if not dirty:
+            return trace
+
+
+def _replay_part(part, nbrs, dirty: int, trace) -> bool:
+    """Refine part in place against trace; False at the first round whose
+    entries differ.
+
+    Each side picks the cells to sign from its own graph.  While the rounds
+    agree, a cell that only one side signs has a vertex next to a bucket
+    where the other side has none, so its full signatures differ too: a
+    difference shows in the round where signing every cell would show it.
+    """
+    for entries in trace:
+        got, dirty = _split_round(part, nbrs, dirty)
+        if got != entries:
+            return False
+    return True
 
 
 def _refine(cells, nbrs):
-    """Equitable refinement of an ordered partition, with its split trace.
-
-    Cells are vertex bitmasks.  The trace holds, per round, the cell entries
-    of _split_round.  The last round splits nothing.
-    """
-    trace = []
-    while True:
-        new, entries = _split_round(cells, nbrs)
-        trace.append(entries)
-        if len(new) == len(cells):
-            return new, trace
-        cells = new
+    """Equitable refinement of a list of cells (vertex bitmasks) from
+    scratch, with its split trace; the search keeps its partitions laid out
+    instead (_path, _node)."""
+    nv = len(nbrs[0])
+    part = _layout(cells, nv)
+    trace = _refine_part(part, nbrs, (1 << nv) - 1)
+    return [cell for cell in part[0] if cell], trace
 
 
 def _replay(cells, nbrs, trace):
-    """Refine a partition that must split exactly as the trace records.
-
-    Returns the refined cells, in positions matching the traced side, or None
-    after the first round whose keys or bucket sizes differ: then no
-    isomorphism respects the correspondence.
-    """
-    for entries in trace:
-        cells, got = _split_round(cells, nbrs)
-        if got != entries:
-            return None
-    return cells
+    """Refine a list of cells from scratch that must split exactly as the
+    trace records: the refined cells, in positions matching the traced side,
+    or None when a round differs (no isomorphism respects the
+    correspondence)."""
+    nv = len(nbrs[0])
+    part = _layout(cells, nv)
+    if not _replay_part(part, nbrs, (1 << nv) - 1, trace):
+        return None
+    return [cell for cell in part[0] if cell]
 
 
-def _refined(cells, nbrs, done: dict):
-    """_refine(cells, nbrs), computed once per cell tuple in done.
+def _node(part, nbrs, dirty: int):
+    """Refine part in place; the search node (part, trace, branch), where
+    branch is the start of the first smallest non-singleton cell, or None
+    when every cell is a singleton."""
+    trace = _refine_part(part, nbrs, dirty)
+    sizes = [(cell.bit_count(), start) for start, cell in enumerate(part[0])
+             if cell & (cell - 1)]
+    return part, trace, min(sizes)[1] if sizes else None
 
-    The caller owns done and drops it when its search is over."""
+
+def _path(cells, nbrs, done: dict) -> list:
+    """The a-side search nodes from the partition cells down, by depth.
+
+    The a-side branches on one vertex per node, so its nodes form one path,
+    extended as the searches reach deeper.  It is kept in done, which the
+    caller owns and drops when its searches are over."""
     key = tuple(cells)
-    hit = done.get(key)
-    if hit is None:
-        hit = done[key] = _refine(cells, nbrs)
-    return hit
+    path = done.get(key)
+    if path is None:
+        nv = len(nbrs[0])
+        path = done[key] = [_node(_layout(cells, nv), nbrs, (1 << nv) - 1)]
+    return path
+
+
+def _child(part, start: int, v: int):
+    """A copy of part with vertex v split off the front of the cell at
+    start."""
+    ptn, cell_of = part[0][:], part[1][:]
+    rest = ptn[start] ^ (1 << v)
+    ptn[start] = 1 << v
+    ptn[start + 1] = rest
+    for u in _bits(rest):
+        cell_of[u] = -(start + 1)
+    return ptn, cell_of
 
 
 def _search_iso(nbrs_a, nbrs_b, cells_a, cells_b, done: dict):
     """First color/partition-respecting isomorphism as a vertex map, or None.
 
-    The a-side refinement does not depend on the candidate images, so it is
-    looked up in done, which holds a-side refinements only; the b-side
-    replays its trace.
+    The a-side refinements do not depend on the candidate images, so they
+    are kept in done (see _path); the b-side replays their traces.
     """
-    cells_a, trace = _refined(cells_a, nbrs_a, done)
-    cells_b = _replay(cells_b, nbrs_b, trace)
-    if cells_b is None:
+    path = _path(cells_a, nbrs_a, done)
+    nv = len(nbrs_b[0])
+    part_b = _layout(cells_b, nv)
+    if not _replay_part(part_b, nbrs_b, (1 << nv) - 1, path[0][1]):
         return None
+    return _descend(nbrs_a, nbrs_b, path, 0, part_b)
 
-    branch = None
-    for idx, cell in enumerate(cells_a):
-        size = cell.bit_count()
-        if size > 1 and (branch is None or size < cells_a[branch].bit_count()):
-            branch = idx
+
+def _descend(nbrs_a, nbrs_b, path, depth: int, part_b):
+    """The search below the a-side node path[depth], matched by part_b.
+
+    A child splits one vertex off the front of the branch cell of its
+    equitable parent; the rest of the cell is the bucket left out, so its
+    first round signs the cells next to that vertex, on each side.
+    """
+    part_a, _, branch = path[depth]
     if branch is None:
-        mapping = [0] * len(nbrs_a)
-        for cell_a, cell_b in zip(cells_a, cells_b):
+        lists_a, lists_b = nbrs_a[0], nbrs_b[0]
+        mapping = [0] * len(lists_a)
+        for cell_a, cell_b in zip(part_a[0], part_b[0]):
             mapping[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
-        for v, vs in enumerate(nbrs_a):
-            if tuple(sorted(mapping[u] for u in vs)) != nbrs_b[mapping[v]]:
+        for v, vs in enumerate(lists_a):
+            if tuple(sorted(mapping[u] for u in vs)) != lists_b[mapping[v]]:
                 return None
         return mapping
 
-    cell_a = cells_a[branch]
-    cell_b = cells_b[branch]
-    a = cell_a & -cell_a
-    for b in _bits(cell_b):
-        next_a = cells_a[:branch] + [a, cell_a ^ a] + cells_a[branch + 1:]
-        next_b = cells_b[:branch] + [1 << b, cell_b ^ (1 << b)] + cells_b[branch + 1:]
-        found = _search_iso(nbrs_a, nbrs_b, next_a, next_b, done)
-        if found is not None:
-            return found
+    if depth + 1 == len(path):
+        cell_a = part_a[0][branch]
+        a = (cell_a & -cell_a).bit_length() - 1
+        path.append(_node(_child(part_a, branch, a), nbrs_a, nbrs_a[1][a]))
+    trace = path[depth + 1][1]
+    for b in _bits(part_b[0][branch]):
+        child = _child(part_b, branch, b)
+        if _replay_part(child, nbrs_b, nbrs_b[1][b], trace):
+            found = _descend(nbrs_a, nbrs_b, path, depth + 1, child)
+            if found is not None:
+                return found
     return None
 
 
@@ -343,9 +448,9 @@ def _k_stabilizer(g: BiGraph, nbrs):
     order = 1
     done: dict = {}
     while True:
-        cells = _refined(_side_cells(g.m, g.n, tuple(pins)), nbrs, done)[0]
+        (ptn, _), _, _ = _path(_side_cells(g.m, g.n, tuple(pins)), nbrs, done)[0]
         done = {}
-        target = next((c for c in cells if c.bit_count() > 1), None)
+        target = next((c for c in ptn if c & (c - 1)), None)
         if target is None:
             break
         u = (target & -target).bit_length() - 1

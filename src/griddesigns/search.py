@@ -397,9 +397,14 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     workers.pool_size allows more than one process, the branches are
     realized and keyed in a process pool and merged in branch order, so the
     output stream is identical; the node budget then applies per branch.  A
-    wall-clock limit is not supported with workers > 1.
+    wall-clock limit is not supported with workers > 1.  A start_branch
+    equal to the branch count searches nothing; a larger one raises
+    ValueError.
     """
     branches = degree_branches(spec)
+    if spec.start_branch > len(branches):
+        raise ValueError(f"start_branch {spec.start_branch} is past the end: "
+                         f"there are {len(branches)} degree branches")
     indices = _searched_branches(spec, branches)
     size = pool_size(workers, len(indices))
     if workers > 1 and spec.max_seconds is not None:

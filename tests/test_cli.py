@@ -319,6 +319,22 @@ class TestBudgetValidation:
         code, _ = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "2240"])
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--max-blocks", "--max-subsets"])
+    def test_verify_flag_needs_with_oracle(self, capsys, fig2_file, flag):
+        code, out, err = run_cli(capsys, ["verify", fig2_file, "--t", "3", flag, "5"])
+        assert code == 2
+        assert out == ""
+        assert f"{flag} applies only with --with-oracle" in err
+
+    @pytest.mark.parametrize("var", ["GRIDDESIGNS_BUDGET_BLOCKS",
+                                     "GRIDDESIGNS_BUDGET_SUBSETS"])
+    def test_verify_env_without_oracle_is_not_read(self, capsys, monkeypatch,
+                                                   fig2_file, var):
+        monkeypatch.setenv(var, "1")
+        code, out, _ = run_cli(capsys, ["verify", fig2_file, "--t", "3"])
+        assert code == 0
+        assert "D_3design = yes" in out
+
     def test_positive_budget_still_refuses(self, capsys, fig2_file):
         code, err = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "1"])
         assert code == 3
@@ -508,6 +524,16 @@ class TestStartBranch:
         assert code == 1
         assert out == "found = 0\n"
 
+    @pytest.mark.parametrize("extra", [1, 4])
+    def test_beyond_the_branch_count_exit_2(self, capsys, extra):
+        count = len(degree_branches(SearchSpec(m=5, n=5, k=4, target="flag-dhat2")))
+        assert count == 3
+        start = str(count + extra)
+        code, out, err = run_cli(capsys, self.ARGV + ["--start-branch", start])
+        assert code == 2
+        assert out == ""
+        assert f"start_branch {start} is past the end: there are 3 degree branches" in err
+
 
 def run_module(argv):
     """Run the CLI as `python -m griddesigns.cli`, importing the same package
@@ -519,6 +545,37 @@ def run_module(argv):
         [sys.executable, "-m", "griddesigns.cli", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+class TestMainCalledAgain:
+    """main reuses one parser per process; options of one call must not
+    leak into the next."""
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys, p4_file):
+        calls = [
+            ["verify", p4_file, "--group", "G"],
+            ["verify", p4_file, "--group", "X"],
+            ["verify", p4_file],
+            ["search", "--m", "5", "--n", "3", "--k", "4", "--target", "d2",
+             "--dedup", "side-preserving", "--format", "json"],
+            ["search", "--m", "5", "--k", "4", "--target", "flag-dhat2",
+             "--format", "json"],
+            ["search", "--m", "5", "--k", "4", "--target", "flag-dhat2",
+             "--start-branch", "9"],
+            ["search", "--m", "5", "--k", "4", "--target", "flag-dhat2"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, capsys.readouterr().out))
+        fresh = [(proc.returncode, proc.stdout) for proc in map(run_module, calls)]
+        assert in_process == fresh
+        # the group only moves the verdict: G is positive for p4, K is not
+        assert [code for code, _ in in_process] == [0, 2, 1, 1, 0, 2, 0]
+        assert '"n": 3' in in_process[3][1] and '"n": 5' in in_process[4][1]
 
 
 class TestConsoleScript:
