@@ -49,7 +49,6 @@ from .permgroup import (
     tau_equivalent,
 )
 from .scanner import (
-    ParamTuple,
     scan_general_3design,
     scan_square_2design,
     scan_square_3design,
@@ -97,7 +96,6 @@ __all__ = [
     "group_order",
     "is_edge_transitive",
     "tau_equivalent",
-    "ParamTuple",
     "scan_general_3design",
     "scan_square_2design",
     "scan_square_3design",

@@ -63,10 +63,6 @@ class BiGraph:
                 mask ^= low
         return out
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """Edge test with 1-based indices."""
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
     def columns(self) -> tuple[int, ...]:
         """Row bitmask per column (the transposed adjacency)."""
         cols = [0] * self.n

@@ -35,9 +35,9 @@ def _read_graph(path: str) -> BiGraph:
 
 
 def _positive(text: str) -> int:
-    """An integer of at least 1: --workers (the pool is capped at the CPU
-    count and the number of jobs by workers.pool_size), --max-blocks and
-    --max-subsets."""
+    """An integer of at least 1: --workers of search and oracle (the pool is
+    capped at the CPU count and the number of jobs by workers.pool_size),
+    --max-blocks and --max-subsets."""
     try:
         value = int(text)
     except ValueError:
@@ -155,10 +155,9 @@ def _cmd_verify(args) -> int:
                 print(f"error: {flag} applies only with --with-oracle", file=sys.stderr)
                 return EXIT_USAGE
     g = _read_graph(args.file)
-    if args.group in ("G", "both") and g.m != g.n:
-        if args.group == "G":
-            print("error: group G requires a square grid", file=sys.stderr)
-            return EXIT_USAGE
+    if args.group == "G" and g.m != g.n:
+        print("error: group G requires a square grid", file=sys.stderr)
+        return EXIT_USAGE
     aut = permgroup.automorphisms(g)
     rep = criteria.evaluate(g, aut)
     payload = _report_dict(rep)
@@ -203,7 +202,7 @@ def _cmd_scan(args) -> int:
         if args.max_n is None:
             print("error: --general3 needs --max-n", file=sys.stderr)
             return EXIT_USAGE
-        found = scanner.scan_general_3design(args.max_m, args.max_n, args.workers)
+        found = scanner.scan_general_3design(args.max_m, args.max_n)
     elif args.max_n is not None:
         print(f"error: --max-n applies only to --general3, not --{mode}",
               file=sys.stderr)
@@ -211,7 +210,7 @@ def _cmd_scan(args) -> int:
     else:
         scan = (scanner.scan_square_3design if mode == "square3"
                 else scanner.scan_square_2design)
-        found = scan(args.max_m, args.workers)
+        found = scan(args.max_m)
     tuples = found if mode == "general3" else ([m, m, k] for m, k in found)
     if args.format == "json":
         print(json.dumps({"mode": mode, "tuples": list(tuples)}))
@@ -361,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general3", action="store_true")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_scan)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 
 from .bigraph import BiGraph, SubgraphStats, stats
 from .permgroup import AutReport, group_order
@@ -271,21 +271,3 @@ def evaluate(g: BiGraph, aut: AutReport | None = None) -> CriteriaReport:
         tau_equivalent=aut.tau_equivalent if aut else None,
         outside_standard_range=outside_standard_range(g),
     )
-
-
-def lambda_identity_holds(report: CriteriaReport) -> bool:
-    """Counting identity every emitted lambda must satisfy:
-    lambda * C(v, t) = b * C(k, t)."""
-    v = report.m * report.n
-    checks = [
-        (report.lambda_d_2, report.b_d, 2),
-        (report.lambda_d_3, report.b_d, 3),
-        (report.lambda_dhat_2, report.b_dhat, 2),
-        (report.lambda_dhat_3, report.b_dhat, 3),
-    ]
-    for lam, b, t in checks:
-        if lam is None:
-            continue
-        if b is None or lam * comb(v, t) != b * comb(report.k, t):
-            return False
-    return True

@@ -219,11 +219,6 @@ def design_verdict(d: ExplicitDesign, t: int, budget: Budget | None = None):
     return len(hist) == 1 and d.k >= t, hist
 
 
-def is_complete(d: ExplicitDesign) -> bool:
-    """Whether the blocks are all k-subsets of the points."""
-    return d.b == comb(d.v, d.k)
-
-
 # ---------------------------------------------------------------------------
 # Orbit-ratio test: t-design iff the block meets every group orbit on
 # t-subsets of cells proportionally to the orbit size.

@@ -508,7 +508,8 @@ def automorphisms(g: BiGraph) -> AutReport:
             g_order = k_order
 
     report = AutReport(k_gens, k_order, g_gens, g_order, tau_eq)
-    for p in report.k_gens + (report.g_gens or ()):
+    # on square grids g_gens holds every K generator
+    for p in report.g_gens or report.k_gens:
         if apply(p, g) != g:
             raise AssertionError("stabilizer search returned a non-automorphism")
     return report

@@ -8,23 +8,15 @@ are residue classes: for each prime power p^e of q_2 q_3 the admissible
 residues mod p^e are few, and the Chinese remainder theorem combines them,
 so a scan's work follows the number of tuples it returns, not the number of
 k it could test.  All arithmetic is exact and the output is sorted and
-deterministic.
+deterministic.  A scan runs in the calling process and takes no worker
+count: a process pool only added start-up cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .criteria import count_targets
-
-
-@dataclass(frozen=True)
-class ParamTuple:
-    m: int
-    n: int
-    k: int
-    target: str
 
 
 def _modulus(design: str, m: int, n: int, t: int) -> int:
@@ -94,32 +86,24 @@ def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
     return ks
 
 
-def _check_workers(workers: int) -> None:
-    """The scans run serially, since a process pool only added start-up
-    cost; `workers` is still accepted and validated."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def _scan_square(t: int, max_m: int, workers: int) -> list[list[int]]:
-    _check_workers(workers)
+def _scan_square(t: int, max_m: int) -> list[list[int]]:
     if max_m < 2:
         raise ValueError("max_m must be at least 2")
     return [[m, k] for m in range(2, max_m + 1) for k in _feasible_ks("Dhat", m, m, t)]
 
 
-def scan_square_3design(max_m: int, workers: int = 1) -> list[list[int]]:
+def scan_square_3design(max_m: int) -> list[list[int]]:
     """All [m, k] with 2 <= m <= max_m and 3 <= k <= m^2/2 for which a Dhat
     3-design on an m x m grid is arithmetically possible."""
-    return _scan_square(3, max_m, workers)
+    return _scan_square(3, max_m)
 
 
-def scan_square_2design(max_m: int, workers: int = 1) -> list[list[int]]:
+def scan_square_2design(max_m: int) -> list[list[int]]:
     """All [m, k] passing the Dhat 2-design divisibility (m+1 | k(k-1))."""
-    return _scan_square(2, max_m, workers)
+    return _scan_square(2, max_m)
 
 
-def scan_general_3design(max_m: int, max_n: int, workers: int = 1) -> list[list[int]]:
+def scan_general_3design(max_m: int, max_n: int) -> list[list[int]]:
     """All [m, n, k] (convention m >= n >= 2, 3 <= k <= mn/2) for which a D
     3-design is arithmetically possible, ordered by (m, n, k).
 
@@ -127,7 +111,6 @@ def scan_general_3design(max_m: int, max_n: int, workers: int = 1) -> list[list[
     tuple is [8, 2, 6] and the next side pair is (11, 7), with e.g. [17, 2,
     12] coming later even though its grid is smaller.
     """
-    _check_workers(workers)
     if max_m < 2 or max_n < 2:
         raise ValueError("bounds must be at least 2")
     return [[m, n, k] for m in range(2, max_m + 1) for n in range(2, min(m, max_n) + 1)

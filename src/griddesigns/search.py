@@ -354,12 +354,14 @@ def _branch_candidates(args):
 def _searched_branches(spec: SearchSpec, branches) -> list[int]:
     """Indices of the branches to search, from spec.start_branch on.  Under
     allow-tau the transpose of every class in branch (x, y) lies in branch
-    (y, x), so a branch whose mirror comes earlier in the list is skipped."""
+    (y, x), so a branch whose mirror comes earlier in the list is skipped.
+    There m = n and every count target is symmetric in rows and columns, so
+    the list is closed under the mirror; it runs x-major in decreasing
+    lexicographic order, so (y, x) comes earlier exactly when y > x."""
     indices = range(spec.start_branch, len(branches))
     if spec.dedup != "allow-tau":
         return list(indices)
-    position = {branch: i for i, branch in enumerate(branches)}
-    return [i for i in indices if position.get(branches[i][::-1], i) >= i]
+    return [i for i in indices if branches[i][1] <= branches[i][0]]
 
 
 def _candidates(spec: SearchSpec, branches, indices, size: int):

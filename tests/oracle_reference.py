@@ -6,7 +6,8 @@ a frozenset of cells and every generator a cell permutation, the transpose
 included.  The library now closes integer bitmasks under adjacent row and
 column swaps and reaches G by starting from the transposed block.  The
 tests hold the two engines to the same blocks in the same order, the same
-histograms and the same flag verdicts.
+histograms and the same flag verdicts.  `is_complete` tells a design whose
+blocks are all k-subsets of the points.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from griddesigns.oracle import (
     ExplicitDesign,
     block_of,
 )
+
+
+def is_complete(d: ExplicitDesign) -> bool:
+    """Whether the blocks are all k-subsets of the points."""
+    return d.b == comb(d.v, d.k)
 
 
 def cell_generators(m: int, n: int, group: str) -> list[list[int]]:

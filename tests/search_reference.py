@@ -5,6 +5,8 @@ It breaks only the row symmetry, so each isomorphism class is realized once
 per ordering of its equal-degree columns.  It yields matrices in the same
 decreasing row-major order as `griddesigns.search._realize`, which realizes
 a subset of them; the first matrix of each class must be the same in both.
+`searched_branches` is the mirror-branch skip as first written, with a
+position dict over every degree branch.
 """
 
 from griddesigns.bigraph import BiGraph, canonical_form
@@ -80,3 +82,13 @@ def branch_stream(spec, x, y, state):
         if key not in seen:
             seen.add(key)
             yield rows, key
+
+
+def searched_branches(spec, branches) -> list[int]:
+    """Indices of the branches to search, from spec.start_branch on: under
+    allow-tau a branch is skipped when its mirror has a smaller index."""
+    indices = range(spec.start_branch, len(branches))
+    if spec.dedup != "allow-tau":
+        return list(indices)
+    position = {branch: i for i, branch in enumerate(branches)}
+    return [i for i in indices if position.get(branches[i][::-1], i) >= i]

@@ -18,7 +18,6 @@ from griddesigns.oracle import (
     ExplicitDesign,
     design_verdict,
     flag_transitive_direct,
-    is_complete,
     materialize,
 )
 from griddesigns.permgroup import automorphisms, is_edge_transitive
@@ -32,6 +31,7 @@ from griddesigns.search import (
 )
 
 from conftest import iso_class_reps
+from oracle_reference import is_complete
 from test_criteria import cycle_lambda_closed_form, path_lambda_closed_form
 
 

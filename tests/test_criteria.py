@@ -11,14 +11,13 @@ from griddesigns.criteria import (
     classify_case,
     count_targets,
     evaluate,
-    lambda_identity_holds,
     outside_standard_range,
 )
 from griddesigns.permgroup import automorphisms
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps
-from count_reference import check_D_tau_reduced
+from count_reference import check_D_tau_reduced, lambda_identity_holds
 
 
 def path_lambda_closed_form(k: int) -> int:

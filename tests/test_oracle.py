@@ -14,7 +14,6 @@ from griddesigns.oracle import (
     design_verdict,
     export_block_list,
     flag_transitive_direct,
-    is_complete,
     lambda_table,
     materialize,
     orbit_ratio_check,
@@ -23,6 +22,7 @@ from griddesigns.permgroup import automorphisms, group_order, is_edge_transitive
 from griddesigns.search import family_cycle, family_figure, family_path
 
 import oracle_reference
+from oracle_reference import is_complete
 from conftest import iso_class_reps
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from griddesigns import permgroup
 from griddesigns.bigraph import BiGraph, canonical_form, from_edge_list, transpose
 from griddesigns.permgroup import (
     GridPerm,
@@ -219,6 +220,25 @@ class TestAutomorphisms:
         assert rep.k_order == expected_k
         assert rep.tau_equivalent is True
         assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("which, calls", [("fig3", 38), ("fig1", 10), ("fig2", 6)])
+    def test_each_generator_checked_once(self, monkeypatch, which, calls):
+        # g_gens extends k_gens on square grids, so each K generator gets
+        # one apply check, not two
+        g = family_figure(which)
+        applied = []
+        monkeypatch.setattr(permgroup, "apply", lambda p, h: applied.append(p) or apply(p, h))
+        rep = automorphisms(g)
+        assert len(applied) == calls
+        assert applied == list(rep.g_gens or rep.k_gens)
+
+    def test_tau_equivalent_checks_the_swap_once(self, monkeypatch):
+        g = family_cycle(6, 5)
+        applied = []
+        monkeypatch.setattr(permgroup, "apply", lambda p, h: applied.append(p) or apply(p, h))
+        rep = automorphisms(g)
+        assert rep.tau_equivalent is True
+        assert len(applied) == len(rep.k_gens) + 1
 
 
 class TestTauEquivalence:

@@ -40,9 +40,6 @@ class TestSquare3:
         with pytest.raises(ValueError):
             scan_square_3design(1)
 
-    def test_workers_do_not_change_output(self):
-        assert scan_square_3design(40, workers=2) == scan_square_3design(40)
-
 
 class TestGeneral3:
     def test_firsts(self):
@@ -71,9 +68,6 @@ class TestGeneral3:
             assert Fraction(
                 k * (k - 1) * (k - 2) * (m - 1) * (n - 1), (v - 1) * (v - 2)
             ).denominator == 1
-
-    def test_workers_do_not_change_output(self):
-        assert scan_general_3design(14, 14, workers=2) == scan_general_3design(14, 14)
 
 
 class TestSquare2:

@@ -21,6 +21,7 @@ from griddesigns.search import (
     _realize,
     _RealizeState,
     _branch_stream,
+    _searched_branches,
     _uniform_edge_degrees,
     degree_branches,
     exhaustive_search,
@@ -368,6 +369,23 @@ class TestDegreeBranches:
     def test_equals_cross_product_larger(self, m, k, target):
         spec = SearchSpec(m=m, n=m, k=k, target=target)
         assert degree_branches(spec) == _cross_product_branches(spec)
+
+
+class TestMirrorSkipping:
+    def test_same_indices_as_position_dict(self):
+        # every allow-tau spec with m <= 6, each target, each k, each start
+        mirrored = 0
+        for m in range(1, 7):
+            for k in range(m * m + 1):
+                for target in TARGETS:
+                    branches = degree_branches(SearchSpec(m=m, n=m, k=k, target=target))
+                    assert {(y, x) for x, y in branches} == set(branches), (m, k, target)
+                    mirrored += any(x != y for x, y in branches)
+                    for start in range(len(branches) + 1):
+                        spec = SearchSpec(m=m, n=m, k=k, target=target, start_branch=start)
+                        assert (_searched_branches(spec, branches)
+                                == search_reference.searched_branches(spec, branches)), spec
+        assert mirrored > 50
 
 
 class TestCanonicalOnSearch:

@@ -1,6 +1,7 @@
 """--workers validation and the pool-size cap, with no process started."""
 
 import concurrent.futures
+import json
 import os
 
 import pytest
@@ -57,42 +58,27 @@ class TestPoolSize:
 
 
 class TestCapAtCallSites:
-    # The scans run serially whatever --workers says: the pool they are
-    # capped to is no pool at all, and every workers value prints the same.
+    # The scans take no worker count and run in the calling process: they
+    # start no pool, and `scan` prints exactly the library's lists.
     @staticmethod
     def _assert_serial(scans, capsys, fake_pool):
-        for scan, argv in scans:
-            results, outputs = set(), set()
-            for workers in (1, 2, 10_000):
-                results.add(repr(scan(workers)))
-                assert main(["scan", *argv.split(), "--workers", str(workers)]) == 0
-                outputs.add(capsys.readouterr().out)
-            assert len(results) == len(outputs) == 1, argv
+        for found, argv in scans:
+            assert main(["scan", *argv.split(), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["tuples"] == found, argv
         assert fake_pool == []
 
     def test_scanner_capped_at_cpu_count(self, monkeypatch, fake_pool, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         self._assert_serial([
-            (lambda w: scan_square_3design(40, workers=w), "--square3 --max-m 40"),
-            (lambda w: scan_square_2design(12, workers=w), "--square2 --max-m 12"),
+            ([[m, m, k] for m, k in scan_square_3design(40)], "--square3 --max-m 40"),
+            ([[m, m, k] for m, k in scan_square_2design(12)], "--square2 --max-m 12"),
         ], capsys, fake_pool)
 
     def test_scanner_capped_at_job_count(self, monkeypatch, fake_pool, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         self._assert_serial([
-            (lambda w: scan_general_3design(14, 14, workers=w),
-             "--general3 --max-m 14 --max-n 14"),
+            (scan_general_3design(14, 14), "--general3 --max-m 14 --max-n 14"),
         ], capsys, fake_pool)
-
-    @pytest.mark.parametrize("scan", [
-        lambda w: scan_square_3design(11, workers=w),
-        lambda w: scan_square_2design(11, workers=w),
-        lambda w: scan_general_3design(11, 7, workers=w),
-    ])
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_scanner_rejects_workers_below_one(self, scan, workers):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            scan(workers)
 
     def test_oracle_capped(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -113,7 +99,7 @@ class TestCapAtCallSites:
         assert fake_pool == [2]
 
     def test_single_worker_starts_no_pool(self, fake_pool):
-        scan_square_3design(40, workers=1)
+        scan_square_3design(40)
         d = materialize(family_figure("fig2"), "K")
         lambda_table(d, 2, workers=1)
         list(exhaustive_search(SearchSpec(m=4, n=4, k=5, target="dhat2"), workers=1))
@@ -131,5 +117,11 @@ class TestCli:
     def test_bad_workers_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_scan_takes_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--square3", "--max-m", "11", "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
