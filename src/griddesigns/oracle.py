@@ -1,12 +1,14 @@
 """Brute-force ground truth for the design criteria.
 
-Materializes the block orbit explicitly (closure of integer bitmasks under
-adjacent row and column swaps, never a loop over all group elements) and
-decides the t-design property by direct counting: either a full coverage
-histogram over all t-subsets of points, or the orbit-ratio test on the t-set
-orbits of the acting group.  Everything here is independent of the degree
-formulas in the criteria module; agreement between the two routes is the
-package's central correctness check.
+Materializes the block orbit explicitly and decides the t-design property by
+direct counting: either a full coverage histogram over all t-subsets of
+points, or the orbit-ratio test on the t-set orbits of the acting group.  The
+orbit is listed without a loop over the group elements and without a
+closure over blocks: the multisets of a block's rows are closed under
+adjacent column swaps, and each block is built once, as an ascending cell
+tuple, from one distinct row order of one multiset.  Everything here is
+independent of the degree formulas in the criteria module; agreement between
+the two routes is the package's central correctness check.
 
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
@@ -14,11 +16,12 @@ truncated.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from math import comb
+from itertools import accumulate, chain, combinations, repeat, starmap
+from math import comb, factorial
+from operator import add, itemgetter
 
 from .bigraph import BiGraph
 from .workers import pool_size
@@ -50,12 +53,13 @@ class ExplicitDesign:
     """A materialized block orbit.
 
     Points are the mn grid cells, indexed i * n + j (0-based row i, column
-    j); blocks are frozensets of cell indices, all of size k.
+    j); each block is the ascending tuple of its cell indices, all of size
+    k, and the blocks come in lexicographic order.
     """
 
     m: int
     n: int
-    blocks: tuple[frozenset[int], ...]
+    blocks: tuple[tuple[int, ...], ...]
     group_tag: str  # "K" or "G"
 
     @property
@@ -78,38 +82,28 @@ def _check_group(m: int, n: int, group: str) -> None:
         raise ValueError("G requires a square grid")
 
 
-# Inside this module a block is an integer bitmask with cell c = i * n + j at
-# bit v - 1 - c.  The highest bit then holds the smallest cell, so among
-# blocks of one size descending masks are ascending sorted cell lists.
+# The flag closure works on integer bitmasks: a flag (c, B) is the v-bit mask
+# of B with the one-cell mask of c stacked above it, and cell c = i * n + j
+# sits at bit v - 1 - c of each.
 
 
 def _mask(cells, v: int) -> int:
     return sum(1 << (v - 1 - c) for c in cells)
 
 
-def _cells(x: int, v: int) -> list[int]:
-    """Ascending cells of a mask."""
-    out = []
-    while x:
-        top = x.bit_length()
-        out.append(v - top)
-        x ^= 1 << (top - 1)
-    return out
+def _flag(cells, v: int) -> int:
+    """The mask of the flag (cells[0], block of the cells)."""
+    return _mask(cells[:1], v) << v | _mask(cells, v)
 
 
-def _transpose(x: int, n: int) -> int:
-    """Mask of the transposed block on an n x n grid."""
-    return _mask(((c % n) * n + c // n for c in _cells(x, n * n)), n * n)
-
-
-def _swaps(m: int, n: int, copies: int = 1) -> list[tuple[int, int, int, int]]:
-    """(keep, high, low, shift) for each adjacent row and column swap; these
-    generate K = S_m x S_n.  Masks of `copies` stacked v-bit grids move
-    together, so a flag (one-cell mask above the block mask) uses copies = 2.
-    Apply one as (x & keep) | ((x & high) >> shift) | ((x & low) << shift)."""
+def _swaps(m: int, n: int) -> list[tuple[int, int, int, int]]:
+    """(keep, high, low, shift) for each adjacent row and column swap of a
+    flag mask, moving the point and the block together; these generate
+    K = S_m x S_n.  Apply one as
+    (x & keep) | ((x & high) >> shift) | ((x & low) << shift)."""
     v = m * n
-    full = (1 << (v * copies)) - 1
-    spread = sum(1 << (v * c) for c in range(copies))
+    full = (1 << 2 * v) - 1
+    spread = 1 << v | 1
 
     def cells(pairs) -> int:
         return _mask((i * n + j for i, j in pairs), v) * spread
@@ -142,37 +136,124 @@ def _closure(starts, gens, limit: int) -> set[int]:
     return seen
 
 
-def block_of(g: BiGraph) -> frozenset[int]:
-    """The block (cell set) encoded by a graph."""
-    return frozenset((i - 1) * g.n + (j - 1) for i, j in g.edges())
+def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter]:
+    """One picker per distinct row order of a multiset whose distinct rows
+    occur counts[i] times and hold sizes[i] cells each.  Applied to the
+    cells of every distinct row in every row position, position major, a
+    picker returns the ascending cells of its block.
+
+    Each level fills one more row position: the partial orders, grouped by
+    the rows they have left, are extended by each distinct row still left.
+    So the work follows the output (m equal rows give one order, never m!
+    permutations), and the Python work is per group, not per order."""
+    width = sum(sizes)
+    bounds = list(accumulate(sizes, initial=0))
+    groups = {counts: [()]}  # rows left -> index tuples of the partial orders
+    for p in range(sum(counts)):
+        grown = defaultdict(list)
+        for left, partial in groups.items():
+            for i, c in enumerate(left):
+                if c:
+                    base = p * width
+                    span = tuple(range(base + bounds[i], base + bounds[i + 1]))
+                    after = left[:i] + (c - 1,) + left[i + 1:]
+                    grown[after] += map(add, partial, repeat(span))
+        groups = grown
+    (picks,) = groups.values()
+    if len(picks[0]) > 1:
+        return list(starmap(itemgetter, picks))
+    # itemgetter of one index returns a bare item, not a tuple, so a block
+    # of at most one cell is a slice
+    return [itemgetter(slice(at[0], at[0] + 1) if at else slice(0)) for at in picks]
+
+
+def _arrangements(counts: tuple[int, ...]) -> int:
+    """The number of distinct orders of a multiset whose distinct items
+    occur counts[i] times each: (sum counts)! / prod counts[i]!."""
+    out = factorial(sum(counts))
+    for c in counts:
+        out //= factorial(c)
+    return out
+
+
+def _shape(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(distinct rows, their multiplicities, their sizes) of a row multiset,
+    ordered by (multiplicity, size, mask).  Column permutations keep
+    multiplicities and sizes, so every multiset of one K-orbit has the same
+    multiplicities and sizes in this order."""
+    distinct = dict.fromkeys(rows)
+    ranked = zip(map(rows.count, distinct), map(int.bit_count, distinct), distinct)
+    counts, sizes, values = zip(*sorted(ranked))
+    return values, counts, sizes
 
 
 def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> ExplicitDesign:
     """The exact orbit of the block under the chosen group.
 
-    Closure of the block mask under adjacent row and column swaps; for G the
-    closure starts from the block and its transpose, since K has index 2 in
-    G and so the G-orbit of B is K-orbit(B) united with K-orbit(B^T).  The
-    orbit size times the block stabilizer order equals the group order.
-    Raises BudgetExceededError rather than returning a partial orbit.
+    A column permutation maps the multiset of a block's rows to another
+    multiset, and a row permutation reorders the rows; two different
+    multisets share no row order.  So the K-orbit is the disjoint union,
+    over the closure of the row multiset under adjacent column swaps, of
+    each multiset's distinct row orders.  For G the closure also starts from
+    the transposed block's multiset, since K has index 2 in G and the
+    G-orbit of B is K-orbit(B) united with K-orbit(B^T).  The orbit size
+    times the block stabilizer order equals the group order.
+
+    A multiset whose distinct rows occur c_1..c_s times has m!/prod c_i!
+    row orders.  The closure keeps a running total of them and raises
+    BudgetExceededError as soon as it passes the budget, before any block is
+    built, rather than returning a partial orbit.  Each block is built once,
+    as an ascending cell tuple, and the blocks are returned sorted.
     """
     budget = budget or DEFAULT_BUDGET
     _check_group(g.m, g.n, group)
-    v = g.m * g.n
-    start = _mask(block_of(g), v)
-    starts = (start, _transpose(start, g.n)) if group == "G" else (start,)
-    orbit = _closure(starts, _swaps(g.m, g.n), budget.max_blocks)
-    if len(orbit) > budget.max_blocks:
-        raise BudgetExceededError(
-            f"block orbit exceeds budget of {budget.max_blocks} blocks"
-        )
-    blocks = tuple(frozenset(_cells(x, v)) for x in sorted(orbit, reverse=True))
-    return ExplicitDesign(g.m, g.n, blocks, group)
+    m, n = g.m, g.n
+    starts = {tuple(sorted(g.rows))}
+    if group == "G":
+        starts.add(tuple(sorted(g.columns())))
+    total = 0  # row orders of the multisets seen, the orbit size so far
+    seen = {}  # row multiset -> its shape
+    frontier = list(starts)
+    while frontier:
+        rows = frontier.pop()
+        if rows in seen:
+            continue
+        seen[rows] = shape = _shape(rows)
+        total += _arrangements(shape[1])
+        if total > budget.max_blocks:
+            raise BudgetExceededError(
+                f"block orbit exceeds budget of {budget.max_blocks} blocks"
+            )
+        for c in range(n - 1):
+            flip = 3 << c
+            image = tuple(sorted([r ^ flip if (r >> c ^ r >> c + 1) & 1 else r
+                                  for r in rows]))
+            if image not in seen:
+                frontier.append(image)
+
+    # Per multiset, `cells` holds the cells of every distinct row in every
+    # row position, position major; one picker per distinct row order takes
+    # its block out of it in a single C call.  The pickers depend only on
+    # the shape's multiplicities and sizes, shared across a K-orbit.
+    columns: dict[int, list[int]] = {}
+    pickers: dict[tuple, list[itemgetter]] = {}
+    blocks: list[tuple[int, ...]] = []
+    for values, counts, sizes in seen.values():
+        for r in values:
+            if r not in columns:
+                columns[r] = [j for j in range(n) if r >> j & 1]
+        line = [j for r in values for j in columns[r]]
+        cells = tuple(p * n + j for p in range(m) for j in line)
+        if (counts, sizes) not in pickers:
+            pickers[counts, sizes] = _pickers(counts, sizes)
+        blocks += [pick(cells) for pick in pickers[counts, sizes]]
+    blocks.sort()
+    return ExplicitDesign(m, n, tuple(blocks), group)
 
 
 def _coverage_of_blocks(args) -> Counter:
     blocks, t = args
-    return Counter(chain.from_iterable(combinations(sorted(b), t) for b in blocks))
+    return Counter(chain.from_iterable(map(combinations, blocks, repeat(t))))
 
 
 def lambda_table(
@@ -332,29 +413,29 @@ def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> b
     """Whether the acting group has a single orbit on incident (point, block)
     pairs, checked by closure on the explicit flags.
 
-    A flag (c, B) is the mask of B with the one-cell mask of c stacked above
-    it, so the block generators move both at once; for G the closure also
-    starts from (c^T, B^T)."""
+    The flag masks close under the adjacent row and column swaps; for G the
+    closure also starts from (c^T, B^T)."""
     budget = budget or DEFAULT_BUDGET
     if not d.blocks or d.k == 0:
         raise ValueError("flag transitivity is undefined without flags")
     nflags = d.b * d.k
     if nflags > budget.max_subsets:
-        raise BudgetExceededError(f"{nflags} flags exceed budget")
+        raise BudgetExceededError(
+            f"{nflags} flags exceed budget of {budget.max_subsets}"
+        )
     _check_group(d.m, d.n, d.group_tag)
-    v = d.v
+    v, n = d.v, d.n
     block = d.blocks[0]
-    point, mask = _mask([min(block)], v), _mask(block, v)
-    starts = [point << v | mask]
+    starts = [_flag(block, v)]
     if d.group_tag == "G":
-        starts.append(_transpose(point, d.n) << v | _transpose(mask, d.n))
-    return len(_closure(starts, _swaps(d.m, d.n, copies=2), nflags)) == nflags
+        starts.append(_flag([(c % n) * n + c // n for c in block], v))
+    return len(_closure(starts, _swaps(d.m, n), nflags)) == nflags
 
 
 def export_block_list(d: ExplicitDesign) -> str:
     """Block-list text: one `block` line per block, points as `i,j` (1-based)."""
     lines = []
     for blk in d.blocks:
-        pts = " ".join(f"{c // d.n + 1},{c % d.n + 1}" for c in sorted(blk))
+        pts = " ".join(f"{c // d.n + 1},{c % d.n + 1}" for c in blk)
         lines.append(f"block {pts}")
     return "\n".join(lines) + "\n"

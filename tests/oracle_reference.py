@@ -3,8 +3,10 @@
 This is the original engine behind ``oracle.materialize``,
 ``oracle.lambda_table`` and ``oracle.flag_transitive_direct``: every block is
 a frozenset of cells and every generator a cell permutation, the transpose
-included.  The library now closes integer bitmasks under adjacent row and
-column swaps and reaches G by starting from the transposed block.  The
+included, closed block by block.  The library instead closes only the row
+multisets under adjacent column swaps and lists each multiset's row orders
+as ascending cell tuples.  This engine keeps its frozensets inside and
+returns its blocks as ascending cell tuples in lexicographic order, so the
 tests hold the two engines to the same blocks in the same order, the same
 histograms and the same flag verdicts.  `is_complete` tells a design whose
 blocks are all k-subsets of the points.
@@ -22,8 +24,12 @@ from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
     ExplicitDesign,
-    block_of,
 )
+
+
+def block_of(g: BiGraph) -> frozenset[int]:
+    """The block (cell set) encoded by a graph."""
+    return frozenset((i - 1) * g.n + (j - 1) for i, j in g.edges())
 
 
 def is_complete(d: ExplicitDesign) -> bool:
@@ -71,7 +77,7 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
                     )
                 seen.add(image)
                 frontier.append(image)
-    blocks = tuple(sorted(seen, key=sorted))
+    blocks = tuple(sorted(tuple(sorted(blk)) for blk in seen))
     return ExplicitDesign(g.m, g.n, blocks, group)
 
 
@@ -79,7 +85,7 @@ def coverage_of_blocks(args) -> Counter:
     blocks, t = args
     coverage: Counter = Counter()
     for blk in blocks:
-        for sub in combinations(sorted(blk), t):
+        for sub in combinations(blk, t):
             coverage[sub] += 1
     return coverage
 
@@ -99,13 +105,16 @@ def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> b
         raise ValueError("flag transitivity is undefined without flags")
     nflags = d.b * d.k
     if nflags > budget.max_subsets:
-        raise BudgetExceededError(f"{nflags} flags exceed budget")
+        raise BudgetExceededError(
+            f"{nflags} flags exceed budget of {budget.max_subsets}"
+        )
     gens = cell_generators(d.m, d.n, d.group_tag)
-    index = {blk: i for i, blk in enumerate(d.blocks)}
+    blocks = [frozenset(blk) for blk in d.blocks]
+    index = {blk: i for i, blk in enumerate(blocks)}
     block_maps = []
     for perm in gens:
         block_maps.append(
-            [index[frozenset(perm[c] for c in blk)] for blk in d.blocks]
+            [index[frozenset(perm[c] for c in blk)] for blk in blocks]
         )
     start = (min(d.blocks[0]), 0)
     seen = {start}

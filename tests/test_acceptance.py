@@ -156,7 +156,8 @@ _SWEEP: list[dict] | None = None
 def _complement_design(d: ExplicitDesign) -> ExplicitDesign:
     everything = frozenset(range(d.v))
     return ExplicitDesign(
-        d.m, d.n, tuple(everything - blk for blk in d.blocks), d.group_tag
+        d.m, d.n, tuple(tuple(sorted(everything.difference(blk))) for blk in d.blocks),
+        d.group_tag,
     )
 
 

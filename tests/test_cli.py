@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,13 @@ from griddesigns import permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
 from griddesigns.scanner import scan_square_2design
-from griddesigns.search import SearchSpec, degree_branches, family_figure, family_path
+from griddesigns.search import (
+    SearchSpec,
+    degree_branches,
+    family_cycle,
+    family_figure,
+    family_path,
+)
 
 
 @pytest.fixture
@@ -100,6 +107,24 @@ class TestVerify:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run_cli(capsys, ["verify", "-", "--t", "3", "--group", "K"])
         assert code == 0
+
+    def test_fig3_oracle_refuses_at_once(self, capsys, tmp_path):
+        # the oracle adds under 0.1 s to the criteria's report before it
+        # refuses; each side is the best of three runs
+        path = tmp_path / "fig3.grid"
+        path.write_text(format_graph_text(family_figure("fig3")))
+        argv = ["verify", str(path), "--t", "3"]
+        best = {}
+        for extra, want in (((), 0), (("--with-oracle",), 3)):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                code, _, err = run_cli(capsys, argv + list(extra))
+                times.append(time.perf_counter() - start)
+                assert code == want
+            best[want] = min(times)
+        assert "block orbit exceeds budget of 500000 blocks" in err
+        assert best[3] - best[0] < 0.1
 
     def test_env_budget_override(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "p5.grid"
@@ -245,8 +270,6 @@ class TestOracleCommand:
 
     def test_flags_and_ratio(self, capsys, tmp_path):
         path = tmp_path / "c6.grid"
-        from griddesigns.search import family_cycle
-
         path.write_text(format_graph_text(family_cycle(6, 4)))
         code, out, _ = run_cli(
             capsys,
@@ -255,6 +278,19 @@ class TestOracleCommand:
         assert code == 0
         assert "flag_transitive = yes" in out
         assert "orbit_ratio_design = yes" in out
+
+    def test_flags_budget_names_limit(self, capsys, tmp_path):
+        # 120 pairs fit the budget of 200; the 576 flags do not
+        path = tmp_path / "c6.grid"
+        path.write_text(format_graph_text(family_cycle(6, 4)))
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", str(path), "--group", "G", "--t", "2", "--flags",
+             "--max-subsets", "200"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "576 flags exceed budget of 200" in err
 
     def test_export_blocks(self, capsys, tmp_path):
         path = tmp_path / "e.grid"
@@ -535,14 +571,15 @@ class TestStartBranch:
         assert f"start_branch {start} is past the end: there are 3 degree branches" in err
 
 
-def run_module(argv):
-    """Run the CLI as `python -m griddesigns.cli`, importing the same package
-    as the tests (also from an uninstalled checkout)."""
+def run_module(argv, module="griddesigns.cli"):
+    """Run the CLI as `python -m griddesigns.cli` (or another module),
+    importing the same package as the tests (also from an uninstalled
+    checkout)."""
     src = str(Path(griddesigns.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "griddesigns.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env,
     )
 
@@ -587,3 +624,9 @@ class TestConsoleScript:
     def test_usage_error_exit_2(self):
         proc = run_module(["scan"])
         assert proc.returncode == 2
+
+    def test_package_runs_as_module(self):
+        proc = run_module(["scan", "--square3", "--max-m", "11"], module="griddesigns")
+        assert proc.returncode == 0
+        assert proc.stdout == "feasible m=11 n=11 k=36 target=square3\n"
+        assert run_module(["scan"], module="griddesigns").returncode == 2

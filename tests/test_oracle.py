@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griddesigns.bigraph import BiGraph, from_edge_list
-from griddesigns.criteria import check_D, check_Dhat
+from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
@@ -159,6 +159,13 @@ class TestFlagTransitivity:
         d = materialize(from_edge_list(2, 2, [(1, 1)]), "K")
         assert flag_transitive_direct(d) is True
 
+    def test_budget_names_limit(self):
+        d = materialize(family_cycle(6, 4), "G")  # 96 blocks of 6 cells
+        assert flag_transitive_direct(d, Budget(max_subsets=576)) is True
+        with pytest.raises(BudgetExceededError) as exc:
+            flag_transitive_direct(d, Budget(max_subsets=575))
+        assert str(exc.value) == "576 flags exceed budget of 575"
+
     def test_agrees_with_edge_orbits(self):
         for g in iso_class_reps(3, 3):
             if g.k == 0:
@@ -267,7 +274,7 @@ class TestBudgetBoundary:
 
     def test_single_block_orbit(self):
         g = BiGraph(3, 3, (0, 0, 0))
-        assert materialize(g, "G", Budget(max_blocks=1)).blocks == (frozenset(),)
+        assert materialize(g, "G", Budget(max_blocks=1)).blocks == ((),)
 
     @pytest.mark.parametrize("field", ["max_blocks", "max_subsets"])
     @pytest.mark.parametrize("value", [0, -5])
@@ -284,7 +291,7 @@ class TestLargeGrids:
         start = time.perf_counter()
         d = materialize(from_edge_list(1, 64, [(1, 7)]), "K")
         assert d.b == 64
-        assert d.blocks == tuple(frozenset([c]) for c in range(64))
+        assert d.blocks == tuple((c,) for c in range(64))
         assert flag_transitive_direct(d) is True
         assert time.perf_counter() - start < 2.0
 
@@ -292,9 +299,43 @@ class TestLargeGrids:
         start = time.perf_counter()
         d = materialize(from_edge_list(40, 40, [(3, 5)]), "G")
         assert d.b == 1600
-        assert d.blocks == tuple(frozenset([c]) for c in range(1600))
+        assert d.blocks == tuple((c,) for c in range(1600))
         assert flag_transitive_direct(d) is True
         assert time.perf_counter() - start < 2.0
+
+
+class TestImmediateRefusal:
+    """An orbit over budget is refused from the count of its row orders,
+    before any block is built."""
+
+    @pytest.mark.parametrize("group", ["K", "G"])
+    @pytest.mark.parametrize("which", ["fig1", "fig3"])
+    def test_default_budget(self, which, group):
+        g = family_figure(which)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            materialize(g, group)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == "block orbit exceeds budget of 500000 blocks"
+
+
+class TestEqualRows:
+    """Many equal rows: a multiset's distinct row orders are listed one by
+    one, never by filtering the r! permutations of r equal rows."""
+
+    @pytest.mark.parametrize("g, b_k, b_g", [
+        (BiGraph(12, 12, (1,) * 12), 12, 24),                 # 12 equal rows
+        (BiGraph(10, 10, (1,) * 5 + (2,) * 5), 11340, 22680),  # two rows, 5 each
+    ], ids=["12x12", "10x10"])
+    def test_orbit_size(self, g, b_k, b_g):
+        aut = automorphisms(g)
+        for group, stab, b in (("K", aut.k_order, b_k), ("G", aut.g_order, b_g)):
+            start = time.perf_counter()
+            d = materialize(g, group)
+            assert time.perf_counter() - start < 0.5
+            assert d.b == b == group_order(g.m, g.n, group) // stab
+            assert all(len(blk) == g.k for blk in d.blocks)
+            assert all(x < y for x, y in zip(d.blocks, d.blocks[1:]))
 
 
 def _random_graph(rng, m, n, k):
@@ -305,21 +346,39 @@ def _random_graph(rng, m, n, k):
     return BiGraph(m, n, tuple(rows))
 
 
-class TestCriteriaAgreeBeyond4x4:
-    """criteria == oracle on random graphs past the m, n <= 4 sweep."""
+AGREE_BUDGET = Budget(max_blocks=50_000)
 
-    @pytest.mark.parametrize("m,n,groups", [(5, 5, ("K", "G")), (6, 4, ("K",))])
+
+class TestCriteriaAgreeBeyond4x4:
+    """criteria == oracle on random graphs past the m, n <= 4 sweep.  Five
+    graphs for each k = 3..7; a design is either checked or refused under
+    AGREE_BUDGET, and a refused one must have more blocks than the budget
+    by the criteria's count."""
+
+    @pytest.mark.parametrize("m,n,groups", [(5, 5, ("K", "G")), (6, 4, ("K",)),
+                                            (6, 5, ("K",)), (6, 6, ("K", "G"))])
     def test_random_graphs(self, m, n, groups):
         rng = random.Random(20 * m + n)
-        for k in range(3, 7):
+        checked = refused = 0
+        for k in range(3, 8):
             for _ in range(5):
                 g = _random_graph(rng, m, n, k)
                 aut = automorphisms(g)
+                rep = evaluate(g, aut)
                 for group in groups:
-                    d = materialize(g, group)
+                    b = rep.b_d if group == "K" else rep.b_dhat
+                    try:
+                        d = materialize(g, group, AGREE_BUDGET)
+                    except BudgetExceededError:
+                        assert b > AGREE_BUDGET.max_blocks
+                        refused += 1
+                        continue
                     stab = aut.k_order if group == "K" else aut.g_order
                     assert d.b * stab == group_order(m, n, group)
                     check = check_D if group == "K" else check_Dhat
                     is2, is3, _, _ = check(g, aut)
                     assert design_verdict(d, 2)[0] == is2
                     assert design_verdict(d, 3)[0] == is3
+                    checked += 1
+        assert checked + refused == 25 * len(groups)
+        assert checked > refused
