@@ -6,7 +6,9 @@ points, or the orbit-ratio test on the t-set orbits of the acting group.  The
 orbit is listed without a loop over the group elements and without a
 closure over blocks: the multisets of a block's rows are closed under
 adjacent column swaps, and each block is built once, as an ascending cell
-tuple, from one distinct row order of one multiset.  Everything here is
+tuple, from one distinct row order of one multiset.  Flag-transitivity is
+counted the same way, without listing flags: the same closure runs on the
+block's row multiset with the point's row marked.  Everything here is
 independent of the degree formulas in the criteria module; agreement between
 the two routes is the package's central correctness check.
 
@@ -82,60 +84,6 @@ def _check_group(m: int, n: int, group: str) -> None:
         raise ValueError("G requires a square grid")
 
 
-# The flag closure works on integer bitmasks: a flag (c, B) is the v-bit mask
-# of B with the one-cell mask of c stacked above it, and cell c = i * n + j
-# sits at bit v - 1 - c of each.
-
-
-def _mask(cells, v: int) -> int:
-    return sum(1 << (v - 1 - c) for c in cells)
-
-
-def _flag(cells, v: int) -> int:
-    """The mask of the flag (cells[0], block of the cells)."""
-    return _mask(cells[:1], v) << v | _mask(cells, v)
-
-
-def _swaps(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """(keep, high, low, shift) for each adjacent row and column swap of a
-    flag mask, moving the point and the block together; these generate
-    K = S_m x S_n.  Apply one as
-    (x & keep) | ((x & high) >> shift) | ((x & low) << shift)."""
-    v = m * n
-    full = (1 << 2 * v) - 1
-    spread = 1 << v | 1
-
-    def cells(pairs) -> int:
-        return _mask((i * n + j for i, j in pairs), v) * spread
-
-    gens = []
-    for r in range(m - 1):
-        high = cells((r, j) for j in range(n))
-        low = cells((r + 1, j) for j in range(n))
-        gens.append((full & ~(high | low), high, low, n))
-    for c in range(n - 1):
-        high = cells((i, c) for i in range(m))
-        low = cells((i, c + 1) for i in range(m))
-        gens.append((full & ~(high | low), high, low, 1))
-    return gens
-
-
-def _closure(starts, gens, limit: int) -> set[int]:
-    """The union of the K-orbits of the start masks, by closure under the
-    swap generators.  Stops as soon as it holds more than `limit` masks, so
-    a result larger than `limit` means the orbit is."""
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier and len(seen) <= limit:
-        x = frontier.pop()
-        for keep, high, low, shift in gens:
-            y = (x & keep) | ((x & high) >> shift) | ((x & low) << shift)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter]:
     """One picker per distinct row order of a multiset whose distinct rows
     occur counts[i] times and hold sizes[i] cells each.  Applied to the
@@ -187,6 +135,31 @@ def _shape(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return values, counts, sizes
 
 
+def _multisets(starts, n: int, limit: int) -> tuple[dict, int]:
+    """(multiset -> shape, total row orders) over the closure of the start
+    row multisets under adjacent column swaps.
+
+    A row is the mask of its cells' columns in bits 0..n-1; bits n..2n-1
+    may mark one column, and a swap of columns c, c+1 moves both bit pairs.
+    The closure stops once the total passes `limit`; a total above `limit`
+    is then only a lower bound on the orbit's."""
+    swaps = [(1 | 1 << n) << c for c in range(n - 1)]
+    total = 0
+    seen = {}
+    frontier = list(starts)
+    while frontier and total <= limit:
+        rows = frontier.pop()
+        if rows in seen:
+            continue
+        seen[rows] = shape = _shape(rows)
+        total += _arrangements(shape[1])
+        for pairs in swaps:
+            image = tuple(sorted([r ^ ((r ^ r >> 1) & pairs) * 3 for r in rows]))
+            if image not in seen:
+                frontier.append(image)
+    return seen, total
+
+
 def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> ExplicitDesign:
     """The exact orbit of the block under the chosen group.
 
@@ -208,28 +181,14 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
     budget = budget or DEFAULT_BUDGET
     _check_group(g.m, g.n, group)
     m, n = g.m, g.n
-    starts = {tuple(sorted(g.rows))}
+    starts = [tuple(sorted(g.rows))]
     if group == "G":
-        starts.add(tuple(sorted(g.columns())))
-    total = 0  # row orders of the multisets seen, the orbit size so far
-    seen = {}  # row multiset -> its shape
-    frontier = list(starts)
-    while frontier:
-        rows = frontier.pop()
-        if rows in seen:
-            continue
-        seen[rows] = shape = _shape(rows)
-        total += _arrangements(shape[1])
-        if total > budget.max_blocks:
-            raise BudgetExceededError(
-                f"block orbit exceeds budget of {budget.max_blocks} blocks"
-            )
-        for c in range(n - 1):
-            flip = 3 << c
-            image = tuple(sorted([r ^ flip if (r >> c ^ r >> c + 1) & 1 else r
-                                  for r in rows]))
-            if image not in seen:
-                frontier.append(image)
+        starts.append(tuple(sorted(g.columns())))
+    seen, total = _multisets(starts, n, budget.max_blocks)
+    if total > budget.max_blocks:
+        raise BudgetExceededError(
+            f"block orbit exceeds budget of {budget.max_blocks} blocks"
+        )
 
     # Per multiset, `cells` holds the cells of every distinct row in every
     # row position, position major; one picker per distinct row order takes
@@ -409,12 +368,28 @@ def orbit_ratio_check(g: BiGraph, group: str, t: int):
     return verdict, records
 
 
+def _pointed(cells, m: int, n: int) -> tuple[int, ...]:
+    """The flag (first cell, block) of a block given as (row, column) pairs:
+    the block's row multiset, with the first cell's column also marked in
+    bits n..2n-1 of its row."""
+    rows = [0] * m
+    for i, j in cells:
+        rows[i] |= 1 << j
+    i, j = cells[0]
+    rows[i] |= 1 << n + j
+    return tuple(sorted(rows))
+
+
 def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> bool:
     """Whether the acting group has a single orbit on incident (point, block)
-    pairs, checked by closure on the explicit flags.
+    pairs, counted on pointed row multisets.
 
-    The flag masks close under the adjacent row and column swaps; for G the
-    closure also starts from (c^T, B^T)."""
+    A flag (c, B) is B's row multiset with c's row marked.  The marked row
+    differs from every other row, so, as for blocks in `materialize`, the
+    K-orbit of the flag is the disjoint union, over the closure of its
+    pointed multiset under adjacent column swaps, of each multiset's
+    distinct row orders; for G the closure also starts from (c^T, B^T).
+    The design is flag-transitive iff that orbit holds all b·k flags."""
     budget = budget or DEFAULT_BUDGET
     if not d.blocks or d.k == 0:
         raise ValueError("flag transitivity is undefined without flags")
@@ -424,12 +399,12 @@ def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> b
             f"{nflags} flags exceed budget of {budget.max_subsets}"
         )
     _check_group(d.m, d.n, d.group_tag)
-    v, n = d.v, d.n
-    block = d.blocks[0]
-    starts = [_flag(block, v)]
+    m, n = d.m, d.n
+    cells = [divmod(c, n) for c in d.blocks[0]]
+    starts = [_pointed(cells, m, n)]
     if d.group_tag == "G":
-        starts.append(_flag([(c % n) * n + c // n for c in block], v))
-    return len(_closure(starts, _swaps(d.m, n), nflags)) == nflags
+        starts.append(_pointed([(j, i) for i, j in cells], m, n))
+    return _multisets(starts, n, nflags)[1] == nflags
 
 
 def export_block_list(d: ExplicitDesign) -> str:

@@ -167,13 +167,23 @@ class TestFlagTransitivity:
         assert str(exc.value) == "576 flags exceed budget of 575"
 
     def test_agrees_with_edge_orbits(self):
-        for g in iso_class_reps(3, 3):
-            if g.k == 0:
-                continue
-            aut = automorphisms(g)
-            for group in ("K", "G"):
-                direct = flag_transitive_direct(materialize(g, group))
-                assert direct == is_edge_transitive(g, aut, group)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                groups = ("K", "G") if m == n else ("K",)
+                for g in iso_class_reps(m, n):
+                    if g.k == 0:
+                        continue
+                    aut = automorphisms(g)
+                    for group in groups:
+                        direct = flag_transitive_direct(materialize(g, group))
+                        assert direct == is_edge_transitive(g, aut, group)
+
+    def test_cycle12_6x6_cost(self):
+        # 43,200 blocks of 12 cells: 518,400 flags, counted without listing them
+        d = materialize(family_cycle(12, 6), "G")
+        start = time.perf_counter()
+        assert flag_transitive_direct(d) is True
+        assert time.perf_counter() - start < 0.25
 
 
 class TestExport:
@@ -336,6 +346,20 @@ class TestEqualRows:
             assert d.b == b == group_order(g.m, g.n, group) // stab
             assert all(len(blk) == g.k for blk in d.blocks)
             assert all(x < y for x, y in zip(d.blocks, d.blocks[1:]))
+
+    @pytest.mark.parametrize("g", [
+        BiGraph(12, 12, (1,) * 12),            # the point's row equals 11 others
+        BiGraph(10, 10, (1,) * 5 + (2,) * 5),  # the point's row equals 4 others
+    ], ids=["12x12", "10x10"])
+    def test_flag_orbit(self, g):
+        aut = automorphisms(g)
+        for group in ("K", "G"):
+            d = materialize(g, group)
+            start = time.perf_counter()
+            direct = flag_transitive_direct(d)
+            assert time.perf_counter() - start < 0.5
+            assert direct is True
+            assert is_edge_transitive(g, aut, group) is True
 
 
 def _random_graph(rng, m, n, k):
