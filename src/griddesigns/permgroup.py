@@ -25,6 +25,19 @@ vertex's signature is built from its neighbour list: the cell starts of its
 neighbours, sparse, in a form that sorts exactly like the dense vector of
 neighbour counts per cell.  Cells therefore split in the same order as with
 dense vectors, and the search finds the same first isomorphism.
+
+Twins, vertices with equal neighbourhoods (every isolated vertex of a side,
+for one), let the search skip what they already decide, and it still returns
+the first isomorphism of the full search.  Swapping two twins is an
+automorphism.  At an a-side node whose non-singleton cells all hold twins,
+refinement splits nothing more, and any isomorphism that extends the node
+can be composed with twin swaps on the b-side.  So the lowest b-candidate
+always succeeds when some isomorphism exists, and no candidate succeeds when
+none does.  The full search would therefore map each cell in ascending order
+onto its b-cell, and _descend takes that map at once and checks it like a
+leaf.  In the chain, a candidate w that is a twin of u needs no replay: the
+swap (u w) takes the u-partition to the w-partition, and refinement commutes
+with relabelling, so the b-root is the a-root with u and w exchanged.
 """
 
 from __future__ import annotations
@@ -309,11 +322,14 @@ def _replay(cells, nbrs, trace):
 def _node(part, nbrs, dirty: int):
     """Refine part in place; the search node (part, trace, branch), where
     branch is the start of the first smallest non-singleton cell, or None
-    when every cell is a singleton."""
+    when every non-singleton cell holds twins (a leaf, see _descend)."""
     trace = _refine_part(part, nbrs, dirty)
-    sizes = [(cell.bit_count(), start) for start, cell in enumerate(part[0])
+    ptn, masks = part[0], nbrs[1]
+    sizes = [(cell.bit_count(), start) for start, cell in enumerate(ptn)
              if cell & (cell - 1)]
-    return part, trace, min(sizes)[1] if sizes else None
+    if all(len({masks[v] for v in _bits(ptn[start])}) == 1 for _, start in sizes):
+        return part, trace, None
+    return part, trace, min(sizes)[1]
 
 
 def _path(cells, nbrs, done: dict) -> list:
@@ -342,6 +358,17 @@ def _child(part, start: int, v: int):
     return ptn, cell_of
 
 
+def _swapped(part, u: int, w: int):
+    """A copy of part with vertices u and w exchanged."""
+    ptn, cell_of = part[0][:], part[1][:]
+    both = 1 << u | 1 << w
+    for start in {-cell_of[u], -cell_of[w]}:
+        if ptn[start] & both != both:
+            ptn[start] ^= both
+    cell_of[u], cell_of[w] = cell_of[w], cell_of[u]
+    return ptn, cell_of
+
+
 def _search_iso(nbrs_a, nbrs_b, cells_a, cells_b, done: dict):
     """First color/partition-respecting isomorphism as a vertex map, or None.
 
@@ -365,12 +392,17 @@ def _descend(nbrs_a, nbrs_b, path, depth: int, part_b):
     """
     part_a, _, branch = path[depth]
     if branch is None:
-        lists_a, lists_b = nbrs_a[0], nbrs_b[0]
-        mapping = [0] * len(lists_a)
-        for cell_a, cell_b in zip(part_a[0], part_b[0]):
-            mapping[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
-        for v, vs in enumerate(lists_a):
-            if tuple(sorted(mapping[u] for u in vs)) != lists_b[mapping[v]]:
+        # the search below a twin node maps each cell in ascending order;
+        # cell_of holds -start, so a stable sort on it, descending, lists
+        # the vertices cell by cell and each cell in ascending order
+        nv = len(part_a[1])
+        mapping = [0] * nv
+        for a, b in zip(sorted(range(nv), key=part_a[1].__getitem__, reverse=True),
+                        sorted(range(nv), key=part_b[1].__getitem__, reverse=True)):
+            mapping[a] = b
+        masks_b = nbrs_b[1]
+        for v, vs in enumerate(nbrs_a[0]):
+            if sum([1 << mapping[u] for u in vs]) != masks_b[mapping[v]]:
                 return None
         return mapping
 
@@ -454,17 +486,23 @@ def _k_stabilizer(g: BiGraph, nbrs):
         if target is None:
             break
         u = (target & -target).bit_length() - 1
-        level_gens = [p for p in gens if all(p[q] == q for q in pins)]
+        # a generator found at an earlier level moves that level's pin, so
+        # only this level's own generators fix every pin
+        level_gens: list[list[int]] = []
         orbit = _schreier(u, level_gens)
+        cells_u = _side_cells(g.m, g.n, tuple(pins) + (u,))
         for w in _bits(target):
             if w in orbit:
                 continue
-            found = _search_iso(
-                nbrs, nbrs,
-                _side_cells(g.m, g.n, tuple(pins) + (u,)),
-                _side_cells(g.m, g.n, tuple(pins) + (w,)),
-                done,
-            )
+            if nbrs[1][w] == nbrs[1][u]:
+                # the twin swap (u w) takes the a-root to the b-root
+                path = _path(cells_u, nbrs, done)
+                found = _descend(nbrs, nbrs, path, 0, _swapped(path[0][0], u, w))
+            else:
+                found = _search_iso(
+                    nbrs, nbrs, cells_u,
+                    _side_cells(g.m, g.n, tuple(pins) + (w,)), done,
+                )
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)

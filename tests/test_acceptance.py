@@ -100,8 +100,8 @@ def test_criterion_4_fig1_criteria():
 
 
 def test_criterion_5_path_family():
-    with criterion(5, "diagonal paths: Dhat 2-designs, lambdas, cases, oracle", 60):
-        for m in range(3, 9):
+    with criterion(5, "diagonal paths, m <= 30: Dhat 2-designs, lambdas, cases, oracle", 60):
+        for m in range(3, 31):
             k = m + 1
             g = family_path(k, m, m)
             aut = automorphisms(g)
@@ -119,14 +119,15 @@ def test_criterion_5_path_family():
 
 
 def test_criterion_6_cycle_family():
-    with criterion(6, "cycles: flag-transitive 2-designs with known lambdas", 60):
-        for m, expect_lam in [(4, 12), (6, 720)]:
+    with criterion(6, "cycles, even m <= 30: flag-transitive 2-designs, lambdas", 60):
+        assert [cycle_lambda_closed_form(k) for k in (6, 8)] == [12, 720]
+        for m in range(4, 31, 2):
             k = m + 2
             g = family_cycle(k, m)
             aut = automorphisms(g)
             is2, _, lam2, _ = check_Dhat(g, aut)
-            assert is2 and lam2 == expect_lam == cycle_lambda_closed_form(k)
-            assert is_edge_transitive(g, aut, "G") is True
+            assert is2 and lam2 == cycle_lambda_closed_form(k), m
+            assert is_edge_transitive(g, aut, "G") is True, m
             if m == 4:
                 d = materialize(g, "G")
                 assert flag_transitive_direct(d) is True

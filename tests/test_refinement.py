@@ -9,7 +9,10 @@ import lockstep_reference as ref
 from griddesigns.bigraph import BiGraph, transpose
 from griddesigns.permgroup import (
     GridPerm,
+    _descend,
+    _layout,
     _neighbours,
+    _path,
     _refine,
     _replay,
     _search_iso,
@@ -133,6 +136,34 @@ class TestHypothesis:
         assert (rep.k_gens, rep.k_order, rep.g_gens) == (k_gens, k_order, g_gens)
 
 
+def twin_heavy_graphs():
+    """Graphs made mostly of twins (equal neighbourhoods): relabelled sparse
+    patches on large grids, empty grids, repeated rows or columns, and the
+    diagonal paths with k = m + 1."""
+    rng = random.Random(14)
+    out = []
+    patch = [(i, j) for i in range(4) for j in range(4)]
+    for m in (12, 13, 14):
+        for _ in range(3):
+            rows = [0] * m
+            for i, j in rng.sample(patch, 6):
+                rows[i] |= 1 << j
+            g = BiGraph(m, m, tuple(rows))
+            out.append(apply(random_gridperm(m, m, rng, allow_swap=True), g))
+    out += [BiGraph(m, n, (0,) * m) for m in range(1, 10) for n in range(1, 10)]
+    for m, n in [(6, 7), (7, 5), (8, 8), (9, 6), (5, 9)]:
+        for _ in range(2):
+            base = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))]
+            g = BiGraph(m, n, tuple(rng.choice(base + [0]) for _ in range(m)))
+            out.append(apply(random_gridperm(m, n, rng), g))
+            # the same masks as repeated columns of an n x m grid
+            flipped = tuple(sum((row >> j & 1) << i for i, row in enumerate(g.rows))
+                            for j in range(n))
+            out.append(apply(random_gridperm(n, m, rng), BiGraph(n, m, flipped)))
+    out += [family_path(m + 1, m, m) for m in range(2, 21)]
+    return out
+
+
 class TestGenerators:
     def test_every_class(self):
         for m, n in SIDES:
@@ -144,7 +175,40 @@ class TestGenerators:
     def test_figures_and_families(self):
         cases = [family_figure(fig) for fig in ("fig1", "fig2", "fig3")]
         cases += [family_path(6, 8, 8), family_cycle(8, 8), family_path(9, 10, 10)]
+        cases += twin_heavy_graphs()
         for g in cases:
             rep = automorphisms(g)
             k_gens, k_order, g_gens = ref.generators(g)
             assert (rep.k_gens, rep.k_order, rep.g_gens) == (k_gens, k_order, g_gens)
+
+
+class TestTwinNodes:
+    """A node whose non-singleton cells all hold twins is a leaf: each cell
+    maps in ascending order, and the map is checked like a leaf's."""
+
+    def test_twin_node_without_isomorphism(self):
+        # two K_{2,2} against an 8-cycle: the a-side path reaches a twin node,
+        # every b-side replay below the root fails
+        g = BiGraph(6, 6, (0b0011, 0b0011, 0b1100, 0b1100, 0, 0))
+        h = BiGraph(6, 6, (0b0011, 0b0110, 0b1100, 0b1001, 0, 0))
+        cells = _side_cells(6, 6, ())
+        done = {}
+        assert _search_iso(_neighbours(g), _neighbours(h), cells, cells, done) is None
+        assert [node[2] for path in done.values() for node in path][-1] is None
+        assert_same(g, h, cells, cells)
+
+    def test_unmatched_twin_node_gives_none(self):
+        # a matched replay fixes the cell-to-cell counts, and at a twin node
+        # those fix the graph, so the ascending map only fails on a b-side
+        # partition that no replay produced
+        g = BiGraph(3, 3, (0b011, 0b011, 0))
+        h = BiGraph(3, 3, (0b011, 0b110, 0))
+        nbrs_g = _neighbours(g)
+        path = _path(_side_cells(3, 3, ()), nbrs_g, {})
+        part_a, _, branch = path[0]
+        assert branch is None and any(c & (c - 1) for c in part_a[0])
+        refined = [c for c in part_a[0] if c]
+        part_b = _layout(refined, 6)
+        assert _descend(nbrs_g, _neighbours(h), path, 0, part_b) is None
+        assert ref.search_iso(ref.adjacency(g), ref.adjacency(h), refined, refined, 6) is None
+        assert _descend(nbrs_g, nbrs_g, path, 0, _layout(refined, 6)) == list(range(6))
