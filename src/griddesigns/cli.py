@@ -242,8 +242,7 @@ def _cmd_oracle(args) -> int:
         print("error: --ratio needs --t 2 or 3", file=sys.stderr)
         return EXIT_USAGE
     design = oracle.materialize(g, args.group, budget)
-    hist = oracle.lambda_table(design, args.t, budget, workers=args.workers)
-    verdict = len(hist) == 1 and design.k >= args.t
+    verdict, hist = oracle.design_verdict(design, args.t, budget, workers=args.workers)
     payload = {
         "group": args.group,
         "t": args.t,

@@ -5,17 +5,18 @@ of the block under independent row/column permutations, and (on square grids)
 Dhat, the orbit under the full automorphism group of K_{m,m}.  Both are
 always 1-designs; whether they are 2- or 3-designs is decided purely by the
 subgraph statistics of the block graph, and every test below is an exact
-integer/rational equality.  Neither structure is ever a 4-design.
+integer equality.  Neither structure is ever a 4-design.
 
 Lambda values need the stabilizer orders and are therefore only computed when
 an AutReport is supplied; verdicts alone never pay the automorphism cost.
+They follow from the counting identity of a block-transitive t-design,
+lambda_t (v)_t = b (k)_t with b = |group| / |stabilizer| (K for D, G for Dhat).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, perm
+from math import perm
 
 from .bigraph import BiGraph, SubgraphStats, stats
 from .permgroup import AutReport, group_order
@@ -115,10 +116,32 @@ def _hits(st: SubgraphStats, design: str, m: int, n: int, k: int, t: int,
                if names is None or name in names)
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {x}")
-    return int(x)
+def _check(g: BiGraph, design: str, st: SubgraphStats | None = None,
+           aut: AutReport | None = None):
+    """check_D (design "D", the orbit under K) or check_Dhat ("Dhat", the
+    orbit under G), from st = stats(g) when the caller has it."""
+    m, n, k = g.m, g.n, g.k
+    if design == "Dhat" and m != n:
+        raise ValueError("Dhat criteria require a square grid")
+    if m * n < 2 or k < 2:
+        return False, False, None, None
+    if st is None:
+        st = stats(g)
+    is2 = _hits(st, design, m, n, k, 2)
+    is3 = is2 and k >= 3 and _hits(st, design, m, n, k, 3)
+    lams = [None, None]
+    if aut is not None:
+        group, stab = ("K", aut.k_order) if design == "D" else ("G", aut.g_order)
+        if stab is None:
+            raise ValueError("AutReport has no G data")
+        for t, hit in ((2, is2), (3, is3)):
+            if hit:
+                lam, rem = divmod(group_order(m, n, group) * perm(k, t),
+                                  stab * perm(m * n, t))
+                if rem:
+                    raise ArithmeticError(f"lambda_{t} of {design} is not an integer")
+                lams[t - 2] = lam
+    return is2, is3, *lams
 
 
 def check_D(g: BiGraph, aut: AutReport | None = None):
@@ -131,26 +154,7 @@ def check_D(g: BiGraph, aut: AutReport | None = None):
     the level-3 targets.  Non-integral right-hand sides simply fail.
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
-    m, n, k = g.m, g.n, g.k
-    v = m * n
-    if v < 2 or k < 2:
-        return False, False, None, None
-    st = stats(g)
-    is2 = _hits(st, "D", m, n, k, 2)
-    is3 = is2 and v >= 3 and k >= 3 and _hits(st, "D", m, n, k, 3)
-    lam2 = lam3 = None
-    if aut is not None:
-        if is2:
-            lam2 = _exact_int(
-                Fraction(k * (k - 1) * factorial(m - 1) * factorial(n - 1),
-                         (v - 1) * aut.k_order)
-            )
-        if is3:
-            lam3 = _exact_int(
-                Fraction(k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(n - 1),
-                         (v - 1) * (v - 2) * aut.k_order)
-            )
-    return is2, is3, lam2, lam3
+    return _check(g, "D", aut=aut)
 
 
 def check_Dhat(g: BiGraph, aut: AutReport | None = None):
@@ -161,29 +165,7 @@ def check_Dhat(g: BiGraph, aut: AutReport | None = None):
     level-3 targets of count_targets("Dhat", m, m, 3).
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
-    if g.m != g.n:
-        raise ValueError("Dhat criteria require a square grid")
-    m, k = g.m, g.k
-    if m < 2 or k < 2:
-        return False, False, None, None
-    st = stats(g)
-    is2 = _hits(st, "Dhat", m, m, k, 2)
-    is3 = is2 and k >= 3 and _hits(st, "Dhat", m, m, k, 3)
-    lam2 = lam3 = None
-    if aut is not None:
-        if aut.g_order is None:
-            raise ValueError("AutReport has no G data")
-        if is2:
-            lam2 = _exact_int(
-                Fraction(2 * k * (k - 1) * factorial(m - 1) * factorial(m - 2),
-                         (m + 1) * aut.g_order)
-            )
-        if is3:
-            lam3 = _exact_int(
-                Fraction(2 * k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(m - 2),
-                         (m + 1) * (m * m - 2) * aut.g_order)
-            )
-    return is2, is3, lam2, lam3
+    return _check(g, "Dhat", aut=aut)
 
 
 def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
@@ -197,14 +179,16 @@ def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
         raise ValueError("case classification requires a square grid")
     if t not in (2, 3):
         raise ValueError("t must be 2 or 3")
+    st = stats(g)
+    return _case(g, st, aut, t, _check(g, "D", st)[t - 2], _check(g, "Dhat", st)[t - 2])
+
+
+def _case(g: BiGraph, st: SubgraphStats, aut: AutReport, t: int,
+          d_design: bool, dhat_design: bool) -> CaseReport:
+    """classify_case, given stats(g) and the level-t verdicts of D and Dhat."""
     if aut.tau_equivalent is None:
         raise ValueError("AutReport has no G data")
     m, k = g.m, g.k
-    st = stats(g)
-    d2, d3, _, _ = check_D(g)
-    h2, h3, _, _ = check_Dhat(g)
-    d_design = d2 if t == 2 else d3
-    dhat_design = h2 if t == 2 else h3
 
     # the half shares are D's row-side targets on the square grid; on a
     # 1x1 grid every count is zero and k < t, so they hold vacuously
@@ -234,21 +218,17 @@ def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
 
 def evaluate(g: BiGraph, aut: AutReport | None = None) -> CriteriaReport:
     """Assemble the full report; block counts and lambdas appear only with an
-    AutReport, lambdas only for positive verdicts."""
-    d2, d3, lam_d2, lam_d3 = check_D(g, aut)
-    square = g.m == g.n
-    h2 = h3 = None
-    lam_h2 = lam_h3 = None
-    case_2 = case_3 = None
-    b_d = b_dhat = None
-    if square:
-        h2, h3, lam_h2, lam_h3 = check_Dhat(g, aut)
+    AutReport, lambdas only for positive verdicts.  The subgraph counts are
+    computed once, and so is each design's check."""
+    st = stats(g)
+    d2, d3, lam_d2, lam_d3 = _check(g, "D", st, aut)
+    h2 = h3 = lam_h2 = lam_h3 = None
+    case_2 = case_3 = b_dhat = None
+    if g.m == g.n:
+        h2, h3, lam_h2, lam_h3 = _check(g, "Dhat", st, aut)
         if aut is not None:
-            case_2 = classify_case(g, aut, 2)
-            case_3 = classify_case(g, aut, 3)
-    if aut is not None:
-        b_d = group_order(g.m, g.n, "K") // aut.k_order
-        if square:
+            case_2 = _case(g, st, aut, 2, d2, h2)
+            case_3 = _case(g, st, aut, 3, d3, h3)
             b_dhat = group_order(g.m, g.n, "G") // aut.g_order
     return CriteriaReport(
         m=g.m,
@@ -264,7 +244,7 @@ def evaluate(g: BiGraph, aut: AutReport | None = None) -> CriteriaReport:
         lambda_d_3=lam_d3,
         lambda_dhat_2=lam_h2,
         lambda_dhat_3=lam_h3,
-        b_d=b_d,
+        b_d=group_order(g.m, g.n, "K") // aut.k_order if aut else None,
         b_dhat=b_dhat,
         k_order=aut.k_order if aut else None,
         g_order=aut.g_order if aut else None,

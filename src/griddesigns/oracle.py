@@ -251,11 +251,13 @@ def lambda_table(
     return dict(sorted(hist.items()))
 
 
-def design_verdict(d: ExplicitDesign, t: int, budget: Budget | None = None):
+def design_verdict(d: ExplicitDesign, t: int, budget: Budget | None = None,
+                   workers: int = 1):
     """(is_t_design, histogram).  k >= t is required so that the constant
     coverage is a positive lambda; blocks smaller than t cover every t-subset
-    zero times, which does not count as a design."""
-    hist = lambda_table(d, t, budget)
+    zero times, which does not count as a design.  workers goes to
+    lambda_table."""
+    hist = lambda_table(d, t, budget, workers=workers)
     return len(hist) == 1 and d.k >= t, hist
 
 

@@ -297,28 +297,6 @@ def _replay_part(part, nbrs, dirty: int, trace) -> bool:
     return True
 
 
-def _refine(cells, nbrs):
-    """Equitable refinement of a list of cells (vertex bitmasks) from
-    scratch, with its split trace; the search keeps its partitions laid out
-    instead (_path, _node)."""
-    nv = len(nbrs[0])
-    part = _layout(cells, nv)
-    trace = _refine_part(part, nbrs, (1 << nv) - 1)
-    return [cell for cell in part[0] if cell], trace
-
-
-def _replay(cells, nbrs, trace):
-    """Refine a list of cells from scratch that must split exactly as the
-    trace records: the refined cells, in positions matching the traced side,
-    or None when a round differs (no isomorphism respects the
-    correspondence)."""
-    nv = len(nbrs[0])
-    part = _layout(cells, nv)
-    if not _replay_part(part, nbrs, (1 << nv) - 1, trace):
-        return None
-    return [cell for cell in part[0] if cell]
-
-
 def _node(part, nbrs, dirty: int):
     """Refine part in place; the search node (part, trace, branch), where
     branch is the start of the first smallest non-singleton cell, or None

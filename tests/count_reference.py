@@ -6,12 +6,13 @@ kept for the tests only.
 `griddesigns.bigraph.stats`.  `check_D_tau_reduced` is the reduced 2-design
 test for tau-equivalent square graphs, written out apart from the target
 table in `griddesigns.criteria`.  `lambda_identity_holds` checks every
-lambda of a criteria report against the counting identity.
+lambda of a criteria report against the counting identity, and
+`paper_lambda` gives the paper's closed forms of the four lambdas.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from griddesigns.bigraph import BiGraph, SubgraphStats, stats
 from griddesigns.criteria import CriteriaReport
@@ -73,3 +74,24 @@ def lambda_identity_holds(report: CriteriaReport) -> bool:
         if b is None or lam * comb(v, t) != b * comb(report.k, t):
             return False
     return True
+
+
+def paper_lambda(report: CriteriaReport, field: str) -> Fraction:
+    """The paper's closed form of one lambda of a report, named by its
+    CriteriaReport field, from the grid, k and the stabilizer orders; the
+    caller asks only where the report has that lambda."""
+    m, n, k = report.m, report.n, report.k
+    v = m * n
+    if field == "lambda_d_2":
+        return Fraction(k * (k - 1) * factorial(m - 1) * factorial(n - 1),
+                        (v - 1) * report.k_order)
+    if field == "lambda_d_3":
+        return Fraction(k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(n - 1),
+                        (v - 1) * (v - 2) * report.k_order)
+    if field == "lambda_dhat_2":
+        return Fraction(2 * k * (k - 1) * factorial(m - 1) * factorial(m - 2),
+                        (m + 1) * report.g_order)
+    if field == "lambda_dhat_3":
+        return Fraction(2 * k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(m - 2),
+                        (m + 1) * (m * m - 2) * report.g_order)
+    raise ValueError(f"unknown lambda field {field!r}")

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from griddesigns import criteria
 from griddesigns.bigraph import BiGraph, from_edge_list, stats
 from griddesigns.criteria import (
     check_D,
@@ -13,11 +14,11 @@ from griddesigns.criteria import (
     evaluate,
     outside_standard_range,
 )
-from griddesigns.permgroup import automorphisms
+from griddesigns.permgroup import AutReport, automorphisms
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps
-from count_reference import check_D_tau_reduced, lambda_identity_holds
+from count_reference import check_D_tau_reduced, lambda_identity_holds, paper_lambda
 
 
 def path_lambda_closed_form(k: int) -> int:
@@ -226,3 +227,77 @@ class TestInvariants:
                 case = classify_case(g, aut, t)
                 if case.label == "case3":
                     assert case.dhat_is_design and not case.d_is_design
+
+
+LAMBDA_VERDICTS = {
+    "lambda_d_2": "d_is_2design",
+    "lambda_d_3": "d_is_3design",
+    "lambda_dhat_2": "dhat_is_2design",
+    "lambda_dhat_3": "dhat_is_3design",
+}
+
+
+def paper_lambda_count(g) -> int:
+    """Check every lambda of evaluate(g) against the paper's closed form;
+    a lambda is reported exactly for the positive verdicts.  Returns the
+    number of lambdas checked."""
+    rep = evaluate(g, automorphisms(g))
+    checked = 0
+    for field, verdict in LAMBDA_VERDICTS.items():
+        lam = getattr(rep, field)
+        assert (lam is not None) == bool(getattr(rep, verdict)), (g, field)
+        if lam is not None:
+            assert lam == paper_lambda(rep, field), (g, field)
+            checked += 1
+    return checked
+
+
+class TestPaperLambdas:
+    def test_every_class_up_to_4x4(self):
+        checked = sum(paper_lambda_count(g)
+                      for m in range(1, 5) for n in range(1, 5)
+                      for g in iso_class_reps(m, n))
+        assert checked >= 100
+
+    @pytest.mark.parametrize("which, lambdas", [("fig1", 2), ("fig2", 2), ("fig3", 4)])
+    def test_figures(self, which, lambdas):
+        assert paper_lambda_count(family_figure(which)) == lambdas
+
+    def test_path_family(self):
+        # the graphs of acceptance criterion 5
+        for m in range(3, 31):
+            assert paper_lambda_count(family_path(m + 1, m, m)) >= 1, m
+
+    def test_cycle_family(self):
+        # the graphs of acceptance criterion 6
+        for m in range(4, 31, 2):
+            assert paper_lambda_count(family_cycle(m + 2, m)) >= 1, m
+
+
+class TestOneCountPerReport:
+    @pytest.mark.parametrize("which", ["fig1", "fig2"])
+    def test_evaluate_takes_stats_once(self, which, monkeypatch):
+        g = family_figure(which)
+        aut = automorphisms(g)
+        calls = []
+
+        def spy(graph):
+            calls.append(graph)
+            return stats(graph)
+
+        monkeypatch.setattr(criteria, "stats", spy)
+        evaluate(g, aut)
+        assert calls == [g]
+
+
+class TestExactLambda:
+    @pytest.mark.parametrize("check, which, aut", [
+        (check_D, "fig2", AutReport(k_gens=(), k_order=11)),
+        (check_Dhat, "fig1", AutReport(k_gens=(), k_order=11, g_gens=(), g_order=11,
+                                       tau_equivalent=False)),
+    ])
+    def test_non_integral_lambda_raises(self, check, which, aut):
+        g = family_figure(which)
+        assert check(g)[:2] == (True, True)
+        with pytest.raises(ArithmeticError):
+            check(g, aut)

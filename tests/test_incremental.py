@@ -1,11 +1,11 @@
 """Incremental refinement: a child partition refined from its equitable parent
 against the same partition refined from scratch.
 
-``test_refinement`` holds the from-scratch ``_refine`` and ``_replay`` to the
-lockstep reference.  Here every inner node that ``automorphisms`` searches is
-checked the other way: the seeded a-side child has the same cells as a
-from-scratch refinement, and the seeded b-side replay fails on exactly the
-candidates where replaying the from-scratch trace fails.
+``test_refinement`` holds the from-scratch refine and replay of
+``refine_reference`` to the lockstep reference.  Here every inner node that
+``automorphisms`` searches is checked the other way: the seeded a-side child
+has the same cells as a from-scratch refinement, and the seeded b-side replay
+fails on exactly the candidates where replaying the from-scratch trace fails.
 """
 
 from collections import defaultdict
@@ -22,14 +22,13 @@ from griddesigns.permgroup import (
     _find_side_iso,
     _neighbours,
     _node,
-    _refine,
-    _replay,
     _replay_part,
     automorphisms,
 )
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps
+from refine_reference import refine_from_scratch, replay_from_scratch
 
 
 def search_nodes(run, monkeypatch):
@@ -76,14 +75,14 @@ def check_children(run, monkeypatch):
         a = (cell_a & -cell_a).bit_length() - 1
         if id(node_a) not in scratch:
             child = _child(part_a, branch, a)
-            expect_cells, expect_trace = _refine(cells(child), nbrs_a)
+            expect_cells, expect_trace = refine_from_scratch(cells(child), nbrs_a)
             seeded, trace, _ = _node(child, nbrs_a, nbrs_a[1][a])
             assert cells(seeded) == expect_cells
             scratch[id(node_a)] = (node_a, expect_trace, trace)
         _, expect_trace, trace = scratch[id(node_a)]
         for b in _bits(part_b[0][branch]):
             child = _child(part_b, branch, b)
-            expect = _replay(cells(child), nbrs_b, expect_trace)
+            expect = replay_from_scratch(cells(child), nbrs_b, expect_trace)
             ok = _replay_part(child, nbrs_b, nbrs_b[1][b], trace)
             assert ok == (expect is not None)
             if ok:

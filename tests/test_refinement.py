@@ -1,5 +1,7 @@
 """Refine once, replay the trace: the same cells, failures and generators as
-the lockstep reference in ``lockstep_reference``."""
+the lockstep reference in ``lockstep_reference``.  The refinement side is
+``refine_reference``'s from-scratch refine and replay, built on the rounds
+the search uses."""
 
 import random
 
@@ -13,8 +15,6 @@ from griddesigns.permgroup import (
     _layout,
     _neighbours,
     _path,
-    _refine,
-    _replay,
     _search_iso,
     _side_cells,
     apply,
@@ -23,6 +23,7 @@ from griddesigns.permgroup import (
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps, random_gridperm
+from refine_reference import refine_from_scratch, replay_from_scratch
 
 SIDES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
@@ -30,8 +31,8 @@ SIDES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 def refine_pair(g, h, cells_a, cells_b):
     """Refine cells_a on g once, replay the trace with cells_b on h; shaped
     like the reference's lockstep result."""
-    refined_a, trace = _refine(cells_a, _neighbours(g))
-    refined_b = _replay(cells_b, _neighbours(h), trace)
+    refined_a, trace = refine_from_scratch(cells_a, _neighbours(g))
+    refined_b = replay_from_scratch(cells_b, _neighbours(h), trace)
     if refined_b is None:
         return None
     return refined_a, refined_b

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from griddesigns.bigraph import format_graph_text
 from griddesigns.cli import main
 from griddesigns.oracle import lambda_table, materialize
 from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
@@ -84,6 +85,20 @@ class TestCapAtCallSites:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         d = materialize(family_figure("fig2"), "K")
         assert lambda_table(d, 2, workers=10_000) == lambda_table(d, 2)
+        assert fake_pool == [3]
+
+    def test_oracle_command_pools_its_count(self, monkeypatch, fake_pool, capsys, tmp_path):
+        # the command's verdict comes from design_verdict, which hands
+        # --workers on to lambda_table
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        path = tmp_path / "fig2.grid"
+        path.write_text(format_graph_text(family_figure("fig2")))
+        outputs = []
+        for workers in ("1", "4"):
+            assert main(["oracle", str(path), "--t", "3", "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "3design = yes" in outputs[0]
         assert fake_pool == [3]
 
     def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
