@@ -6,13 +6,14 @@ diagonal of the grid, plus three bundled witness graphs that realize
 that meet a design target, one representative per isomorphism class, by
 degree-multiset branching followed by row-by-row realization.  Realization
 keeps equal-degree rows and equal-degree columns in lex-leader order, so it
-yields few matrices besides the largest of each class.  Each degree branch
-yields its realized matrices whose canonical keys are new to the branch.
-Under allow-tau a branch (x, y) is skipped when its mirror (y, x) comes
-earlier, so no class lies in two searched branches and only a branch that
-is its own mirror keys under the transpose; one merge loop, serial or fed
-by a process pool, checks each class against the target in TARGETS and
-yields it with its stabilizer report.
+yields few matrices besides the largest of each class.  One function
+decides a degree branch: each realized matrix is checked against the target
+in TARGETS, a passing one is keyed, and a key new to the branch gets its
+stabilizer report.  Under allow-tau a branch (x, y) is skipped when its
+mirror (y, x) comes earlier, so no class lies in two searched branches and
+only a branch that is its own mirror keys under the transpose.  The serial
+search and the process pool run the same function per branch and yield its
+results in branch order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, perm
 
 from . import criteria, permgroup
@@ -308,20 +309,6 @@ def _combinations_masks(n: int, weight: int):
     return out
 
 
-def _target_report(g: BiGraph, target: str) -> permgroup.AutReport | None:
-    """The stabilizer report of g when g meets the target, else None.  The
-    group is computed only for graphs that pass the criteria, and at most
-    once per graph."""
-    design, t, flag = TARGETS[target]
-    check = criteria.check_D if design == "D" else criteria.check_Dhat
-    if not check(g)[t - 2] or (flag and not _uniform_edge_degrees(g)):
-        return None
-    report = permgroup.automorphisms(g)
-    if flag and not permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G"):
-        return None
-    return report
-
-
 def _uniform_edge_degrees(g: BiGraph) -> bool:
     """Whether every edge {R_i, C_j} has the same unordered degree pair
     {x_i, y_j}.  An element of the full group that fixes g maps each edge to
@@ -331,24 +318,40 @@ def _uniform_edge_degrees(g: BiGraph) -> bool:
     return len(pairs) <= 1
 
 
-def _branch_stream(spec: SearchSpec, x, y, state: _RealizeState):
-    """Realized matrices of one degree branch, in realization order, whose
-    canonical keys are new to the branch.  The transpose of a graph in
+def _branch_results(spec: SearchSpec, index: int, branch, state: _RealizeState | None = None):
+    """The (graph, AutReport) pairs of degree branch `index`, one per class
+    that meets the target, in realization order.
+
+    Each realized matrix first goes through the target's criteria check,
+    and for flag targets the edge-degree test; both are invariant under K
+    and the transpose, so only a passing matrix is keyed, and the first
+    realized matrix of each passing class is kept.  The transpose of a graph in
     branch (x, y) lies in branch (y, x), so only a branch that is its own
-    mirror keys under the transpose as well."""
+    mirror keys under the transpose as well.  A key new to the branch gets
+    its stabilizer report, and for flag targets the edge-orbit test.
+    Without a state (a pool worker) the branch has its own node budget.
+    """
+    if state is None:
+        state = _RealizeState(spec=spec)
+    state.branch = index
+    x, y = branch
+    design, t, flag = TARGETS[spec.target]
+    check = criteria.check_D if design == "D" else criteria.check_Dhat
     allow_tau = spec.dedup == "allow-tau" and x == y
     seen: set[bytes] = set()
+    out = []
     for rows in _realize(x, y, state):
-        key = canonical_form(BiGraph(spec.m, spec.n, rows), allow_transpose=allow_tau)
-        if key not in seen:
-            seen.add(key)
-            yield rows
-
-
-def _branch_candidates(args):
-    """Process-pool work unit: one degree branch, with its own node budget."""
-    spec, index, x, y = args
-    return list(_branch_stream(spec, x, y, _RealizeState(spec=spec, branch=index)))
+        g = BiGraph(spec.m, spec.n, rows)
+        if not check(g)[t - 2] or (flag and not _uniform_edge_degrees(g)):
+            continue
+        key = canonical_form(g, allow_transpose=allow_tau)
+        if key in seen:
+            continue
+        seen.add(key)
+        report = permgroup.automorphisms(g)
+        if not flag or permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G"):
+            out.append((g, report))
+    return out
 
 
 def _searched_branches(spec: SearchSpec, branches) -> list[int]:
@@ -364,41 +367,22 @@ def _searched_branches(spec: SearchSpec, branches) -> list[int]:
     return [i for i in indices if branches[i][1] <= branches[i][0]]
 
 
-def _candidates(spec: SearchSpec, branches, indices, size: int):
-    """Rows of the new classes of the branches at `indices`, in that order,
-    each branch's rows only once the branch is finished: from `size` worker
-    processes, or in this process under one node budget and deadline."""
-    if size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(spec, i, *branches[i]) for i in indices]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for batch in pool.map(_branch_candidates, jobs):
-                yield from batch
-        return
-    state = _RealizeState(spec=spec)
-    if spec.max_seconds is not None:
-        state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
-    for index in indices:
-        state.branch = index
-        yield from list(_branch_stream(spec, *branches[index], state))
-
-
 def exhaustive_search(spec: SearchSpec, workers: int = 1):
     """Yield (graph, AutReport) for every block graph meeting the target, one
     per dedup class.
 
     Deterministic: degree branches in lexicographically decreasing order from
     spec.start_branch on, matrices by the realization order, duplicates
-    within a branch dropped via canonical forms.  No class lies in two
-    searched branches (a class's degree sequences are invariants, and under
-    allow-tau the mirror branch is skipped), so the output of a resumed run
-    is the full run's output from that branch on.  Budget exhaustion raises
+    within a branch dropped via the canonical forms of the matrices that
+    meet the target's criteria.  No class lies in two searched branches (a
+    class's degree sequences are invariants, and under allow-tau the mirror
+    branch is skipped), so the output of a resumed run is the full run's
+    output from that branch on.  Budget exhaustion raises
     SearchBudgetError with the branch index for resumption, after the
     results of every finished branch have been yielded.  When
     workers.pool_size allows more than one process, the branches are
-    realized and keyed in a process pool and merged in branch order, so the
-    output stream is identical; the node budget then applies per branch.  A
+    decided in a process pool and merged in branch order, so the output
+    stream is identical; the node budget then applies per branch.  A
     wall-clock limit is not supported with workers > 1.  A start_branch
     equal to the branch count searches nothing; a larger one raises
     ValueError.
@@ -411,8 +395,16 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     size = pool_size(workers, len(indices))
     if workers > 1 and spec.max_seconds is not None:
         raise ValueError("max_seconds is not supported with workers > 1")
-    for rows in _candidates(spec, branches, indices, size):
-        g = BiGraph(spec.m, spec.n, rows)
-        report = _target_report(g, spec.target)
-        if report is not None:
-            yield g, report
+    if size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            for results in pool.map(_branch_results, repeat(spec), indices,
+                                    [branches[i] for i in indices]):
+                yield from results
+        return
+    state = _RealizeState(spec=spec)
+    if spec.max_seconds is not None:
+        state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
+    for index in indices:
+        yield from _branch_results(spec, index, branches[index], state)

@@ -5,14 +5,13 @@ kept for the tests only.
 2- and 3-edge subsets of a block graph, without the degree formulas of
 `griddesigns.bigraph.stats`.  `check_D_tau_reduced` is the reduced 2-design
 test for tau-equivalent square graphs, written out apart from the target
-table in `griddesigns.criteria`.  `lambda_identity_holds` checks every
-lambda of a criteria report against the counting identity, and
-`paper_lambda` gives the paper's closed forms of the four lambdas.
+table in `griddesigns.criteria`.  `paper_lambda` gives the paper's closed
+forms of the four lambdas.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 from griddesigns.bigraph import BiGraph, SubgraphStats, stats
 from griddesigns.criteria import CriteriaReport
@@ -56,24 +55,6 @@ def check_D_tau_reduced(g: BiGraph) -> bool | None:
         # tau-equivalence forces equal type counts; reduction not applicable
         return None
     return st.p2_total == Fraction(g.k * (g.k - 1), g.m + 1)
-
-
-def lambda_identity_holds(report: CriteriaReport) -> bool:
-    """Counting identity every emitted lambda must satisfy:
-    lambda * C(v, t) = b * C(k, t)."""
-    v = report.m * report.n
-    checks = [
-        (report.lambda_d_2, report.b_d, 2),
-        (report.lambda_d_3, report.b_d, 3),
-        (report.lambda_dhat_2, report.b_dhat, 2),
-        (report.lambda_dhat_3, report.b_dhat, 3),
-    ]
-    for lam, b, t in checks:
-        if lam is None:
-            continue
-        if b is None or lam * comb(v, t) != b * comb(report.k, t):
-            return False
-    return True
 
 
 def paper_lambda(report: CriteriaReport, field: str) -> Fraction:

@@ -72,16 +72,16 @@ def _realize(x, y, state):
     yield from rec(0)
 
 
-def branch_stream(spec, x, y, state):
-    """(rows, key) of the reference realizer's matrices whose key is new to
-    the branch, in realization order."""
+def branch_stream(spec, matrices):
+    """The matrices of one branch, in the given order, whose key is new to
+    the branch; every branch is keyed under the transpose if allow-tau."""
     allow_tau = spec.dedup == "allow-tau"
     seen: set[bytes] = set()
-    for rows in _realize(x, y, state):
+    for rows in matrices:
         key = canonical_form(BiGraph(spec.m, spec.n, rows), allow_transpose=allow_tau)
         if key not in seen:
             seen.add(key)
-            yield rows, key
+            yield rows
 
 
 def searched_branches(spec, branches) -> list[int]:

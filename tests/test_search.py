@@ -11,7 +11,7 @@ import pytest
 from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats
 from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import design_verdict, materialize
-from griddesigns import workers
+from griddesigns import search, workers
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
     TARGETS,
@@ -20,7 +20,7 @@ from griddesigns.search import (
     _bounded_partitions,
     _realize,
     _RealizeState,
-    _branch_stream,
+    _branch_results,
     _searched_branches,
     _uniform_edge_degrees,
     degree_branches,
@@ -250,8 +250,9 @@ class TestExhaustiveSearch:
             SearchSpec(m=6, n=6, k=8, target="dhat2", start_branch=2),
         ]
         for spec in specs:
-            serial = [g.edges() for g, _ in exhaustive_search(spec)]
-            parallel = [g.edges() for g, _ in exhaustive_search(spec, workers=2)]
+            # the reports are pickled back from the workers
+            serial = [(g.edges(), report) for g, report in exhaustive_search(spec)]
+            parallel = [(g.edges(), report) for g, report in exhaustive_search(spec, workers=2)]
             assert serial == parallel, spec
         assert sizes == [2] * len(specs)
 
@@ -415,6 +416,15 @@ def _small_specs():
                         yield SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
 
 
+def _meets_target(g, target):
+    """The target test from the criteria and, for flag targets, the edge
+    orbit of the full stabilizer."""
+    design, t, flag = TARGETS[target]
+    if not (check_D if design == "D" else check_Dhat)(g)[t - 2]:
+        return False
+    return not flag or is_edge_transitive(g, automorphisms(g), "K" if design == "D" else "G")
+
+
 class TestLexLeaderRealization:
     """The pruned realizer against the unpruned reference on every distinct
     degree branch with m, n <= 6."""
@@ -440,12 +450,46 @@ class TestLexLeaderRealization:
             assert all(rows in rest for rows in pruned), spec
             pruned_total += len(pruned)
             full_total += len(full)
-            # the reference keys every branch under the transpose if
-            # allow-tau; _branch_stream only a branch that is its own mirror
-            got = list(_branch_stream(spec, x, y, _RealizeState(spec=spec)))
-            want = search_reference.branch_stream(spec, x, y, _RealizeState(spec=spec))
-            assert got == [rows for rows, _ in want], (spec, x, y)
+            # the reference keys every matrix, and every branch under the
+            # transpose if allow-tau; _branch_results keys only the matrices
+            # that meet the target, and under the transpose only in a branch
+            # that is its own mirror
+            got = [g.rows for g, _ in _branch_results(spec, 0, (x, y))]
+            want = [rows for rows in search_reference.branch_stream(spec, full)
+                    if _meets_target(BiGraph(spec.m, spec.n, rows), spec.target)]
+            assert got == want, (spec, x, y)
         assert pruned_total < full_total
+
+
+class TestCriteriaBeforeKeys:
+    """Only a realized matrix that meets the target's criteria (and, for a
+    flag target, the edge-degree test) is keyed."""
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        graphs = []
+
+        def spy(g, allow_transpose=False):
+            graphs.append(g)
+            return canonical_form(g, allow_transpose=allow_transpose)
+
+        monkeypatch.setattr(search, "canonical_form", spy)
+        return graphs
+
+    def test_t3_budget_run_keys_nothing(self, keyed):
+        # the first 11x11 k=36 branch realizes thousands of matrices within
+        # the budget, and none meets the 3-design criteria
+        spec = SearchSpec(m=11, n=11, k=36, target="dhat3", max_nodes=20_000)
+        with pytest.raises(SearchBudgetError) as exc:
+            list(exhaustive_search(spec))
+        assert str(exc.value) == (
+            "node budget of 20000 exhausted (resume at degree branch 0)")
+        assert keyed == []
+
+    def test_flag_run_keys_nothing(self, keyed):
+        # every realized matrix has edges of at least two degree pairs
+        assert list(exhaustive_search(SearchSpec(m=7, n=7, k=8, target="flag-dhat2"))) == []
+        assert keyed == []
 
 
 class TestFlagPrecheck:

@@ -28,8 +28,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
