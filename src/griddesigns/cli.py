@@ -163,20 +163,19 @@ def _cmd_verify(args) -> int:
     payload = _report_dict(rep)
 
     if args.with_oracle:
-        budget = _budget_from(args)
-        payload["oracle"] = {}
         groups = ["K", "G"] if args.group == "both" else [args.group]
-        for grp in groups:
-            if grp == "G" and g.m != g.n:
-                continue
-            design = oracle.materialize(g, grp, budget)
-            verdict, hist = oracle.design_verdict(design, args.t, budget)
-            payload["oracle"][grp] = {
-                "blocks": design.b,
+        if g.m != g.n:
+            groups = ["K"]  # G alone was refused above
+        verdicts = oracle.orbit_verdicts(g, args.t, groups, _budget_from(args))
+        payload["oracle"] = {
+            grp: {
+                "blocks": b,
                 "t": args.t,
                 "histogram": {str(c): num for c, num in hist.items()},
                 "is_design": verdict,
             }
+            for grp, (b, verdict, hist) in verdicts.items()
+        }
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

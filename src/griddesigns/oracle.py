@@ -160,6 +160,60 @@ def _multisets(starts, n: int, limit: int) -> tuple[dict, int]:
     return seen, total
 
 
+def _check_blocks(total: int, budget: Budget) -> None:
+    if total > budget.max_blocks:
+        raise BudgetExceededError(
+            f"block orbit exceeds budget of {budget.max_blocks} blocks"
+        )
+
+
+def _check_subsets(v: int, t: int, budget: Budget) -> None:
+    total = comb(v, t)
+    if total > budget.max_subsets:
+        raise BudgetExceededError(
+            f"{total} t-subsets exceed budget of {budget.max_subsets}"
+        )
+
+
+def _blocks(shapes, m: int, n: int) -> list[tuple[int, ...]]:
+    """The blocks of every distinct row order of the multisets with these
+    shapes (see _shape), each built once as an ascending cell tuple, grouped
+    by multiset and not sorted.
+
+    Per multiset, `cells` holds the cells of every distinct row in every
+    row position, position major; one picker per distinct row order takes
+    its block out of it in a single C call.  The pickers depend only on
+    the shape's multiplicities and sizes, shared across a K-orbit."""
+    columns: dict[int, list[int]] = {}
+    pickers: dict[tuple, list[itemgetter]] = {}
+    blocks: list[tuple[int, ...]] = []
+    for values, counts, sizes in shapes:
+        for r in values:
+            if r not in columns:
+                columns[r] = [j for j in range(n) if r >> j & 1]
+        line = [j for r in values for j in columns[r]]
+        cells = tuple(p * n + j for p in range(m) for j in line)
+        if (counts, sizes) not in pickers:
+            pickers[counts, sizes] = _pickers(counts, sizes)
+        blocks += [pick(cells) for pick in pickers[counts, sizes]]
+    return blocks
+
+
+def _subsets(blocks, t: int):
+    """Every t-subset of every block, block by block."""
+    return chain.from_iterable(map(combinations, blocks, repeat(t)))
+
+
+def _histogram(coverage: Counter, v: int, t: int) -> dict[int, int]:
+    """{coverage count: number of t-subsets} over all C(v, t) t-subsets,
+    from the counts of the covered ones."""
+    hist = Counter(coverage.values())
+    uncovered = comb(v, t) - len(coverage)
+    if uncovered:
+        hist[0] = uncovered
+    return dict(sorted(hist.items()))
+
+
 def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> ExplicitDesign:
     """The exact orbit of the block under the chosen group.
 
@@ -185,34 +239,60 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
     if group == "G":
         starts.append(tuple(sorted(g.columns())))
     seen, total = _multisets(starts, n, budget.max_blocks)
-    if total > budget.max_blocks:
-        raise BudgetExceededError(
-            f"block orbit exceeds budget of {budget.max_blocks} blocks"
-        )
-
-    # Per multiset, `cells` holds the cells of every distinct row in every
-    # row position, position major; one picker per distinct row order takes
-    # its block out of it in a single C call.  The pickers depend only on
-    # the shape's multiplicities and sizes, shared across a K-orbit.
-    columns: dict[int, list[int]] = {}
-    pickers: dict[tuple, list[itemgetter]] = {}
-    blocks: list[tuple[int, ...]] = []
-    for values, counts, sizes in seen.values():
-        for r in values:
-            if r not in columns:
-                columns[r] = [j for j in range(n) if r >> j & 1]
-        line = [j for r in values for j in columns[r]]
-        cells = tuple(p * n + j for p in range(m) for j in line)
-        if (counts, sizes) not in pickers:
-            pickers[counts, sizes] = _pickers(counts, sizes)
-        blocks += [pick(cells) for pick in pickers[counts, sizes]]
+    _check_blocks(total, budget)
+    blocks = _blocks(seen.values(), m, n)
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
 
+def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> dict:
+    """{group: (blocks, is_t_design, histogram)} for each of `groups` ("K",
+    "G" or both, in that order), equal to the block count of `materialize`
+    and the verdict of `design_verdict`, with the K-orbit built and counted
+    once.
+
+    Two K-orbits are equal or disjoint, and the G-orbit of B is K-orbit(B)
+    united with K-orbit(B^T).  So when the closure of B's row multiset
+    holds B^T's, the G result is the K result; otherwise the closure of
+    B^T's multiset is built too, and its coverage is added to the K
+    coverage.  Every block is built and counted once, and none is sorted:
+    a histogram does not depend on the order of the blocks.  Refusals
+    come in the order of materialize, then design_verdict, per group.
+    """
+    budget = budget or DEFAULT_BUDGET
+    for group in groups:
+        _check_group(g.m, g.n, group)
+    m, n = g.m, g.n
+    seen, total = _multisets([tuple(sorted(g.rows))], n, budget.max_blocks)
+    _check_blocks(total, budget)
+    if "K" in groups:
+        _check_subsets(m * n, t, budget)
+    flipped: dict = {}
+    if "G" in groups:
+        start = tuple(sorted(g.columns()))
+        if start not in seen:
+            flipped, extra = _multisets([start], n, budget.max_blocks - total)
+            _check_blocks(total + extra, budget)
+        _check_subsets(m * n, t, budget)
+
+    out = {}
+    b, coverage, hist = 0, Counter(), None
+    for group, closure in (("K", seen), ("G", flipped)):
+        if closure:
+            more = _blocks(closure.values(), m, n)
+            b += len(more)
+            coverage.update(_subsets(more, t))
+            hist = None
+        if group in groups:
+            if hist is None:
+                hist = _histogram(coverage, m * n, t)
+            out[group] = (b, len(hist) == 1 and g.k >= t, hist)
+    return out
+
+
 def _coverage_of_blocks(args) -> Counter:
     blocks, t = args
-    return Counter(chain.from_iterable(map(combinations, blocks, repeat(t))))
+    return Counter(_subsets(blocks, t))
 
 
 def lambda_table(
@@ -227,11 +307,7 @@ def lambda_table(
     independent of the chunking.
     """
     budget = budget or DEFAULT_BUDGET
-    total = comb(d.v, t)
-    if total > budget.max_subsets:
-        raise BudgetExceededError(
-            f"{total} t-subsets exceed budget of {budget.max_subsets}"
-        )
+    _check_subsets(d.v, t, budget)
     size = pool_size(workers, d.b)
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -244,11 +320,7 @@ def lambda_table(
                 coverage.update(part)
     else:
         coverage = _coverage_of_blocks((d.blocks, t))
-    hist = Counter(coverage.values())
-    uncovered = total - len(coverage)
-    if uncovered:
-        hist[0] = uncovered
-    return dict(sorted(hist.items()))
+    return _histogram(coverage, d.v, t)
 
 
 def design_verdict(d: ExplicitDesign, t: int, budget: Budget | None = None,

@@ -413,24 +413,39 @@ def _side_cells(m: int, n: int, pins: tuple[int, ...]) -> list[int]:
     return cells
 
 
-def _find_side_iso(nbrs_g, g: BiGraph, h: BiGraph):
+def _find_side_iso(nbrs_g, g: BiGraph, h: BiGraph, done: dict | None = None):
     """Vertex map realizing a side-preserving isomorphism g -> h, or None;
-    nbrs_g are the neighbour lists of g."""
+    nbrs_g are the neighbour lists of g, and done may hold g's a-side path
+    from the unpinned root (see _path)."""
     if g.m != h.m or g.n != h.n or g.k != h.k:
         return None
     return _search_iso(
         nbrs_g, _neighbours(h),
-        _side_cells(g.m, g.n, ()), _side_cells(h.m, h.n, ()), {},
+        _side_cells(g.m, g.n, ()), _side_cells(h.m, h.n, ()),
+        {} if done is None else done,
     )
 
 
-def _schreier(start: int, perms) -> dict:
+def _schreier(start: int, perms, tree: dict | None = None) -> dict:
     """The orbit of start under perms (sequences indexed by point), as a
     Schreier vector: each reached point maps to the point it was first
     reached from and the perm that took it there; start maps to (None, None).
-    A point is inserted only after the point it was reached from."""
-    tree = {start: (None, None)}
-    frontier = [start]
+    A point is inserted only after the point it was reached from.
+
+    Given `tree`, the orbit of start under all of perms but the last, the
+    closure resumes from it in place: its points go through the last perm
+    only, and each new point through all of perms."""
+    if tree is None:
+        tree = {start: (None, None)}
+        frontier = [start]
+    else:
+        p = perms[-1]
+        frontier = []
+        for v in list(tree):
+            w = p[v]
+            if w not in tree:
+                tree[w] = (v, p)
+                frontier.append(w)
     while frontier:
         v = frontier.pop()
         for p in perms:
@@ -441,7 +456,7 @@ def _schreier(start: int, perms) -> dict:
     return tree
 
 
-def _k_stabilizer(g: BiGraph, nbrs):
+def _k_stabilizer(g: BiGraph, nbrs, done: dict):
     """Generators (as vertex perms) and exact order of the stabilizer in K.
 
     Builds a stabilizer chain: repeatedly refine with the pinned prefix
@@ -451,12 +466,13 @@ def _k_stabilizer(g: BiGraph, nbrs):
 
     The searches of one level share their a-side refinements.  The next
     level's partition is the root of those searches, so each level starts
-    from the previous level's cache and then replaces it.
+    from the previous level's cache and then replaces it.  The caller's
+    done is the cache of the first level: it keeps the path from the
+    unpinned root, where the transpose test starts.
     """
     gens: list[list[int]] = []
     pins: list[int] = []
     order = 1
-    done: dict = {}
     while True:
         (ptn, _), _, _ = _path(_side_cells(g.m, g.n, tuple(pins)), nbrs, done)[0]
         done = {}
@@ -484,7 +500,7 @@ def _k_stabilizer(g: BiGraph, nbrs):
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)
-                orbit = _schreier(u, level_gens)
+                _schreier(u, level_gens, orbit)
         order *= len(orbit)
         pins.append(u)
     return gens, order
@@ -504,14 +520,15 @@ def automorphisms(g: BiGraph) -> AutReport:
     is isomorphic to its transpose under K.
     """
     nbrs = _neighbours(g)
-    vgens, k_order = _k_stabilizer(g, nbrs)
+    root: dict = {}
+    vgens, k_order = _k_stabilizer(g, nbrs, root)
     k_gens = tuple(_vertex_map_to_gridperm(p, g.m, g.n) for p in vgens)
 
     g_gens = None
     g_order = None
     tau_eq = None
     if g.m == g.n:
-        mapping = _find_side_iso(nbrs, g, transpose(g))
+        mapping = _find_side_iso(nbrs, g, transpose(g), root)
         tau_eq = mapping is not None
         if tau_eq:
             rows = tuple(mapping[g.m + j] - g.m for j in range(g.n))

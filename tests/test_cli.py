@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import griddesigns
-from griddesigns import permgroup
+from griddesigns import oracle, permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
 from griddesigns.scanner import scan_square_2design
@@ -139,6 +139,76 @@ class TestVerify:
     def test_generators_in_report(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, ["verify", p4_file, "--t", "2", "--group", "G"])
         assert "generator = " in out
+
+
+class TestVerifyOracleGroups:
+    """verify --with-oracle builds and counts the K-orbit once; G adds the
+    transposed block's K-orbit only when it is a different one."""
+
+    @pytest.fixture
+    def not_tau_file(self, tmp_path):
+        path = tmp_path / "not_tau.grid"
+        path.write_text("grid 3 3\nedge 1 1\nedge 1 2\n")
+        return str(path)
+
+    def test_not_tau_equivalent(self, capsys, not_tau_file):
+        code, out, _ = run_cli(
+            capsys, ["verify", not_tau_file, "--t", "2", "--group", "both", "--with-oracle"])
+        assert code == 1
+        assert "tau_equivalent = no" in out
+        assert [line for line in out.splitlines() if line.startswith("oracle_")] == [
+            "oracle_K_blocks = 9",
+            "oracle_K_coverage_0 = 27",
+            "oracle_K_coverage_1 = 9",
+            "oracle_K_is_2design = no",
+            "oracle_G_blocks = 18",
+            "oracle_G_coverage_0 = 18",
+            "oracle_G_coverage_1 = 18",
+            "oracle_G_is_2design = no",
+        ]
+
+    def test_tau_equivalent(self, capsys, tmp_path):
+        path = tmp_path / "p5.grid"
+        path.write_text(format_graph_text(family_path(5, 4, 4)))
+        code, out, _ = run_cli(
+            capsys, ["verify", str(path), "--t", "2", "--group", "both", "--with-oracle"])
+        assert code == 0
+        assert "tau_equivalent = yes" in out
+        for group in ("K", "G"):
+            assert f"oracle_{group}_blocks = 576" in out
+            assert f"oracle_{group}_coverage_48 = 120" in out
+            assert f"oracle_{group}_is_2design = yes" in out
+
+    @pytest.mark.parametrize("group, limits, message", [
+        # the 9-block K-orbit fits, the 18-block G-orbit does not
+        ("G", ["--max-blocks", "17"], "block orbit exceeds budget of 17 blocks"),
+        ("both", ["--max-blocks", "17"], "block orbit exceeds budget of 17 blocks"),
+        # with both groups, K's t-subsets are refused before G's blocks
+        ("both", ["--max-blocks", "9", "--max-subsets", "35"],
+         "36 t-subsets exceed budget of 35"),
+        ("G", ["--max-blocks", "9", "--max-subsets", "35"],
+         "block orbit exceeds budget of 9 blocks"),
+    ])
+    def test_refusals(self, capsys, not_tau_file, group, limits, message):
+        code, out, err = run_cli(
+            capsys, ["verify", not_tau_file, "--t", "2", "--group", group,
+                     "--with-oracle", *limits])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_no_explicit_design(self, capsys, monkeypatch, not_tau_file):
+        # the verify path neither sorts blocks into a design nor counts one
+        # design per group
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built an explicit design")
+
+        monkeypatch.setattr(oracle, "materialize", refuse)
+        monkeypatch.setattr(oracle, "design_verdict", refuse)
+        code, out, _ = run_cli(
+            capsys, ["verify", not_tau_file, "--t", "2", "--group", "both", "--with-oracle"])
+        assert code == 1
+        assert "oracle_G_blocks = 18" in out
 
 
 class TestPrintedGenerators:

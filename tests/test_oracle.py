@@ -1,11 +1,13 @@
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from griddesigns import oracle
 from griddesigns.bigraph import BiGraph, from_edge_list
 from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import (
@@ -17,6 +19,7 @@ from griddesigns.oracle import (
     lambda_table,
     materialize,
     orbit_ratio_check,
+    orbit_verdicts,
 )
 from griddesigns.permgroup import automorphisms, group_order, is_edge_transitive
 from griddesigns.search import family_cycle, family_figure, family_path
@@ -406,3 +409,89 @@ class TestCriteriaAgreeBeyond4x4:
                     checked += 1
         assert checked + refused == 25 * len(groups)
         assert checked > refused
+
+
+def _verdicts_by_materialize(g, t, groups, budget=None):
+    """The route through one explicit design per group: materialize, then
+    design_verdict."""
+    out = {}
+    for group in groups:
+        d = materialize(g, group, budget)
+        verdict, hist = design_verdict(d, t, budget)
+        out[group] = (d.b, verdict, hist)
+    return out
+
+
+def _assert_same_verdicts(g, t):
+    """orbit_verdicts equals materialize + design_verdict for K, and on a
+    square grid for G alone and for both, in the order asked."""
+    groups = ("K", "G") if g.m == g.n else ("K",)
+    want = _verdicts_by_materialize(g, t, groups)
+    got = orbit_verdicts(g, t, groups)
+    assert got == want, (g, t)
+    assert list(got) == list(groups)
+    if g.m == g.n:
+        assert orbit_verdicts(g, t, ("G",)) == {"G": want["G"]}, (g, t)
+
+
+# K-orbit of 9 blocks and G-orbit of 18: the transpose puts the two edges in
+# one column, and no element of K does
+NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
+
+
+class TestOrbitVerdicts:
+    """The K-orbit is built and counted once, and G reuses it."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_every_class(self, m, n):
+        for g in iso_class_reps(m, n):
+            for t in (2, 3):
+                _assert_same_verdicts(g, t)
+
+    @pytest.mark.parametrize("m,n", [(5, 5), (6, 4)])
+    def test_random_graphs(self, m, n):
+        rng = random.Random(10 * m + n)
+        for k in range(3, 8):
+            for _ in range(3):
+                g = _random_graph(rng, m, n, k)
+                for t in (2, 3):
+                    _assert_same_verdicts(g, t)
+
+    @pytest.mark.parametrize("groups, budget, message", [
+        # the K-orbit fits, the G-orbit does not
+        (("G",), Budget(max_blocks=17), "block orbit exceeds budget of 17 blocks"),
+        (("K", "G"), Budget(max_blocks=17), "block orbit exceeds budget of 17 blocks"),
+        # K's t-subsets are refused before G's blocks
+        (("K", "G"), Budget(max_blocks=9, max_subsets=35), "36 t-subsets exceed budget of 35"),
+        (("G",), Budget(max_blocks=9, max_subsets=35), "block orbit exceeds budget of 9 blocks"),
+        (("K",), Budget(max_subsets=35), "36 t-subsets exceed budget of 35"),
+        (("K", "G"), Budget(max_blocks=8), "block orbit exceeds budget of 8 blocks"),
+    ])
+    def test_refusals_in_order(self, groups, budget, message):
+        for route in (orbit_verdicts, _verdicts_by_materialize):
+            with pytest.raises(BudgetExceededError) as exc:
+                route(NOT_TAU, 2, groups, budget)
+            assert str(exc.value) == message
+
+    def test_g_orbit_fits_exactly(self):
+        assert orbit_verdicts(NOT_TAU, 2, ("G",), Budget(max_blocks=18)) == {
+            "G": (18, False, {0: 18, 1: 18})}
+
+    @pytest.mark.parametrize("g, closures", [
+        (family_path(5, 4, 4), 1),  # tau-equivalent: G reuses the K-orbit
+        (NOT_TAU, 2),
+    ], ids=["path5-4x4", "not-tau"])
+    def test_each_block_built_once(self, monkeypatch, g, closures):
+        want = materialize(g, "G").blocks
+        built = []
+        real = oracle._blocks
+
+        def spy(shapes, m, n):
+            built.append(real(shapes, m, n))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_blocks", spy)
+        got = orbit_verdicts(g, 2, ("K", "G"))
+        assert len(built) == closures
+        assert tuple(sorted(chain.from_iterable(built))) == want
+        assert got["G"][0] == len(want)

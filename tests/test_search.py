@@ -403,11 +403,11 @@ class TestCanonicalOnSearch:
         assert_same_partition(graphs)
 
 
-def _small_specs():
-    """Every search spec with m, n <= 6: each k, each target the grid
+def _small_specs(side):
+    """Every search spec with m, n <= side: each k, each target the grid
     allows, and both dedup modes on square grids."""
-    for m in range(1, 7):
-        for n in range(1, 7):
+    for m in range(1, side + 1):
+        for n in range(1, side + 1):
             targets = TARGETS if m == n else ("d2", "d3")
             dedups = ("allow-tau", "side-preserving") if m == n else ("side-preserving",)
             for k in range(m * n + 1):
@@ -425,6 +425,18 @@ def _meets_target(g, target):
     return not flag or is_edge_transitive(g, automorphisms(g), "K" if design == "D" else "G")
 
 
+def _assert_branch_matches_reference(spec, x, y, full):
+    """The reference keys every matrix, and every branch under the transpose
+    if allow-tau; _branch_results keys only the matrices that meet the
+    target, and under the transpose only in a branch that is its own
+    mirror.  Returns the number of results."""
+    got = [g.rows for g, _ in _branch_results(spec, 0, (x, y))]
+    want = [rows for rows in search_reference.branch_stream(spec, full)
+            if _meets_target(BiGraph(spec.m, spec.n, rows), spec.target)]
+    assert got == want, (spec, x, y)
+    return len(got)
+
+
 class TestLexLeaderRealization:
     """The pruned realizer against the unpruned reference on every distinct
     degree branch with m, n <= 6."""
@@ -432,7 +444,7 @@ class TestLexLeaderRealization:
     @pytest.fixture(scope="class")
     def branches(self):
         out = {}
-        for spec in _small_specs():
+        for spec in _small_specs(6):
             for x, y in degree_branches(spec):
                 out.setdefault((spec.m, spec.n, x, y, spec.dedup), spec)
         return out
@@ -450,15 +462,23 @@ class TestLexLeaderRealization:
             assert all(rows in rest for rows in pruned), spec
             pruned_total += len(pruned)
             full_total += len(full)
-            # the reference keys every matrix, and every branch under the
-            # transpose if allow-tau; _branch_results keys only the matrices
-            # that meet the target, and under the transpose only in a branch
-            # that is its own mirror
-            got = [g.rows for g, _ in _branch_results(spec, 0, (x, y))]
-            want = [rows for rows in search_reference.branch_stream(spec, full)
-                    if _meets_target(BiGraph(spec.m, spec.n, rows), spec.target)]
-            assert got == want, (spec, x, y)
+            _assert_branch_matches_reference(spec, x, y, full)
         assert pruned_total < full_total
+
+    def test_every_target_up_to_5x5(self):
+        # the set above keeps one spec per branch, always a d2 or dhat2 one;
+        # keyed with the target as well, the 926 branches with m, n <= 5
+        # run every target (about 2 s)
+        branches = {}
+        for spec in _small_specs(5):
+            for x, y in degree_branches(spec):
+                branches.setdefault((spec.m, spec.n, x, y, spec.dedup, spec.target), spec)
+        assert len(branches) == 926
+        results = dict.fromkeys(TARGETS, 0)
+        for (_, _, x, y, _, target), spec in branches.items():
+            full = list(search_reference._realize(x, y, _RealizeState(spec=spec)))
+            results[target] += _assert_branch_matches_reference(spec, x, y, full)
+        assert all(results.values()), results
 
 
 class TestCriteriaBeforeKeys:
@@ -493,6 +513,16 @@ class TestCriteriaBeforeKeys:
 
 
 class TestFlagPrecheck:
+    def test_edge_orbit_test_still_needed(self):
+        # two row stars and one column star of three edges each: every edge
+        # joins a degree-3 vertex to a degree-1 one and Dhat is a 2-design,
+        # but the graph is not tau-equivalent, so no element of its G
+        # stabilizer maps a row star onto the column star
+        g = BiGraph(7, 7, (0b1110000, 0b0001110, 1, 1, 1, 0, 0))
+        assert _uniform_edge_degrees(g) and check_Dhat(g)[0]
+        assert not is_edge_transitive(g, automorphisms(g), "G")
+        assert list(exhaustive_search(SearchSpec(m=7, n=7, k=9, target="flag-dhat2"))) == []
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_never_rejects_edge_transitive(self, m):
         rejected = 0
