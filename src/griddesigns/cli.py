@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 from . import criteria, oracle, permgroup, scanner, search
@@ -191,34 +190,40 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    modes = [m for m in ("square3", "square2", "general3") if getattr(args, m)]
+    modes = [m for m in scanner.MODES if getattr(args, m)]
     if len(modes) != 1:
         print("error: choose exactly one of --square3/--square2/--general3",
               file=sys.stderr)
         return EXIT_USAGE
     mode = modes[0]
-    if mode == "general3":
-        if args.max_n is None:
-            print("error: --general3 needs --max-n", file=sys.stderr)
-            return EXIT_USAGE
-        found = scanner.scan_general_3design(args.max_m, args.max_n)
-    elif args.max_n is not None:
+    if mode == "general3" and args.max_n is None:
+        print("error: --general3 needs --max-n", file=sys.stderr)
+        return EXIT_USAGE
+    if mode != "general3" and args.max_n is not None:
         print(f"error: --max-n applies only to --general3, not --{mode}",
               file=sys.stderr)
         return EXIT_USAGE
-    else:
-        scan = (scanner.scan_square_3design if mode == "square3"
-                else scanner.scan_square_2design)
-        found = scan(args.max_m)
-    tuples = found if mode == "general3" else ([m, m, k] for m, k in found)
+    # a bad bound raises here, before anything is written
+    grids = scanner.feasible_grids(mode, args.max_m, args.max_n)
+    # one write per grid: the output is never held whole, and no string is
+    # built per tuple
+    write = sys.stdout.write
+    found = False
     if args.format == "json":
-        print(json.dumps({"mode": mode, "tuples": list(tuples)}))
+        # byte for byte json.dumps({"mode": mode, "tuples": [[m, n, k], ...]})
+        write(f'{{"mode": {json.dumps(mode)}, "tuples": [')
+        for m, n, ks in grids:
+            head = f"[{m}, {n}, "
+            write((", " if found else "") + head
+                  + ("], " + head).join(map(str, ks)) + "]")
+            found = True
+        write("]}\n")
     else:
-        lines = (f"feasible m={m} n={n} k={k} target={mode}\n" for m, n, k in tuples)
-        # bounded chunks: one print per line is slow, one string for the
-        # whole output holds it all in memory
-        while chunk := "".join(islice(lines, 4096)):
-            sys.stdout.write(chunk)
+        end = f" target={mode}\n"
+        for m, n, ks in grids:
+            head = f"feasible m={m} n={n} k="
+            write(head + (end + head).join(map(str, ks)) + end)
+            found = True
     return EXIT_POSITIVE if found else EXIT_NEGATIVE
 
 

@@ -7,13 +7,17 @@ and k survives when q_t | k(k-1)...(k-t+1) for every level.  The survivors
 are residue classes: for each prime power p^e of q_2 q_3 the admissible
 residues mod p^e are few, and the Chinese remainder theorem combines them,
 so a scan's work follows the number of tuples it returns, not the number of
-k it could test.  All arithmetic is exact and the output is sorted and
-deterministic.  A scan runs in the calling process and takes no worker
-count: a process pool only added start-up cost.
+k it could test.  `feasible_grids` yields one ascending k list per grid, so
+a caller can write a scan grid by grid; the three list functions flatten
+it.  All arithmetic is exact and the output is sorted and deterministic.
+A scan runs in the calling process and takes no worker count: a process
+pool only added start-up cost.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from functools import cache
 from math import gcd, lcm
 
 from .criteria import count_targets
@@ -40,23 +44,31 @@ def _factor(q: int) -> dict[int, int]:
     return out
 
 
-def _residues(p: int, a: int, b: int) -> list[int]:
-    """The r mod p^max(a, b) with p^a | r(r-1) and p^b | r(r-1)(r-2).
+def _residues(p: int, a: int, b: int) -> tuple[int, ...]:
+    """The r mod p^max(a, b) with p^a | r(r-1) and p^b | r(r-1)(r-2), for a
+    prime p of q_2 q_3, so max(a, b) >= 1.
 
     For odd p at most one of r, r-1, r-2 is divisible by p, so p^a and p^b
-    must divide that one: r = 0, 1, or also 2 when a = 0.  For p = 2, r and
-    r-2 are even together, so the classes are lifted one bit at a time; a
-    class mod 2^j is kept when it meets both conditions truncated to 2^j,
-    which depend only on r mod 2^j.
+    must divide that one: r = 0, 1, or also 2 when a = 0.  For p = 2 see
+    `_lift2`.
     """
     if p > 2:
-        return [0, 1] if a else [0, 1, 2]
+        return (0, 1) if a else (0, 1, 2)
+    return _lift2(a, b)
+
+
+@cache
+def _lift2(a: int, b: int) -> tuple[int, ...]:
+    """`_residues` for p = 2.  r and r-2 are even together, so the classes
+    are lifted one bit at a time; a class mod 2^j is kept when it meets both
+    conditions truncated to 2^j, which depend only on r mod 2^j.  A scan
+    meets only a few hundred (a, b), so each lifting is done once."""
     rs = [0]
     for j in range(1, max(a, b) + 1):
         qa, qb = 1 << min(a, j), 1 << min(b, j)
         rs = [r for s in rs for r in (s, s + (1 << (j - 1)))
               if r * (r - 1) % qa == 0 and r * (r - 1) * (r - 2) % qb == 0]
-    return rs
+    return tuple(rs)
 
 
 def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
@@ -86,21 +98,40 @@ def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
     return ks
 
 
-def _scan_square(t: int, max_m: int) -> list[list[int]]:
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
-    return [[m, k] for m in range(2, max_m + 1) for k in _feasible_ks("Dhat", m, m, t)]
+# scan mode -> (design, t); square modes scan m x m grids, general3 the
+# m x n grids with m >= n
+MODES = {"square3": ("Dhat", 3), "square2": ("Dhat", 2), "general3": ("D", 3)}
+
+
+def feasible_grids(mode: str, max_m: int, max_n: int | None = None
+                   ) -> Iterator[tuple[int, int, list[int]]]:
+    """(m, n, ks) for each grid of the scan with at least one feasible k,
+    in (m, n) order, ks ascending.  max_n bounds n for general3 only.
+
+    The bounds are checked on the call, not on the first step, so a bad
+    bound raises before a caller writes anything.
+    """
+    design, t = MODES[mode]
+    if mode == "general3":
+        if max_m < 2 or max_n < 2:
+            raise ValueError("bounds must be at least 2")
+        grids = ((m, n) for m in range(2, max_m + 1) for n in range(2, min(m, max_n) + 1))
+    else:
+        if max_m < 2:
+            raise ValueError("max_m must be at least 2")
+        grids = ((m, m) for m in range(2, max_m + 1))
+    return ((m, n, ks) for m, n in grids if (ks := _feasible_ks(design, m, n, t)))
 
 
 def scan_square_3design(max_m: int) -> list[list[int]]:
     """All [m, k] with 2 <= m <= max_m and 3 <= k <= m^2/2 for which a Dhat
     3-design on an m x m grid is arithmetically possible."""
-    return _scan_square(3, max_m)
+    return [[m, k] for m, _, ks in feasible_grids("square3", max_m) for k in ks]
 
 
 def scan_square_2design(max_m: int) -> list[list[int]]:
     """All [m, k] passing the Dhat 2-design divisibility (m+1 | k(k-1))."""
-    return _scan_square(2, max_m)
+    return [[m, k] for m, _, ks in feasible_grids("square2", max_m) for k in ks]
 
 
 def scan_general_3design(max_m: int, max_n: int) -> list[list[int]]:
@@ -111,7 +142,4 @@ def scan_general_3design(max_m: int, max_n: int) -> list[list[int]]:
     tuple is [8, 2, 6] and the next side pair is (11, 7), with e.g. [17, 2,
     12] coming later even though its grid is smaller.
     """
-    if max_m < 2 or max_n < 2:
-        raise ValueError("bounds must be at least 2")
-    return [[m, n, k] for m in range(2, max_m + 1) for n in range(2, min(m, max_n) + 1)
-            for k in _feasible_ks("D", m, n, 3)]
+    return [[m, n, k] for m, n, ks in feasible_grids("general3", max_m, max_n) for k in ks]

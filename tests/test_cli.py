@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import griddesigns
-from griddesigns import oracle, permgroup
+from griddesigns import oracle, permgroup, scanner
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
 from griddesigns.scanner import scan_square_2design
@@ -292,12 +293,106 @@ class TestScan:
         assert (code, out) == (2, "")
         assert "--max-n" in err
 
-    def test_output_longer_than_one_chunk(self, capsys):
-        # 5867 lines, written in chunks of 4096
+    def test_output_of_many_grids(self, capsys):
+        # 5867 lines from 78 grids, one write per grid
         code, out, _ = run_cli(capsys, ["scan", "--square2", "--max-m", "80"])
         assert code == 0
         assert out == "".join(f"feasible m={m} n={m} k={k} target=square2\n"
                               for m, k in scan_square_2design(80))
+
+
+def _flat_triples(mode, bounds):
+    """What a scan prints, from the list functions: [m, n, k] per tuple."""
+    if mode == "general3":
+        return scanner.scan_general_3design(*bounds)
+    scan = scanner.scan_square_3design if mode == "square3" else scanner.scan_square_2design
+    return [[m, m, k] for m, k in scan(*bounds)]
+
+
+def _scan_argv(mode, bounds, fmt):
+    argv = ["scan", f"--{mode}", "--max-m", str(bounds[0])]
+    if len(bounds) == 2:
+        argv += ["--max-n", str(bounds[1])]
+    return argv + ["--format", fmt]
+
+
+class _Sink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def flush(self):
+        pass
+
+
+class TestScanStreams:
+    """scan writes grid by grid from scanner.feasible_grids, with the same
+    bytes as formatting the flat tuple lists."""
+
+    SCANS = [("square2", (80,)), ("square2", (300,)), ("square3", (200,)),
+             ("square3", (1000,)), ("general3", (60, 60)), ("general3", (40, 25))]
+
+    @pytest.mark.parametrize("mode, bounds", SCANS)
+    def test_text_is_flat(self, capsys, mode, bounds):
+        code, out, _ = run_cli(capsys, _scan_argv(mode, bounds, "text"))
+        assert code == 0
+        assert out == "".join(f"feasible m={m} n={n} k={k} target={mode}\n"
+                              for m, n, k in _flat_triples(mode, bounds))
+
+    @pytest.mark.parametrize("mode, bounds", SCANS)
+    def test_json_is_flat(self, capsys, mode, bounds):
+        code, out, _ = run_cli(capsys, _scan_argv(mode, bounds, "json"))
+        assert code == 0
+        assert out == json.dumps({"mode": mode, "tuples": _flat_triples(mode, bounds)}) + "\n"
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("text", ""), ("json", '{"mode": "square3", "tuples": []}\n'),
+    ])
+    def test_no_tuples(self, capsys, fmt, want):
+        code, out, _ = run_cli(capsys, _scan_argv("square3", (10,), fmt))
+        assert (code, out) == (1, want)
+
+    @pytest.mark.parametrize("mode, bounds, message", [
+        ("square3", (1,), "max_m must be at least 2"),
+        ("square2", (1,), "max_m must be at least 2"),
+        ("general3", (1, 5), "bounds must be at least 2"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bad_bound(self, capsys, mode, bounds, message, fmt):
+        code, out, err = run_cli(capsys, _scan_argv(mode, bounds, fmt))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_no_flat_lists(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan built a flat tuple list")
+
+        for name in ("scan_square_3design", "scan_square_2design", "scan_general_3design"):
+            monkeypatch.setattr(scanner, name, refuse)
+        for mode, bounds in self.SCANS[::2]:
+            for fmt in ("text", "json"):
+                assert run_cli(capsys, _scan_argv(mode, bounds, fmt))[0] == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_memory_stays_small(self, monkeypatch, fmt):
+        # about 100k tuples; held whole they peaked at about 12 MB (text)
+        # and 25 MB (JSON) under tracemalloc
+        argv = _scan_argv("square2", (300,), fmt)
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0  # builds the parser and the residue caches
+        chars = sink.chars
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == 2 * chars > 2_000_000
+        assert peak < 2_000_000
 
 
 class TestFamilyAndPipe:

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
 from griddesigns.scanner import (
     _feasible_ks,
+    _residues,
+    feasible_grids,
     scan_general_3design,
     scan_square_2design,
     scan_square_3design,
@@ -160,3 +163,49 @@ class TestResidueClasses:
     @pytest.mark.parametrize("design, t", [("Dhat", 2), ("Dhat", 3), ("D", 2), ("D", 3)])
     def test_high_prime_powers(self, m, design, t):
         assert _feasible_ks(design, m, m, t) == feasible_ks(design, m, m, t)
+
+
+class TestFeasibleGrids:
+    """The grouped generator is the flat lists, one ascending k list per
+    grid, grids in (m, n) order."""
+
+    @pytest.mark.parametrize("mode, bounds, flat", [
+        ("square3", (1000,), lambda: [[m, m, k] for m, k in scan_square_3design(1000)]),
+        ("square2", (120,), lambda: [[m, m, k] for m, k in scan_square_2design(120)]),
+        ("general3", (60, 60), lambda: scan_general_3design(60, 60)),
+        ("general3", (40, 25), lambda: scan_general_3design(40, 25)),
+    ])
+    def test_regrouped_is_flat(self, mode, bounds, flat):
+        grids = list(feasible_grids(mode, *bounds))
+        regrouped = [(m, n, [k for _, _, k in tuples])
+                     for (m, n), tuples in groupby(flat(), key=lambda t: (t[0], t[1]))]
+        assert grids == regrouped
+        assert all(ks and all(a < b for a, b in zip(ks, ks[1:])) for _, _, ks in grids)
+        sides = [(m, n) for m, n, _ in grids]
+        assert all(a < b for a, b in zip(sides, sides[1:]))
+
+    @pytest.mark.parametrize("mode, bounds, message", [
+        ("square3", (1,), "max_m must be at least 2"),
+        ("square2", (0,), "max_m must be at least 2"),
+        ("general3", (1, 5), "bounds must be at least 2"),
+        ("general3", (5, 1), "bounds must be at least 2"),
+    ])
+    def test_bad_bound_raises_on_the_call(self, mode, bounds, message):
+        # before the first grid is asked for, so a caller writes nothing
+        with pytest.raises(ValueError, match=message):
+            feasible_grids(mode, *bounds)
+
+
+class TestResidues:
+    """_residues against a filter of every r mod p^max(a, b), for each
+    max(a, b) >= 1 (a prime of q_2 q_3).  For p = 5 the exponents stop at 8:
+    5^9 and more residues are too many to filter one by one."""
+
+    @pytest.mark.parametrize("p, top", [(2, 10), (3, 10), (5, 8)])
+    def test_brute_force(self, p, top):
+        for a in range(top + 1):
+            for b in range(1 if a == 0 else 0, top + 1):
+                qa, qb = p ** a, p ** b
+                want = [r for r in range(p ** max(a, b))
+                        if r * (r - 1) % qa == 0 and r * (r - 1) * (r - 2) % qb == 0]
+                assert sorted(_residues(p, a, b)) == want, (p, a, b)
