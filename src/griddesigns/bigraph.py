@@ -126,24 +126,30 @@ def stats(g: BiGraph) -> SubgraphStats:
     """Subgraph counts from the degree formulas.
 
     2-paths of type R: sum of C(x_i, 2); 3-claws of type R: sum of C(x_i, 3)
-    (column types analogously); 3-paths: sum of (x_i - 1)(y_j - 1) over edges,
-    since an edge is the middle of a 3-path once for each choice of a second
-    edge at either endpoint.  Binomials with small tops are zero.
+    (column types analogously); 3-paths as in three_paths.  Binomials with
+    small tops are zero.
     """
     x, y = degrees(g)
     p2_r = sum(comb(d, 2) for d in x)
     p2_c = sum(comb(d, 2) for d in y)
     claw3_r = sum(comb(d, 3) for d in x)
     claw3_c = sum(comb(d, 3) for d in y)
+    return SubgraphStats(p2_r, p2_c, three_paths(g.rows, x, y), claw3_r, claw3_c)
+
+
+def three_paths(rows, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """3-paths of the graph with row masks `rows` and degrees x, y: the sum
+    of (x_i - 1)(y_j - 1) over the edges, since an edge is the middle of a
+    3-path once for each choice of a second edge at either endpoint."""
     p3 = 0
-    for i, mask in enumerate(g.rows):
-        if x[i] <= 1:
+    for xi, mask in zip(x, rows):
+        if xi <= 1:
             continue
         while mask:
             low = mask & -mask
-            p3 += (x[i] - 1) * (y[low.bit_length() - 1] - 1)
+            p3 += (xi - 1) * (y[low.bit_length() - 1] - 1)
             mask ^= low
-    return SubgraphStats(p2_r, p2_c, p3, claw3_r, claw3_c)
+    return p3
 
 
 def transpose(g: BiGraph) -> BiGraph:

@@ -7,9 +7,11 @@ that meet a design target, one representative per isomorphism class, by
 degree-multiset branching followed by row-by-row realization.  Realization
 keeps equal-degree rows and equal-degree columns in lex-leader order, so it
 yields few matrices besides the largest of each class.  One function
-decides a degree branch: each realized matrix is checked against the target
-in TARGETS, a passing one is keyed, and a key new to the branch gets its
-stabilizer report.  Under allow-tau a branch (x, y) is skipped when its
+decides a degree branch: its degrees already hit the 2-path and 3-claw
+targets, so each realized matrix is tested only for what they leave open
+(k >= t, the 3-path count for t = 3, the edge degrees for flag targets), a
+passing one is keyed, and a key new to the branch gets its stabilizer
+report.  Under allow-tau a branch (x, y) is skipped when its
 mirror (y, x) comes earlier, so no class lies in two searched branches and
 only a branch that is its own mirror keys under the transpose.  The serial
 search and the process pool run the same function per branch and yield its
@@ -25,7 +27,7 @@ from itertools import combinations, repeat
 from math import comb, perm
 
 from . import criteria, permgroup
-from .bigraph import BiGraph, canonical_form, degrees, from_edge_list, parse_graph_text
+from .bigraph import BiGraph, canonical_form, from_edge_list, parse_graph_text, three_paths
 from .workers import pool_size
 
 # target -> (design, t, flag-transitive)
@@ -234,87 +236,57 @@ def _realize(x: tuple[int, ...], y: tuple[int, ...], state: _RealizeState):
     on every row placed so far, and a row that puts a 1 in column j and a 0
     in column j + 1 of a tied pair is rejected.  The largest matrix of each
     class meets both constraints (swapping a violating pair would make it
-    larger), so it is realized, and first among its class.
+    larger), so it is realized, and first among its class.  Bit j of `full`
+    is set once column j has all its y_j ones.
     """
     m, n = len(x), len(y)
+    everything = (1 << n) - 1
     tied0 = sum(1 << j for j in range(n - 1) if y[j] == y[j + 1])
-    col_masks_by_count: dict[int, list[int]] = {}
-
-    def masks_of_weight(weight: int):
-        if weight not in col_masks_by_count:
-            col_masks_by_count[weight] = _combinations_masks(n, weight)
-        return col_masks_by_count[weight]
-
+    full0 = sum(1 << j for j in range(n) if y[j] == 0)
+    after = [sum(x[i + 1:]) for i in range(m)]
+    # (mask, its columns) per row degree; combinations of the columns taken
+    # from the highest down come out in decreasing mask order
+    candidates: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     rows: list[int] = []
     caps = list(y)
 
-    def rec(i: int, tied: int):
+    def rec(i: int, tied: int, full: int):
         state.tick()
-        if i == m:
-            if all(c == 0 for c in caps):
-                yield tuple(rows)
+        if i == m or x[i] == 0:
+            # the rows left are empty, so every column must be saturated
+            if full == everything:
+                yield tuple(rows) + (0,) * (m - i)
             return
-        need = x[i]
-        if need == 0:
-            # remaining rows are empty; succeed only if columns are saturated
-            if all(c == 0 for c in caps):
-                yield tuple(rows + [0] * (m - i))
-            return
-        remaining_after = sum(x[i + 1:])
-        ceiling = rows[-1] if i > 0 and x[i] == x[i - 1] else None
-        for mask in masks_of_weight(need):
-            if ceiling is not None and mask > ceiling:
+        if x[i] not in candidates:
+            candidates[x[i]] = [(sum(1 << j for j in cols), cols)
+                                for cols in combinations(range(n - 1, -1, -1), x[i])]
+        ceiling = rows[-1] if i > 0 and x[i] == x[i - 1] else everything
+        for mask, cols in candidates[x[i]]:
+            if mask > ceiling or mask & full or tied & mask & ~(mask >> 1):
                 continue
-            if tied & mask & ~(mask >> 1):
-                continue
-            ok = True
-            mm = mask
-            while mm:
-                low = mm & -mm
-                j = low.bit_length() - 1
+            saturated = full
+            for j in cols:
+                caps[j] -= 1
                 if caps[j] == 0:
-                    ok = False
-                    break
-                mm ^= low
-            if not ok:
-                continue
-            mm = mask
-            while mm:
-                low = mm & -mm
-                caps[low.bit_length() - 1] -= 1
-                mm ^= low
+                    saturated |= 1 << j
             # remaining row edges must fit the remaining column capacity
-            if sum(min(c, m - i - 1) for c in caps) >= remaining_after:
+            if sum(min(c, m - i - 1) for c in caps) >= after[i]:
                 rows.append(mask)
-                yield from rec(i + 1, tied & ~(mask ^ (mask >> 1)))
+                yield from rec(i + 1, tied & ~(mask ^ (mask >> 1)), saturated)
                 rows.pop()
-            mm = mask
-            while mm:
-                low = mm & -mm
-                caps[low.bit_length() - 1] += 1
-                mm ^= low
+            for j in cols:
+                caps[j] += 1
 
-    yield from rec(0, tied0)
+    yield from rec(0, tied0, full0)
 
 
-def _combinations_masks(n: int, weight: int):
-    """All n-bit masks of the given popcount, in decreasing numeric order."""
-    out = []
-    for combo in combinations(range(n), weight):
-        mask = 0
-        for j in combo:
-            mask |= 1 << j
-        out.append(mask)
-    out.sort(reverse=True)
-    return out
-
-
-def _uniform_edge_degrees(g: BiGraph) -> bool:
-    """Whether every edge {R_i, C_j} has the same unordered degree pair
-    {x_i, y_j}.  An element of the full group that fixes g maps each edge to
-    an edge with the same pair, so edge-transitive graphs pass."""
-    x, y = degrees(g)
-    pairs = {tuple(sorted((x[i - 1], y[j - 1]))) for i, j in g.edges()}
+def _uniform_edge_degrees(rows, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Whether every edge {R_i, C_j} of the matrix with row masks `rows` and
+    degrees x, y has the same unordered degree pair {x_i, y_j}.  An element
+    of the full group that fixes the graph maps each edge to an edge with
+    the same pair, so edge-transitive graphs pass."""
+    pairs = {(xi, y[j]) if xi <= y[j] else (y[j], xi)
+             for xi, mask in zip(x, rows) for j in range(len(y)) if mask >> j & 1}
     return len(pairs) <= 1
 
 
@@ -322,28 +294,36 @@ def _branch_results(spec: SearchSpec, index: int, branch, state: _RealizeState |
     """The (graph, AutReport) pairs of degree branch `index`, one per class
     that meets the target, in realization order.
 
-    Each realized matrix first goes through the target's criteria check,
-    and for flag targets the edge-degree test; both are invariant under K
-    and the transpose, so only a passing matrix is keyed, and the first
-    realized matrix of each passing class is kept.  The transpose of a graph in
-    branch (x, y) lies in branch (y, x), so only a branch that is its own
-    mirror keys under the transpose as well.  A key new to the branch gets
-    its stabilizer report, and for flag targets the edge-orbit test.
-    Without a state (a pool worker) the branch has its own node budget.
+    The branch's degrees hit the 2-path and 3-claw targets, so a realized
+    matrix is tested only for what they leave open, which with them is
+    check_D/check_Dhat: k >= t, and for t = 3 its 3-path count; for flag
+    targets, also one unordered degree pair on every edge.  These tests are
+    invariant under K and the transpose, so only a passing matrix becomes
+    a graph and is keyed, and the first realized matrix of each passing
+    class is kept.  The transpose of a graph in branch (x, y) lies in
+    branch (y, x), so only a branch that is its own mirror keys under the
+    transpose as well.  A key new to the branch gets its stabilizer report,
+    and for flag targets the edge-orbit test.  Without a state (a pool
+    worker) the branch has its own node budget.
     """
     if state is None:
         state = _RealizeState(spec=spec)
     state.branch = index
     x, y = branch
     design, t, flag = TARGETS[spec.target]
-    check = criteria.check_D if design == "D" else criteria.check_Dhat
+    p3 = None
+    if t == 3:  # an integer, or degree_branches would be empty
+        c, d = criteria.count_targets(design, spec.m, spec.n, 3)["p3"]
+        p3 = c * perm(spec.k, 3) // d
     allow_tau = spec.dedup == "allow-tau" and x == y
     seen: set[bytes] = set()
     out = []
     for rows in _realize(x, y, state):
-        g = BiGraph(spec.m, spec.n, rows)
-        if not check(g)[t - 2] or (flag and not _uniform_edge_degrees(g)):
+        # a k < t branch keeps nothing, but its nodes still count
+        if (spec.k < t or p3 is not None and three_paths(rows, x, y) != p3
+                or flag and not _uniform_edge_degrees(rows, x, y)):
             continue
+        g = BiGraph(spec.m, spec.n, rows)
         key = canonical_form(g, allow_transpose=allow_tau)
         if key in seen:
             continue

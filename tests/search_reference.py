@@ -9,8 +9,21 @@ a subset of them; the first matrix of each class must be the same in both.
 position dict over every degree branch.
 """
 
+from itertools import combinations
+
 from griddesigns.bigraph import BiGraph, canonical_form
-from griddesigns.search import _combinations_masks
+
+
+def _combinations_masks(n: int, weight: int):
+    """All n-bit masks of the given popcount, in decreasing numeric order."""
+    out = []
+    for combo in combinations(range(n), weight):
+        mask = 0
+        for j in combo:
+            mask |= 1 << j
+        out.append(mask)
+    out.sort(reverse=True)
+    return out
 
 
 def _realize(x, y, state):

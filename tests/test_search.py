@@ -8,10 +8,11 @@ from math import comb
 
 import pytest
 
-from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats
-from griddesigns.criteria import check_D, check_Dhat, evaluate
+from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats, three_paths
+from griddesigns.cli import main
+from griddesigns.criteria import check_D, check_Dhat, count_targets, evaluate
 from griddesigns.oracle import design_verdict, materialize
-from griddesigns import search, workers
+from griddesigns import bigraph, criteria, search, workers
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
     TARGETS,
@@ -480,6 +481,54 @@ class TestLexLeaderRealization:
             results[target] += _assert_branch_matches_reference(spec, x, y, full)
         assert all(results.values()), results
 
+    @pytest.mark.parametrize("m, k, target, nodes, realized", [
+        (8, 9, "dhat2", 578, 90),
+        (9, 10, "dhat2", 1_255, 192),
+        (7, 8, "flag-dhat2", 189, 34),
+    ])
+    def test_node_and_matrix_counts(self, m, k, target, nodes, realized):
+        # the counts behind --max-nodes stops and --start-branch resumes
+        spec = SearchSpec(m=m, n=m, k=k, target=target)
+        branches = degree_branches(spec)
+        state = _RealizeState(spec=spec)
+        got = sum(1 for i in _searched_branches(spec, branches)
+                  for _ in _realize(*branches[i], state))
+        assert (state.nodes, got) == (nodes, realized)
+
+
+class TestWhatTheBranchLeavesOpen:
+    def test_residual_test_equals_criteria_up_to_5x5(self):
+        # on a degree branch, k >= t and for t = 3 the 3-path count decide
+        # what check_D/check_Dhat decide, on every matrix the unpruned
+        # reference realizes; dedup and the flag leave the criteria alone
+        seen = set()
+        verdicts = set()
+        for spec in _small_specs(5):
+            design, t, _ = TARGETS[spec.target]
+            if (spec.m, spec.n, spec.k, design, t) in seen:
+                continue
+            seen.add((spec.m, spec.n, spec.k, design, t))
+            check = check_D if design == "D" else check_Dhat
+            branches = degree_branches(spec)
+            p3 = None
+            if t == 3 and branches:
+                c, d = count_targets(design, spec.m, spec.n, 3)["p3"]
+                p3 = c * spec.k * (spec.k - 1) * (spec.k - 2) // d
+            for x, y in branches:
+                for rows in search_reference._realize(x, y, _RealizeState(spec=spec)):
+                    residual = spec.k >= t and (p3 is None or three_paths(rows, x, y) == p3)
+                    assert residual == check(BiGraph(spec.m, spec.n, rows))[t - 2], (spec, rows)
+                    verdicts.add((design, t, residual))
+        assert len(verdicts) == 8  # both verdicts for D and Dhat, t = 2 and 3
+
+    def test_k_below_t_still_spends_nodes(self, capsys):
+        # k = 1 < t keeps nothing, but the branch still realizes its nodes
+        code = main(["search", "--m", "3", "--k", "1", "--target", "dhat2",
+                     "--max-nodes", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "node budget of 1 exhausted (resume at degree branch 0)" in captured.err
+
 
 class TestCriteriaBeforeKeys:
     """Only a realized matrix that meets the target's criteria (and, for a
@@ -496,7 +545,25 @@ class TestCriteriaBeforeKeys:
         monkeypatch.setattr(search, "canonical_form", spy)
         return graphs
 
-    def test_t3_budget_run_keys_nothing(self, keyed):
+    @pytest.fixture
+    def recounted(self, monkeypatch):
+        """Calls of what a branch no longer needs: the full criteria, the
+        subgraph counts, the degrees, and a graph for a failing matrix."""
+        calls = []
+
+        def spying(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for module, name in [(criteria, "check_D"), (criteria, "check_Dhat"),
+                             (criteria, "stats"), (bigraph, "stats"),
+                             (bigraph, "degrees"), (search, "BiGraph")]:
+            monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
+        return calls
+
+    def test_t3_budget_run_keys_nothing(self, keyed, recounted):
         # the first 11x11 k=36 branch realizes thousands of matrices within
         # the budget, and none meets the 3-design criteria
         spec = SearchSpec(m=11, n=11, k=36, target="dhat3", max_nodes=20_000)
@@ -504,12 +571,12 @@ class TestCriteriaBeforeKeys:
             list(exhaustive_search(spec))
         assert str(exc.value) == (
             "node budget of 20000 exhausted (resume at degree branch 0)")
-        assert keyed == []
+        assert keyed == [] and recounted == []
 
-    def test_flag_run_keys_nothing(self, keyed):
+    def test_flag_run_keys_nothing(self, keyed, recounted):
         # every realized matrix has edges of at least two degree pairs
         assert list(exhaustive_search(SearchSpec(m=7, n=7, k=8, target="flag-dhat2"))) == []
-        assert keyed == []
+        assert keyed == [] and recounted == []
 
 
 class TestFlagPrecheck:
@@ -519,7 +586,7 @@ class TestFlagPrecheck:
         # but the graph is not tau-equivalent, so no element of its G
         # stabilizer maps a row star onto the column star
         g = BiGraph(7, 7, (0b1110000, 0b0001110, 1, 1, 1, 0, 0))
-        assert _uniform_edge_degrees(g) and check_Dhat(g)[0]
+        assert _uniform_edge_degrees(g.rows, *degrees(g)) and check_Dhat(g)[0]
         assert not is_edge_transitive(g, automorphisms(g), "G")
         assert list(exhaustive_search(SearchSpec(m=7, n=7, k=9, target="flag-dhat2"))) == []
 
@@ -527,7 +594,7 @@ class TestFlagPrecheck:
     def test_never_rejects_edge_transitive(self, m):
         rejected = 0
         for g in iso_class_reps(m, m):
-            if _uniform_edge_degrees(g):
+            if _uniform_edge_degrees(g.rows, *degrees(g)):
                 continue
             rejected += 1
             assert not is_edge_transitive(g, automorphisms(g), "G"), g
