@@ -33,11 +33,11 @@ from .oracle import (
     Budget,
     BudgetExceededError,
     ExplicitDesign,
-    design_verdict,
     flag_transitive_direct,
     lambda_table,
     materialize,
     orbit_ratio_check,
+    orbit_verdicts,
 )
 from .permgroup import (
     AutReport,
@@ -84,11 +84,11 @@ __all__ = [
     "Budget",
     "BudgetExceededError",
     "ExplicitDesign",
-    "design_verdict",
     "flag_transitive_direct",
     "lambda_table",
     "materialize",
     "orbit_ratio_check",
+    "orbit_verdicts",
     "AutReport",
     "GridPerm",
     "apply",

@@ -245,17 +245,18 @@ def _cmd_oracle(args) -> int:
     if args.ratio and args.t not in (2, 3):
         print("error: --ratio needs --t 2 or 3", file=sys.stderr)
         return EXIT_USAGE
-    design = oracle.materialize(g, args.group, budget)
-    verdict, hist = oracle.design_verdict(design, args.t, budget, workers=args.workers)
+    b, verdict, hist = oracle.orbit_verdicts(
+        g, args.t, [args.group], budget, workers=args.workers)[args.group]
     payload = {
         "group": args.group,
         "t": args.t,
-        "blocks": design.b,
+        "blocks": b,
         "histogram": {str(c): num for c, num in hist.items()},
         "is_design": verdict,
     }
     if args.flags:
-        payload["flag_transitive"] = oracle.flag_transitive_direct(design, budget)
+        payload["flag_transitive"] = oracle.flag_transitive_direct(
+            g, args.group, b, budget)
     if args.ratio:
         ok, records = oracle.orbit_ratio_check(g, args.group, args.t)
         payload["orbit_ratio_design"] = ok
@@ -264,13 +265,15 @@ def _cmd_oracle(args) -> int:
             for r in records
         ]
     if args.export_blocks:
+        # the one place the blocks are listed, so the one place they are sorted
+        design = oracle.materialize(g, args.group, budget)
         Path(args.export_blocks).write_text(oracle.export_block_list(design))
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"group = {args.group}")
         print(f"t = {args.t}")
-        print(f"blocks = {design.b}")
+        print(f"blocks = {b}")
         for cov, num in hist.items():
             print(f"coverage {cov} subsets {num}")
         print(f"{args.t}design = " + ("yes" if verdict else "no"))
@@ -286,9 +289,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    n = args.n if args.n is not None else args.m
+    dedup = args.dedup or ("allow-tau" if n == args.m else "side-preserving")
     spec = search.SearchSpec(
-        m=args.m, n=args.n if args.n is not None else args.m, k=args.k,
-        target=args.target, dedup=args.dedup,
+        m=args.m, n=n, k=args.k, target=args.target, dedup=dedup,
         max_nodes=args.max_nodes, max_seconds=args.max_seconds,
         start_branch=args.start_branch,
     )
@@ -372,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", choices=search.TARGETS, required=True)
     p.add_argument("--dedup", choices=("side-preserving", "allow-tau"),
-                   default="allow-tau")
+                   default=None,
+                   help="default: allow-tau on square grids, else side-preserving")
     p.add_argument("--max-nodes", type=int, default=10_000_000)
     p.add_argument("--max-seconds", type=int, default=None)
     p.add_argument("--start-branch", type=int, default=0,
@@ -401,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("K", "G"), default="K")
     p.add_argument("--t", type=int, choices=(2, 3, 4), default=2)
     p.add_argument("--flags", action="store_true",
-                   help="also check flag transitivity on the explicit design")
+                   help="also check flag transitivity")
     p.add_argument("--ratio", action="store_true",
                    help="also run the orbit-ratio test")
     p.add_argument("--export-blocks", default=None,

@@ -199,9 +199,24 @@ def _blocks(shapes, m: int, n: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _subsets(blocks, t: int):
-    """Every t-subset of every block, block by block."""
-    return chain.from_iterable(map(combinations, blocks, repeat(t)))
+def _cover(blocks, t: int, workers: int = 1, coverage: Counter | None = None) -> Counter:
+    """`coverage` (a new Counter if None) plus one count for every t-subset
+    of every block.  With workers > 1 the blocks are counted in chunks in
+    one pool of worker processes, and the parts are merged; the counts do
+    not depend on the chunking."""
+    coverage = Counter() if coverage is None else coverage
+    size = pool_size(workers, len(blocks)) if workers > 1 else 1
+    if size == 1:
+        coverage.update(chain.from_iterable(map(combinations, blocks, repeat(t))))
+        return coverage
+    from concurrent.futures import ProcessPoolExecutor
+
+    step = -(-len(blocks) // size)
+    chunks = [blocks[i:i + step] for i in range(0, len(blocks), step)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        for part in pool.map(_cover, chunks, repeat(t)):
+            coverage.update(part)
+    return coverage
 
 
 def _histogram(coverage: Counter, v: int, t: int) -> dict[int, int]:
@@ -230,7 +245,9 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
     row orders.  The closure keeps a running total of them and raises
     BudgetExceededError as soon as it passes the budget, before any block is
     built, rather than returning a partial orbit.  Each block is built once,
-    as an ascending cell tuple, and the blocks are returned sorted.
+    as an ascending cell tuple, and the blocks are returned sorted, for
+    `export_block_list`; the verdicts come from `orbit_verdicts`, which sorts
+    nothing.
     """
     budget = budget or DEFAULT_BUDGET
     _check_group(g.m, g.n, group)
@@ -245,19 +262,24 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
     return ExplicitDesign(m, n, tuple(blocks), group)
 
 
-def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> dict:
+def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
+                   workers: int = 1) -> dict:
     """{group: (blocks, is_t_design, histogram)} for each of `groups` ("K",
-    "G" or both, in that order), equal to the block count of `materialize`
-    and the verdict of `design_verdict`, with the K-orbit built and counted
-    once.
+    "G" or both, in that order): the block count of `materialize` and the
+    coverage histogram of `lambda_table`, with the K-orbit built and counted
+    once.  k >= t is required so that the constant coverage is a positive
+    lambda; blocks smaller than t cover every t-subset zero times, which
+    does not count as a design.
 
     Two K-orbits are equal or disjoint, and the G-orbit of B is K-orbit(B)
     united with K-orbit(B^T).  So when the closure of B's row multiset
     holds B^T's, the G result is the K result; otherwise the closure of
     B^T's multiset is built too, and its coverage is added to the K
-    coverage.  Every block is built and counted once, and none is sorted:
-    a histogram does not depend on the order of the blocks.  Refusals
-    come in the order of materialize, then design_verdict, per group.
+    coverage (for G alone, both closures are counted in one go).  Every
+    block is built and counted once, and none is sorted: a histogram does
+    not depend on the order of the blocks.  Refusals come in the order of
+    materialize, then lambda_table, per group.  With workers > 1 each count
+    runs in one process pool.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
@@ -275,13 +297,14 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
             _check_blocks(total + extra, budget)
         _check_subsets(m * n, t, budget)
 
+    stages = (("K", seen), ("G", flipped)) if "K" in groups else (("G", seen | flipped),)
     out = {}
-    b, coverage, hist = 0, Counter(), None
-    for group, closure in (("K", seen), ("G", flipped)):
+    b, coverage, hist = 0, None, None
+    for group, closure in stages:
         if closure:
             more = _blocks(closure.values(), m, n)
             b += len(more)
-            coverage.update(_subsets(more, t))
+            coverage = _cover(more, t, workers, coverage)
             hist = None
         if group in groups:
             if hist is None:
@@ -290,47 +313,13 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     return out
 
 
-def _coverage_of_blocks(args) -> Counter:
-    blocks, t = args
-    return Counter(_subsets(blocks, t))
-
-
-def lambda_table(
-    d: ExplicitDesign, t: int, budget: Budget | None = None, workers: int = 1
-) -> dict[int, int]:
+def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dict[int, int]:
     """Histogram {coverage count: number of t-subsets} over all C(v, t)
-    t-subsets of the points.
-
-    The structure is a t-design exactly when the histogram has a single key
-    (and k >= t, so the single coverage value is positive).  With workers > 1
-    the blocks are counted in parallel chunks; the merged histogram is
-    independent of the chunking.
-    """
-    budget = budget or DEFAULT_BUDGET
-    _check_subsets(d.v, t, budget)
-    size = pool_size(workers, d.b)
-    if size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-d.b // size)
-        chunks = [(d.blocks[i:i + step], t) for i in range(0, d.b, step)]
-        coverage: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for part in pool.map(_coverage_of_blocks, chunks):
-                coverage.update(part)
-    else:
-        coverage = _coverage_of_blocks((d.blocks, t))
-    return _histogram(coverage, d.v, t)
-
-
-def design_verdict(d: ExplicitDesign, t: int, budget: Budget | None = None,
-                   workers: int = 1):
-    """(is_t_design, histogram).  k >= t is required so that the constant
-    coverage is a positive lambda; blocks smaller than t cover every t-subset
-    zero times, which does not count as a design.  workers goes to
-    lambda_table."""
-    hist = lambda_table(d, t, budget, workers=workers)
-    return len(hist) == 1 and d.k >= t, hist
+    t-subsets of the points of an explicit design, counted serially.  The
+    design is a t-design exactly when the histogram has a single key and
+    k >= t."""
+    _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
+    return _histogram(_cover(d.blocks, t), d.v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -442,43 +431,42 @@ def orbit_ratio_check(g: BiGraph, group: str, t: int):
     return verdict, records
 
 
-def _pointed(cells, m: int, n: int) -> tuple[int, ...]:
-    """The flag (first cell, block) of a block given as (row, column) pairs:
-    the block's row multiset, with the first cell's column also marked in
-    bits n..2n-1 of its row."""
-    rows = [0] * m
-    for i, j in cells:
-        rows[i] |= 1 << j
-    i, j = cells[0]
+def _pointed(rows, i: int, j: int, n: int) -> tuple[int, ...]:
+    """The flag (cell (i, j), block) of a block given by its row masks: the
+    block's row multiset, with column j also marked in bits n..2n-1 of row
+    i."""
+    rows = list(rows)
     rows[i] |= 1 << n + j
     return tuple(sorted(rows))
 
 
-def flag_transitive_direct(d: ExplicitDesign, budget: Budget | None = None) -> bool:
-    """Whether the acting group has a single orbit on incident (point, block)
-    pairs, counted on pointed row multisets.
+def flag_transitive_direct(g: BiGraph, group: str, b: int,
+                           budget: Budget | None = None) -> bool:
+    """Whether the group has a single orbit on the incident (point, block)
+    pairs of the design of g, whose b blocks `orbit_verdicts` has counted;
+    counted on pointed row multisets.
 
     A flag (c, B) is B's row multiset with c's row marked.  The marked row
     differs from every other row, so, as for blocks in `materialize`, the
     K-orbit of the flag is the disjoint union, over the closure of its
     pointed multiset under adjacent column swaps, of each multiset's
     distinct row orders; for G the closure also starts from (c^T, B^T).
-    The design is flag-transitive iff that orbit holds all b·k flags."""
+    Every block is an image of g's block, so the design is flag-transitive
+    iff the orbit of one flag of g's block holds all b·k flags."""
     budget = budget or DEFAULT_BUDGET
-    if not d.blocks or d.k == 0:
+    if g.k == 0:
         raise ValueError("flag transitivity is undefined without flags")
-    nflags = d.b * d.k
+    nflags = b * g.k
     if nflags > budget.max_subsets:
         raise BudgetExceededError(
             f"{nflags} flags exceed budget of {budget.max_subsets}"
         )
-    _check_group(d.m, d.n, d.group_tag)
-    m, n = d.m, d.n
-    cells = [divmod(c, n) for c in d.blocks[0]]
-    starts = [_pointed(cells, m, n)]
-    if d.group_tag == "G":
-        starts.append(_pointed([(j, i) for i, j in cells], m, n))
-    return _multisets(starts, n, nflags)[1] == nflags
+    _check_group(g.m, g.n, group)
+    i, j = g.edges()[0]
+    starts = [_pointed(g.rows, i - 1, j - 1, g.n)]
+    if group == "G":
+        starts.append(_pointed(g.columns(), j - 1, i - 1, g.n))
+    return _multisets(starts, g.n, nflags)[1] == nflags
 
 
 def export_block_list(d: ExplicitDesign) -> str:

@@ -16,9 +16,10 @@ from griddesigns.bigraph import complement, stats
 from griddesigns.criteria import check_D, check_Dhat, classify_case, evaluate
 from griddesigns.oracle import (
     ExplicitDesign,
-    design_verdict,
     flag_transitive_direct,
+    lambda_table,
     materialize,
+    orbit_verdicts,
 )
 from griddesigns.permgroup import automorphisms, is_edge_transitive
 from griddesigns.scanner import scan_general_3design, scan_square_3design
@@ -73,11 +74,7 @@ def test_criterion_3_fig2_end_to_end():
         aut = automorphisms(g)
         is2, is3, _, lam3 = check_D(g, aut)
         assert is2 and is3 and lam3 == 80
-        d = materialize(g, "K")
-        assert d.b == 2240
-        verdict, hist = design_verdict(d, 3)
-        assert verdict is True
-        assert hist == {80: 560}
+        assert orbit_verdicts(g, 3, ["K"]) == {"K": (2240, True, {80: 560})}
 
 
 def test_criterion_4_fig1_criteria():
@@ -111,8 +108,7 @@ def test_criterion_5_path_family():
             case = classify_case(g, aut, 2)
             assert case.label == ("case1" if m % 2 == 0 else "case3"), m
             if m <= 5:
-                d = materialize(g, "G")
-                verdict, hist = design_verdict(d, 2)
+                _, verdict, hist = orbit_verdicts(g, 2, ["G"])["G"]
                 assert verdict is True
                 assert set(hist) == {lam2}
         assert path_lambda_closed_form(5) == 48
@@ -129,9 +125,8 @@ def test_criterion_6_cycle_family():
             assert is2 and lam2 == cycle_lambda_closed_form(k), m
             assert is_edge_transitive(g, aut, "G") is True, m
             if m == 4:
-                d = materialize(g, "G")
-                assert flag_transitive_direct(d) is True
-                verdict, hist = design_verdict(d, 2)
+                b, verdict, hist = orbit_verdicts(g, 2, ["G"])["G"]
+                assert flag_transitive_direct(g, "G", b) is True
                 assert verdict and set(hist) == {12}
 
 
@@ -162,6 +157,12 @@ def _complement_design(d: ExplicitDesign) -> ExplicitDesign:
     )
 
 
+def _is_design(d: ExplicitDesign, t: int) -> bool:
+    """The t-design verdict on an explicit design: one coverage value, and
+    blocks of at least t points."""
+    return len(lambda_table(d, t)) == 1 and d.k >= t
+
+
 def get_sweep() -> list[dict]:
     """Every iso class with 1 <= k <= mn/2 on grids with m, n <= 4, with its
     materialized K-design (and G-design on square grids)."""
@@ -189,16 +190,15 @@ def test_criterion_8_criteria_oracle_equivalence():
         for entry in get_sweep():
             g = entry["g"]
             d2, d3, _, _ = check_D(g)
-            for t, expected in ((2, d2), (3, d3)):
-                got, _ = design_verdict(entry["k_design"], t)
-                if got != expected:
-                    disagreements.append((g, "K", t))
+            expected = {("K", 2): d2, ("K", 3): d3}
             if entry["g_design"] is not None:
                 h2, h3, _, _ = check_Dhat(g)
-                for t, expected in ((2, h2), (3, h3)):
-                    got, _ = design_verdict(entry["g_design"], t)
-                    if got != expected:
-                        disagreements.append((g, "G", t))
+                expected.update({("G", 2): h2, ("G", 3): h3})
+            groups = ["K", "G"] if entry["g_design"] is not None else ["K"]
+            for t in (2, 3):
+                for group, (_, got, _) in orbit_verdicts(g, t, groups).items():
+                    if got != expected[group, t]:
+                        disagreements.append((g, group, t))
         assert disagreements == []
 
 
@@ -211,8 +211,7 @@ def test_criterion_9_no_4designs():
             for d in (entry["k_design"], entry["g_design"]):
                 if d is None:
                     continue
-                verdict, _ = design_verdict(d, 4)
-                if verdict and not is_complete(d):
+                if _is_design(d, 4) and not is_complete(d):
                     offenders.append((entry["g"], d.group_tag))
         assert offenders == []
 
@@ -234,7 +233,7 @@ def test_criterion_10_complement_duality():
                         # complement may be one; the complement statement only
                         # applies for t <= k <= v - t
                         continue
-                    if design_verdict(d, t)[0] != design_verdict(comp, t)[0]:
+                    if _is_design(d, t) != _is_design(comp, t):
                         disagreements.append((g, d.group_tag, t))
         assert disagreements == []
 

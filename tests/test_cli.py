@@ -205,7 +205,7 @@ class TestVerifyOracleGroups:
             raise AssertionError("verify built an explicit design")
 
         monkeypatch.setattr(oracle, "materialize", refuse)
-        monkeypatch.setattr(oracle, "design_verdict", refuse)
+        monkeypatch.setattr(oracle, "lambda_table", refuse)
         code, out, _ = run_cli(
             capsys, ["verify", not_tau_file, "--t", "2", "--group", "both", "--with-oracle"])
         assert code == 1
@@ -468,6 +468,41 @@ class TestOracleCommand:
         )
         assert out_path.read_text().count("block ") == 4
 
+    @pytest.mark.parametrize("extra", [[], ["--flags"], ["--ratio", "--format", "json"]])
+    def test_no_explicit_design(self, capsys, monkeypatch, tmp_path, extra):
+        # without --export-blocks the command decides through orbit_verdicts:
+        # no sorted design, no histogram of one
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle built an explicit design")
+
+        monkeypatch.setattr(oracle, "materialize", refuse)
+        monkeypatch.setattr(oracle, "lambda_table", refuse)
+        path = tmp_path / "c6.grid"
+        path.write_text(format_graph_text(family_cycle(6, 4)))
+        code, out, _ = run_cli(
+            capsys, ["oracle", str(path), "--group", "G", "--t", "2", *extra])
+        assert code == 0
+        assert "blocks = 96" in out or json.loads(out)["blocks"] == 96
+
+    def test_flags_close_two_multisets(self, capsys, monkeypatch, tmp_path):
+        # a tau-equivalent graph under G: one closure for the blocks (the
+        # transposed block's multiset is in it), one for the flags
+        closures = []
+        real = oracle._multisets
+
+        def spy(starts, n, limit):
+            closures.append(list(starts))
+            return real(starts, n, limit)
+
+        monkeypatch.setattr(oracle, "_multisets", spy)
+        path = tmp_path / "p5.grid"
+        path.write_text(format_graph_text(family_path(5, 4, 4)))
+        code, out, _ = run_cli(
+            capsys, ["oracle", str(path), "--group", "G", "--t", "2", "--flags"])
+        assert code == 0
+        assert "blocks = 576" in out and "flag_transitive = no" in out
+        assert len(closures) == 2
+
 
 
 def exit_code(capsys, argv):
@@ -607,6 +642,22 @@ class TestSearchCommand:
         code, out, err = run_cli(capsys, ["search", *argv.split()])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field} must be at least")
+
+    def test_dedup_default_follows_the_grid(self, capsys):
+        # fig2's parameters: a non-square grid gets side-preserving dedup
+        fig2 = ["search", "--m", "8", "--n", "2", "--k", "6", "--target", "d3"]
+        default = run_cli(capsys, fig2)
+        assert default == run_cli(capsys, [*fig2, "--dedup", "side-preserving"])
+        assert default[0] == 0
+        assert default[1].endswith("\nfound = 1\n")
+        code, out, err = run_cli(capsys, [*fig2, "--dedup", "allow-tau"])
+        assert (code, out) == (2, "")
+        assert err == "error: allow-tau dedup requires a square grid\n"
+        # and a square one allow-tau
+        square = ["search", "--m", "4", "--k", "5", "--target", "d2", "--format", "json"]
+        for argv in (square, [*square, "--n", "4"]):
+            code, out, _ = run_cli(capsys, argv)
+            assert json.loads(out)["spec"]["dedup"] == "allow-tau"
 
     def test_pooled_node_budget_exit_3(self, capsys, monkeypatch):
         # two CPUs even on a one-CPU machine, so the branches run in a pool

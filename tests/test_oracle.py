@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griddesigns import oracle
-from griddesigns.bigraph import BiGraph, from_edge_list
+from griddesigns.bigraph import BiGraph, format_graph_text, from_edge_list
+from griddesigns.cli import main
 from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
-    design_verdict,
     export_block_list,
     flag_transitive_direct,
     lambda_table,
@@ -66,7 +67,7 @@ class TestLambdaTable:
         d = materialize(family_figure("fig2"), "K")
         table = lambda_table(d, 3)
         assert table == {80: 560}
-        assert design_verdict(d, 3)[0] is True
+        assert orbit_verdicts(family_figure("fig2"), 3, ["K"]) == {"K": (2240, True, table)}
 
     def test_cycle6_t2(self):
         d = materialize(family_cycle(6, 4), "G")
@@ -76,7 +77,7 @@ class TestLambdaTable:
         d = materialize(family_cycle(6, 4), "G")
         table = lambda_table(d, 4)
         assert len(table) > 1
-        assert design_verdict(d, 4)[0] is False
+        assert orbit_verdicts(family_cycle(6, 4), 4, ["G"]) == {"G": (96, False, table)}
 
     def test_histogram_total(self):
         d = materialize(family_path(4, 3, 3), "G")
@@ -86,10 +87,9 @@ class TestLambdaTable:
 
     def test_small_block_never_t_design(self):
         # k < t gives constant zero coverage, which must not count
-        d = materialize(from_edge_list(3, 3, [(1, 1)]), "K")
-        verdict, table = design_verdict(d, 2)
-        assert verdict is False
-        assert table == {0: comb(9, 2)}
+        g = from_edge_list(3, 3, [(1, 1)])
+        assert lambda_table(materialize(g, "K"), 2) == {0: comb(9, 2)}
+        assert orbit_verdicts(g, 2, ["K"]) == {"K": (9, False, {0: comb(9, 2)})}
 
     def test_budget_refusal(self):
         d = materialize(family_path(4, 3, 3), "G")
@@ -97,8 +97,9 @@ class TestLambdaTable:
             lambda_table(d, 3, Budget(max_subsets=10))
 
     def test_workers_do_not_change_output(self):
-        d = materialize(family_path(5, 4, 4), "G")
-        assert lambda_table(d, 2, workers=3) == lambda_table(d, 2)
+        g = family_path(5, 4, 4)
+        for groups in (["K"], ["G"], ["K", "G"]):
+            assert orbit_verdicts(g, 2, groups, workers=3) == orbit_verdicts(g, 2, groups)
 
 
 class TestOrbitRatio:
@@ -133,41 +134,40 @@ class TestOrbitRatio:
         for g in iso_class_reps(2, 2):
             if g.k == 0:
                 continue
-            d = materialize(g, "K")
-            assert orbit_ratio_check(g, "K", 2)[0] == design_verdict(d, 2)[0]
+            assert orbit_ratio_check(g, "K", 2)[0] == orbit_verdicts(g, 2, ["K"])["K"][1]
 
     def test_agrees_with_lambda_table_3x3_both_groups(self):
         for g in iso_class_reps(3, 3):
             if g.k == 0:
                 continue
             for group in ("K", "G"):
-                d = materialize(g, group)
                 for t in (2, 3):
                     assert (
                         orbit_ratio_check(g, group, t)[0]
-                        == design_verdict(d, t)[0]
+                        == orbit_verdicts(g, t, [group])[group][1]
                     )
 
 
 class TestFlagTransitivity:
     def test_cycle6(self):
-        d = materialize(family_cycle(6, 4), "G")
-        assert flag_transitive_direct(d) is True
+        assert flag_transitive_direct(family_cycle(6, 4), "G", 96) is True
 
     def test_path5(self):
-        d = materialize(family_path(5, 4, 4), "G")
-        assert flag_transitive_direct(d) is False
+        assert flag_transitive_direct(family_path(5, 4, 4), "G", 576) is False
 
     def test_single_edge(self):
-        d = materialize(from_edge_list(2, 2, [(1, 1)]), "K")
-        assert flag_transitive_direct(d) is True
+        assert flag_transitive_direct(from_edge_list(2, 2, [(1, 1)]), "K", 4) is True
 
     def test_budget_names_limit(self):
-        d = materialize(family_cycle(6, 4), "G")  # 96 blocks of 6 cells
-        assert flag_transitive_direct(d, Budget(max_subsets=576)) is True
+        g = family_cycle(6, 4)  # 96 blocks of 6 cells
+        assert flag_transitive_direct(g, "G", 96, Budget(max_subsets=576)) is True
         with pytest.raises(BudgetExceededError) as exc:
-            flag_transitive_direct(d, Budget(max_subsets=575))
+            flag_transitive_direct(g, "G", 96, Budget(max_subsets=575))
         assert str(exc.value) == "576 flags exceed budget of 575"
+
+    def test_no_flags(self):
+        with pytest.raises(ValueError, match="undefined without flags"):
+            flag_transitive_direct(BiGraph(2, 2, (0, 0)), "K", 1)
 
     def test_agrees_with_edge_orbits(self):
         for m in range(1, 5):
@@ -178,14 +178,15 @@ class TestFlagTransitivity:
                         continue
                     aut = automorphisms(g)
                     for group in groups:
-                        direct = flag_transitive_direct(materialize(g, group))
+                        b = orbit_verdicts(g, 2, [group])[group][0]
+                        direct = flag_transitive_direct(g, group, b)
                         assert direct == is_edge_transitive(g, aut, group)
 
     def test_cycle12_6x6_cost(self):
         # 43,200 blocks of 12 cells: 518,400 flags, counted without listing them
-        d = materialize(family_cycle(12, 6), "G")
+        g = family_cycle(12, 6)
         start = time.perf_counter()
-        assert flag_transitive_direct(d) is True
+        assert flag_transitive_direct(g, "G", 43_200) is True
         assert time.perf_counter() - start < 0.25
 
 
@@ -222,7 +223,56 @@ def _assert_same_design(g, group, budget=None):
     for t in (2, 3, 4):
         assert lambda_table(d, t) == oracle_reference.lambda_table(want, t)
     if d.k:
-        assert flag_transitive_direct(d) == oracle_reference.flag_transitive_direct(want)
+        assert (flag_transitive_direct(g, group, d.b)
+                == oracle_reference.flag_transitive_direct(want))
+
+
+def _reference_output(g, group, t, fmt, flags):
+    """What the oracle command prints, rendered from the frozenset
+    reference's blocks, histogram and flag verdict; and its block list."""
+    d = oracle_reference.materialize(g, group)
+    hist = oracle_reference.lambda_table(d, t)
+    payload = {"group": group, "t": t, "blocks": d.b,
+               "histogram": {str(c): num for c, num in hist.items()},
+               "is_design": len(hist) == 1 and d.k >= t}
+    if flags:
+        payload["flag_transitive"] = oracle_reference.flag_transitive_direct(d)
+    yn = {True: "yes", False: "no"}
+    if fmt == "json":
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        out = "".join([
+            f"group = {group}\nt = {t}\nblocks = {d.b}\n",
+            *(f"coverage {c} subsets {num}\n" for c, num in hist.items()),
+            f"{t}design = {yn[payload['is_design']]}\n",
+            f"flag_transitive = {yn[payload['flag_transitive']]}\n" if flags else "",
+        ])
+    blocks = "".join(
+        "block " + " ".join(f"{c // g.n + 1},{c % g.n + 1}" for c in blk) + "\n"
+        for blk in d.blocks)
+    return (0 if payload["is_design"] else 1), out, blocks
+
+
+class TestCommandMatchesReference:
+    """The oracle command, which decides through orbit_verdicts and sorts
+    blocks only for --export-blocks, prints what the reference engine
+    gives, on every class with m, n <= 3."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+    def test_every_class(self, capsys, tmp_path, m, n):
+        graph, export = tmp_path / "g.grid", tmp_path / "blocks.txt"
+        for g in iso_class_reps(m, n):
+            graph.write_text(format_graph_text(g))
+            flags = ["--flags"] if g.k else []
+            for group in ("K", "G") if m == n else ("K",):
+                for t in (2, 3, 4):
+                    for fmt in ("text", "json"):
+                        code = main(["oracle", str(graph), "--group", group,
+                                     "--t", str(t), "--format", fmt, *flags,
+                                     "--export-blocks", str(export)])
+                        got = code, capsys.readouterr().out, export.read_text()
+                        assert got == _reference_output(g, group, t, fmt, flags), (
+                            g, group, t, fmt)
 
 
 @st.composite
@@ -268,8 +318,9 @@ class TestMatchesReference:
     def test_workers_path(self, monkeypatch):
         # one chunk per worker, merged, equals the reference coverage
         monkeypatch.setattr("griddesigns.workers.os.cpu_count", lambda: 2)
-        d = materialize(family_cycle(6, 4), "G")
-        assert lambda_table(d, 3, workers=2) == oracle_reference.lambda_table(d, 3)
+        g = family_cycle(6, 4)
+        want = oracle_reference.lambda_table(oracle_reference.materialize(g, "G"), 3)
+        assert orbit_verdicts(g, 3, ["G"], workers=2)["G"][2] == want
 
 
 class TestBudgetBoundary:
@@ -305,7 +356,7 @@ class TestLargeGrids:
         d = materialize(from_edge_list(1, 64, [(1, 7)]), "K")
         assert d.b == 64
         assert d.blocks == tuple((c,) for c in range(64))
-        assert flag_transitive_direct(d) is True
+        assert flag_transitive_direct(from_edge_list(1, 64, [(1, 7)]), "K", d.b) is True
         assert time.perf_counter() - start < 2.0
 
     def test_one_edge_40x40(self):
@@ -313,7 +364,7 @@ class TestLargeGrids:
         d = materialize(from_edge_list(40, 40, [(3, 5)]), "G")
         assert d.b == 1600
         assert d.blocks == tuple((c,) for c in range(1600))
-        assert flag_transitive_direct(d) is True
+        assert flag_transitive_direct(from_edge_list(40, 40, [(3, 5)]), "G", d.b) is True
         assert time.perf_counter() - start < 2.0
 
 
@@ -359,7 +410,7 @@ class TestEqualRows:
         for group in ("K", "G"):
             d = materialize(g, group)
             start = time.perf_counter()
-            direct = flag_transitive_direct(d)
+            direct = flag_transitive_direct(g, group, d.b)
             assert time.perf_counter() - start < 0.5
             assert direct is True
             assert is_edge_transitive(g, aut, group) is True
@@ -395,17 +446,17 @@ class TestCriteriaAgreeBeyond4x4:
                 for group in groups:
                     b = rep.b_d if group == "K" else rep.b_dhat
                     try:
-                        d = materialize(g, group, AGREE_BUDGET)
+                        got = [orbit_verdicts(g, t, [group], AGREE_BUDGET)[group]
+                               for t in (2, 3)]
                     except BudgetExceededError:
                         assert b > AGREE_BUDGET.max_blocks
                         refused += 1
                         continue
                     stab = aut.k_order if group == "K" else aut.g_order
-                    assert d.b * stab == group_order(m, n, group)
+                    assert got[0][0] * stab == group_order(m, n, group)
                     check = check_D if group == "K" else check_Dhat
                     is2, is3, _, _ = check(g, aut)
-                    assert design_verdict(d, 2)[0] == is2
-                    assert design_verdict(d, 3)[0] == is3
+                    assert [verdict for _, verdict, _ in got] == [is2, is3]
                     checked += 1
         assert checked + refused == 25 * len(groups)
         assert checked > refused
@@ -413,17 +464,17 @@ class TestCriteriaAgreeBeyond4x4:
 
 def _verdicts_by_materialize(g, t, groups, budget=None):
     """The route through one explicit design per group: materialize, then
-    design_verdict."""
+    lambda_table."""
     out = {}
     for group in groups:
         d = materialize(g, group, budget)
-        verdict, hist = design_verdict(d, t, budget)
-        out[group] = (d.b, verdict, hist)
+        hist = lambda_table(d, t, budget)
+        out[group] = (d.b, len(hist) == 1 and d.k >= t, hist)
     return out
 
 
 def _assert_same_verdicts(g, t):
-    """orbit_verdicts equals materialize + design_verdict for K, and on a
+    """orbit_verdicts equals materialize + lambda_table for K, and on a
     square grid for G alone and for both, in the order asked."""
     groups = ("K", "G") if g.m == g.n else ("K",)
     want = _verdicts_by_materialize(g, t, groups)

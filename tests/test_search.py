@@ -11,7 +11,7 @@ import pytest
 from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats, three_paths
 from griddesigns.cli import main
 from griddesigns.criteria import check_D, check_Dhat, count_targets, evaluate
-from griddesigns.oracle import design_verdict, materialize
+from griddesigns.oracle import materialize, orbit_verdicts
 from griddesigns import bigraph, criteria, search, workers
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
@@ -47,10 +47,8 @@ class TestFamilyPath:
 
     def test_smallest_complete_case(self):
         g = family_path(3, 2, 2)
-        d = materialize(g, "G")
-        verdict, _ = design_verdict(d, 2)
-        assert verdict is True
-        assert d.b == 4  # all 3-subsets of the 4 cells
+        # all 3-subsets of the 4 cells
+        assert orbit_verdicts(g, 2, ["G"]) == {"G": (4, True, {2: 6})}
 
     def test_does_not_fit(self):
         with pytest.raises(ValueError):
@@ -152,8 +150,7 @@ class TestExhaustiveSearch:
         assert results, "the diagonal path qualifies, so results exist"
         for g in results:
             assert check_Dhat(g)[0]
-            d = materialize(g, "G")
-            assert design_verdict(d, 2)[0]
+            assert orbit_verdicts(g, 2, ["G"])["G"][1]
 
     def test_dedup_soundness(self):
         spec = SearchSpec(m=4, n=4, k=5, target="dhat2")

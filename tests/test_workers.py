@@ -6,9 +6,10 @@ import os
 
 import pytest
 
-from griddesigns.bigraph import format_graph_text
+from griddesigns import oracle
+from griddesigns.bigraph import format_graph_text, from_edge_list
 from griddesigns.cli import main
-from griddesigns.oracle import lambda_table, materialize
+from griddesigns.oracle import orbit_verdicts
 from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
 from griddesigns.search import SearchSpec, degree_branches, exhaustive_search, family_figure
 from griddesigns.workers import pool_size
@@ -83,13 +84,13 @@ class TestCapAtCallSites:
 
     def test_oracle_capped(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        d = materialize(family_figure("fig2"), "K")
-        assert lambda_table(d, 2, workers=10_000) == lambda_table(d, 2)
+        g = family_figure("fig2")
+        assert orbit_verdicts(g, 2, ["K"], workers=10_000) == orbit_verdicts(g, 2, ["K"])
         assert fake_pool == [3]
 
     def test_oracle_command_pools_its_count(self, monkeypatch, fake_pool, capsys, tmp_path):
-        # the command's verdict comes from design_verdict, which hands
-        # --workers on to lambda_table
+        # the command's verdict comes from orbit_verdicts, which counts the
+        # blocks in a pool of --workers processes
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         path = tmp_path / "fig2.grid"
         path.write_text(format_graph_text(family_figure("fig2")))
@@ -100,6 +101,21 @@ class TestCapAtCallSites:
         assert outputs[0] == outputs[1]
         assert "3design = yes" in outputs[0]
         assert fake_pool == [3]
+
+    def test_one_pool_for_both_closures(self, monkeypatch, fake_pool, capsys, tmp_path):
+        # not tau-equivalent: the G-orbit is the K-orbit of the block and
+        # that of its transpose, 9 blocks each, counted in one pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        path = tmp_path / "not-tau.grid"
+        path.write_text(format_graph_text(from_edge_list(3, 3, [(1, 1), (1, 2)])))
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["oracle", str(path), "--group", "G", "--t", "2",
+                         "--workers", workers]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "blocks = 18" in outputs[0]
+        assert fake_pool == [2]
 
     def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
@@ -113,10 +129,17 @@ class TestCapAtCallSites:
         assert branches[2] == branches[0][::-1]
         assert fake_pool == [2]
 
-    def test_single_worker_starts_no_pool(self, fake_pool):
+    def test_single_worker_starts_no_pool(self, monkeypatch, fake_pool):
+        # one worker is never sized: no pool_size, no CPU count
+        def refuse(*args):
+            raise AssertionError("a single worker was sized")
+
         scan_square_3design(40)
-        d = materialize(family_figure("fig2"), "K")
-        lambda_table(d, 2, workers=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "pool_size", refuse)
+            patch.setattr(os, "cpu_count", refuse)
+            orbit_verdicts(from_edge_list(3, 3, [(1, 1), (1, 2)]), 2, ["K", "G"])
+            orbit_verdicts(family_figure("fig2"), 2, ["K"], workers=1)
         list(exhaustive_search(SearchSpec(m=4, n=4, k=5, target="dhat2"), workers=1))
         assert fake_pool == []
 
