@@ -289,10 +289,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    n = args.n if args.n is not None else args.m
-    dedup = args.dedup or ("allow-tau" if n == args.m else "side-preserving")
     spec = search.SearchSpec(
-        m=args.m, n=n, k=args.k, target=args.target, dedup=dedup,
+        m=args.m, n=args.n if args.n is not None else args.m, k=args.k,
+        target=args.target, dedup=args.dedup,
         max_nodes=args.max_nodes, max_seconds=args.max_seconds,
         start_branch=args.start_branch,
     )

@@ -310,18 +310,13 @@ def _node(part, nbrs, dirty: int):
     return part, trace, min(sizes)[1]
 
 
-def _path(cells, nbrs, done: dict) -> list:
-    """The a-side search nodes from the partition cells down, by depth.
-
-    The a-side branches on one vertex per node, so its nodes form one path,
-    extended as the searches reach deeper.  It is kept in done, which the
-    caller owns and drops when its searches are over."""
-    key = tuple(cells)
-    path = done.get(key)
-    if path is None:
-        nv = len(nbrs[0])
-        path = done[key] = [_node(_layout(cells, nv), nbrs, (1 << nv) - 1)]
-    return path
+def _start(cells, nbrs) -> list:
+    """The a-side search path of the searches from the partition cells: the
+    refined root node.  The a-side branches on one vertex per node, so its
+    nodes form one path, which _descend extends as the searches reach
+    deeper; the searches from one root share it."""
+    nv = len(nbrs[0])
+    return [_node(_layout(cells, nv), nbrs, (1 << nv) - 1)]
 
 
 def _child(part, start: int, v: int):
@@ -347,13 +342,12 @@ def _swapped(part, u: int, w: int):
     return ptn, cell_of
 
 
-def _search_iso(nbrs_a, nbrs_b, cells_a, cells_b, done: dict):
+def _search_iso(nbrs_a, path, nbrs_b, cells_b):
     """First color/partition-respecting isomorphism as a vertex map, or None.
 
-    The a-side refinements do not depend on the candidate images, so they
-    are kept in done (see _path); the b-side replays their traces.
+    path is the a-side search path (see _start): the a-side refinements do
+    not depend on the candidate images, so the b-side replays their traces.
     """
-    path = _path(cells_a, nbrs_a, done)
     nv = len(nbrs_b[0])
     part_b = _layout(cells_b, nv)
     if not _replay_part(part_b, nbrs_b, (1 << nv) - 1, path[0][1]):
@@ -413,19 +407,6 @@ def _side_cells(m: int, n: int, pins: tuple[int, ...]) -> list[int]:
     return cells
 
 
-def _find_side_iso(nbrs_g, g: BiGraph, h: BiGraph, done: dict | None = None):
-    """Vertex map realizing a side-preserving isomorphism g -> h, or None;
-    nbrs_g are the neighbour lists of g, and done may hold g's a-side path
-    from the unpinned root (see _path)."""
-    if g.m != h.m or g.n != h.n or g.k != h.k:
-        return None
-    return _search_iso(
-        nbrs_g, _neighbours(h),
-        _side_cells(g.m, g.n, ()), _side_cells(h.m, h.n, ()),
-        {} if done is None else done,
-    )
-
-
 def _schreier(start: int, perms, tree: dict | None = None) -> dict:
     """The orbit of start under perms (sequences indexed by point), as a
     Schreier vector: each reached point maps to the point it was first
@@ -456,26 +437,26 @@ def _schreier(start: int, perms, tree: dict | None = None) -> dict:
     return tree
 
 
-def _k_stabilizer(g: BiGraph, nbrs, done: dict):
-    """Generators (as vertex perms) and exact order of the stabilizer in K.
+def _k_stabilizer(g: BiGraph, nbrs):
+    """Generators (as vertex perms) and exact order of the stabilizer in K,
+    and the search path from the unpinned root, where the transpose test
+    starts.
 
     Builds a stabilizer chain: repeatedly refine with the pinned prefix
     individualized, branch on the first non-singleton cell, and find one
     stabilizer element per coset by a constrained isomorphism search.  The
     order is the product of the orbit sizes along the chain.
 
-    The searches of one level share their a-side refinements.  The next
-    level's partition is the root of those searches, so each level starts
-    from the previous level's cache and then replaces it.  The caller's
-    done is the cache of the first level: it keeps the path from the
-    unpinned root, where the transpose test starts.
+    The searches of one level share one a-side path, from the partition
+    with the level's candidate pinned as well; that path's root is the next
+    level's partition.
     """
     gens: list[list[int]] = []
     pins: list[int] = []
     order = 1
+    root = level = _start(_side_cells(g.m, g.n, ()), nbrs)
     while True:
-        (ptn, _), _, _ = _path(_side_cells(g.m, g.n, tuple(pins)), nbrs, done)[0]
-        done = {}
+        (ptn, _), _, _ = level[0]
         target = next((c for c in ptn if c & (c - 1)), None)
         if target is None:
             break
@@ -484,26 +465,23 @@ def _k_stabilizer(g: BiGraph, nbrs, done: dict):
         # only this level's own generators fix every pin
         level_gens: list[list[int]] = []
         orbit = _schreier(u, level_gens)
-        cells_u = _side_cells(g.m, g.n, tuple(pins) + (u,))
+        level = _start(_side_cells(g.m, g.n, tuple(pins) + (u,)), nbrs)
         for w in _bits(target):
             if w in orbit:
                 continue
             if nbrs[1][w] == nbrs[1][u]:
                 # the twin swap (u w) takes the a-root to the b-root
-                path = _path(cells_u, nbrs, done)
-                found = _descend(nbrs, nbrs, path, 0, _swapped(path[0][0], u, w))
+                found = _descend(nbrs, nbrs, level, 0, _swapped(level[0][0], u, w))
             else:
                 found = _search_iso(
-                    nbrs, nbrs, cells_u,
-                    _side_cells(g.m, g.n, tuple(pins) + (w,)), done,
-                )
+                    nbrs, level, nbrs, _side_cells(g.m, g.n, tuple(pins) + (w,)))
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)
                 _schreier(u, level_gens, orbit)
         order *= len(orbit)
         pins.append(u)
-    return gens, order
+    return gens, order, root
 
 
 def _vertex_map_to_gridperm(mapping, m: int, n: int) -> GridPerm:
@@ -520,15 +498,15 @@ def automorphisms(g: BiGraph) -> AutReport:
     is isomorphic to its transpose under K.
     """
     nbrs = _neighbours(g)
-    root: dict = {}
-    vgens, k_order = _k_stabilizer(g, nbrs, root)
+    vgens, k_order, root = _k_stabilizer(g, nbrs)
     k_gens = tuple(_vertex_map_to_gridperm(p, g.m, g.n) for p in vgens)
 
     g_gens = None
     g_order = None
     tau_eq = None
     if g.m == g.n:
-        mapping = _find_side_iso(nbrs, g, transpose(g), root)
+        mapping = _search_iso(nbrs, root, _neighbours(transpose(g)),
+                              _side_cells(g.m, g.n, ()))
         tau_eq = mapping is not None
         if tau_eq:
             rows = tuple(mapping[g.m + j] - g.m for j in range(g.n))
@@ -554,7 +532,8 @@ def tau_equivalent(g: BiGraph) -> bool:
     coincide."""
     if g.m != g.n:
         raise ValueError("tau equivalence is only defined on square grids")
-    return _find_side_iso(_neighbours(g), g, transpose(g)) is not None
+    nbrs, cells = _neighbours(g), _side_cells(g.m, g.n, ())
+    return _search_iso(nbrs, _start(cells, nbrs), _neighbours(transpose(g)), cells) is not None
 
 
 def is_edge_transitive(g: BiGraph, report: AutReport, group: str = "K") -> bool:

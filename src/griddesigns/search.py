@@ -13,9 +13,11 @@ targets, so each realized matrix is tested only for what they leave open
 passing one is keyed, and a key new to the branch gets its stabilizer
 report.  Under allow-tau a branch (x, y) is skipped when its
 mirror (y, x) comes earlier, so no class lies in two searched branches and
-only a branch that is its own mirror keys under the transpose.  The serial
-search and the process pool run the same function per branch and yield its
-results in branch order.
+only a branch that is its own mirror keys under the transpose.  One loop
+maps that function over the searched branches, with the builtin map or a
+process pool's, adds up the branches' nodes against the run's node budget
+and yields the results in branch order, so the worker count changes neither
+what a search yields nor where its node budget stops it.
 """
 
 from __future__ import annotations
@@ -63,21 +65,25 @@ class SearchSpec:
     transpose, matching the block sets of the full-group design.
     start_branch is the index into degree_branches(spec) to begin at, as
     named by SearchBudgetError; the resumed run prints what the full run
-    prints from that branch on.  max_nodes counts realization-tree nodes
-    (per degree branch with workers > 1).  m, n, max_nodes and max_seconds
-    (when set) are at least 1, and k at least 0; k above mn finds nothing.
+    prints from that branch on.  max_nodes counts the realization-tree nodes
+    of the whole run.  dedup defaults to allow-tau on square grids and to
+    side-preserving otherwise.  m, n, max_nodes and max_seconds (when set)
+    are at least 1, and k at least 0; k above mn finds nothing.
     """
 
     m: int
     n: int
     k: int
     target: str
-    dedup: str = "allow-tau"
+    dedup: str | None = None
     max_nodes: int = 10_000_000
     max_seconds: int | None = None
     start_branch: int = 0
 
     def __post_init__(self):
+        if self.dedup is None:
+            object.__setattr__(
+                self, "dedup", "allow-tau" if self.m == self.n else "side-preserving")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.dedup not in ("side-preserving", "allow-tau"):
@@ -208,10 +214,13 @@ def degree_branches(spec: SearchSpec) -> list[tuple[tuple[int, ...], tuple[int, 
 
 @dataclass
 class _RealizeState:
+    """One degree branch's node count against the run's node budget and its
+    time.monotonic_ns() deadline."""
+
     spec: SearchSpec
-    nodes: int = 0
+    branch: int
     deadline_ns: int | None = None
-    branch: int = 0
+    nodes: int = 0
 
     def tick(self):
         self.nodes += 1
@@ -290,9 +299,11 @@ def _uniform_edge_degrees(rows, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     return len(pairs) <= 1
 
 
-def _branch_results(spec: SearchSpec, index: int, branch, state: _RealizeState | None = None):
+def _branch_results(spec: SearchSpec, index: int, branch, deadline_ns: int | None):
     """The (graph, AutReport) pairs of degree branch `index`, one per class
-    that meets the target, in realization order.
+    that meets the target, in realization order, and the branch's node
+    count; SearchBudgetError when the branch alone passes spec.max_nodes or
+    realizes a node after deadline_ns.
 
     The branch's degrees hit the 2-path and 3-claw targets, so a realized
     matrix is tested only for what they leave open, which with them is
@@ -303,12 +314,9 @@ def _branch_results(spec: SearchSpec, index: int, branch, state: _RealizeState |
     class is kept.  The transpose of a graph in branch (x, y) lies in
     branch (y, x), so only a branch that is its own mirror keys under the
     transpose as well.  A key new to the branch gets its stabilizer report,
-    and for flag targets the edge-orbit test.  Without a state (a pool
-    worker) the branch has its own node budget.
+    and for flag targets the edge-orbit test.
     """
-    if state is None:
-        state = _RealizeState(spec=spec)
-    state.branch = index
+    state = _RealizeState(spec, index, deadline_ns)
     x, y = branch
     design, t, flag = TARGETS[spec.target]
     p3 = None
@@ -331,7 +339,7 @@ def _branch_results(spec: SearchSpec, index: int, branch, state: _RealizeState |
         report = permgroup.automorphisms(g)
         if not flag or permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G"):
             out.append((g, report))
-    return out
+    return out, state.nodes
 
 
 def _searched_branches(spec: SearchSpec, branches) -> list[int]:
@@ -357,34 +365,42 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     meet the target's criteria.  No class lies in two searched branches (a
     class's degree sequences are invariants, and under allow-tau the mirror
     branch is skipped), so the output of a resumed run is the full run's
-    output from that branch on.  Budget exhaustion raises
-    SearchBudgetError with the branch index for resumption, after the
-    results of every finished branch have been yielded.  When
-    workers.pool_size allows more than one process, the branches are
-    decided in a process pool and merged in branch order, so the output
-    stream is identical; the node budget then applies per branch.  A
-    wall-clock limit is not supported with workers > 1.  A start_branch
-    equal to the branch count searches nothing; a larger one raises
-    ValueError.
+    output from that branch on.
+
+    Each branch is decided whole, in a process pool when workers.pool_size
+    allows more than one process, and its results are yielded in branch
+    order.  The run stops at the first branch whose nodes take the run's
+    total past spec.max_nodes, or that realizes a node after spec.max_seconds
+    (one monotonic deadline for every process).  SearchBudgetError names
+    that branch for resumption after every earlier branch's results, and a
+    pool drops its queued branches; so the worker count changes neither the
+    results nor a node-budget stop.  A start_branch equal to the branch
+    count searches nothing; a larger one raises ValueError.
     """
     branches = degree_branches(spec)
     if spec.start_branch > len(branches):
         raise ValueError(f"start_branch {spec.start_branch} is past the end: "
                          f"there are {len(branches)} degree branches")
     indices = _searched_branches(spec, branches)
+    deadline_ns = None
+    if spec.max_seconds is not None:
+        deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
     size = pool_size(workers, len(indices))
-    if workers > 1 and spec.max_seconds is not None:
-        raise ValueError("max_seconds is not supported with workers > 1")
+    pool = None
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for results in pool.map(_branch_results, repeat(spec), indices,
-                                    [branches[i] for i in indices]):
-                yield from results
-        return
-    state = _RealizeState(spec=spec)
-    if spec.max_seconds is not None:
-        state.deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
-    for index in indices:
-        yield from _branch_results(spec, index, branches[index], state)
+        pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        decided = (pool.map if pool else map)(
+            _branch_results, repeat(spec), indices, [branches[i] for i in indices],
+            repeat(deadline_ns))
+        nodes = 0
+        for index, (results, used) in zip(indices, decided):
+            nodes += used
+            if nodes > spec.max_nodes:
+                raise SearchBudgetError(f"node budget of {spec.max_nodes} exhausted", index)
+            yield from results
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)

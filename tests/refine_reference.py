@@ -1,7 +1,7 @@
 """From-scratch refinement and replay, kept for the tests only.
 
 The stabilizer search in `griddesigns.permgroup` keeps its partitions laid
-out and refines each child from its parent (`_path`, `_node`).  These two
+out and refines each child from its parent (`_start`, `_node`).  These two
 helpers refine a plain list of cells (vertex bitmasks) from the whole vertex
 set instead, with the same `_refine_part`/`_replay_part` rounds, so the tests
 can hold the incremental search against them.

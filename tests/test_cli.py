@@ -18,6 +18,7 @@ from griddesigns.scanner import scan_square_2design
 from griddesigns.search import (
     SearchSpec,
     degree_branches,
+    exhaustive_search,
     family_cycle,
     family_figure,
     family_path,
@@ -658,6 +659,37 @@ class TestSearchCommand:
         for argv in (square, [*square, "--n", "4"]):
             code, out, _ = run_cli(capsys, argv)
             assert json.loads(out)["spec"]["dedup"] == "allow-tau"
+
+    def test_library_dedup_default_is_the_cli_default(self, capsys):
+        # fig2's parameters: SearchSpec resolves its default as the CLI does
+        spec = SearchSpec(m=8, n=2, k=6, target="d3")
+        assert spec.dedup == "side-preserving"
+        assert SearchSpec(m=4, n=4, k=5, target="d2").dedup == "allow-tau"
+        edges = [" ".join(f"({i},{j})" for i, j in g.edges())
+                 for g, _ in exhaustive_search(spec)]
+        code, out, _ = run_cli(capsys, ["search", "--m", "8", "--n", "2", "--k", "6",
+                                        "--target", "d3"])
+        assert code == 0
+        assert [line.partition(" edges ")[2] for line in out.splitlines()[:-1]] == edges
+        assert out.endswith(f"\nfound = {len(edges)}\n")
+        with pytest.raises(ValueError, match="^allow-tau dedup requires a square grid$"):
+            SearchSpec(m=8, n=2, k=6, target="d3", dedup="allow-tau")
+
+    @pytest.mark.parametrize("argv, code, lines, stop", [
+        # the node budget bounds the whole run, with or without a pool
+        ("--m 10 --k 12 --target dhat2 --max-nodes 200", 3, 3,
+         "error: node budget of 200 exhausted (resume at degree branch 1)\n"),
+        ("--m 10 --k 11 --target dhat2 --max-nodes 3000", 3, 234,
+         "error: node budget of 3000 exhausted (resume at degree branch 17)\n"),
+        ("--m 8 --k 9 --target dhat2", 0, 73, ""),
+    ])
+    def test_workers_do_not_change_what_search_prints(self, capsys, monkeypatch,
+                                                      argv, code, lines, stop):
+        # two CPUs even on a one-CPU machine, so the branches run in a pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run_cli(capsys, ["search", *argv.split()])
+        assert (serial[0], len(serial[1].splitlines()), serial[2]) == (code, lines, stop)
+        assert run_cli(capsys, ["search", *argv.split(), "--workers", "2"]) == serial
 
     def test_pooled_node_budget_exit_3(self, capsys, monkeypatch):
         # two CPUs even on a one-CPU machine, so the branches run in a pool

@@ -19,10 +19,12 @@ from griddesigns.bigraph import BiGraph
 from griddesigns.permgroup import (
     _bits,
     _child,
-    _find_side_iso,
     _neighbours,
     _node,
     _replay_part,
+    _search_iso,
+    _side_cells,
+    _start,
     automorphisms,
 )
 from griddesigns.search import family_cycle, family_figure, family_path
@@ -151,8 +153,10 @@ class TestSeededChildren:
             pairs += permutations([cycle_union(n, lengths) for lengths in splits], 2)
         failed = passed = 0
         for g, h in pairs:
+            nbrs_g, cells = _neighbours(g), _side_cells(g.m, g.n, ())
             f, p = check_children(
-                partial(_find_side_iso, _neighbours(g), g, h), monkeypatch)
+                partial(_search_iso, nbrs_g, _start(cells, nbrs_g), _neighbours(h), cells),
+                monkeypatch)
             failed += f
             passed += p
         assert failed and passed

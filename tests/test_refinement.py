@@ -14,9 +14,9 @@ from griddesigns.permgroup import (
     _descend,
     _layout,
     _neighbours,
-    _path,
     _search_iso,
     _side_cells,
+    _start,
     apply,
     automorphisms,
 )
@@ -39,7 +39,8 @@ def refine_pair(g, h, cells_a, cells_b):
 
 
 def search_pair(g, h, cells_a, cells_b):
-    return _search_iso(_neighbours(g), _neighbours(h), cells_a, cells_b, {})
+    nbrs_g = _neighbours(g)
+    return _search_iso(nbrs_g, _start(cells_a, nbrs_g), _neighbours(h), cells_b)
 
 
 def assert_same(g, h, cells_a, cells_b):
@@ -193,9 +194,9 @@ class TestTwinNodes:
         g = BiGraph(6, 6, (0b0011, 0b0011, 0b1100, 0b1100, 0, 0))
         h = BiGraph(6, 6, (0b0011, 0b0110, 0b1100, 0b1001, 0, 0))
         cells = _side_cells(6, 6, ())
-        done = {}
-        assert _search_iso(_neighbours(g), _neighbours(h), cells, cells, done) is None
-        assert [node[2] for path in done.values() for node in path][-1] is None
+        path = _start(cells, _neighbours(g))
+        assert _search_iso(_neighbours(g), path, _neighbours(h), cells) is None
+        assert path[-1][2] is None
         assert_same(g, h, cells, cells)
 
     def test_unmatched_twin_node_gives_none(self):
@@ -205,7 +206,7 @@ class TestTwinNodes:
         g = BiGraph(3, 3, (0b011, 0b011, 0))
         h = BiGraph(3, 3, (0b011, 0b110, 0))
         nbrs_g = _neighbours(g)
-        path = _path(_side_cells(3, 3, ()), nbrs_g, {})
+        path = _start(_side_cells(3, 3, ()), nbrs_g)
         part_a, _, branch = path[0]
         assert branch is None and any(c & (c - 1) for c in part_a[0])
         refined = [c for c in part_a[0] if c]

@@ -1,9 +1,13 @@
 import concurrent.futures
 import hashlib
+import os
 import pickle
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -182,8 +186,7 @@ class TestExhaustiveSearch:
             (4, 4, 5, "dhat2"),
             (4, 4, 6, "d2"),
         ]:
-            dedup = "allow-tau" if m == n else "side-preserving"
-            spec = SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
+            spec = SearchSpec(m=m, n=n, k=k, target=target)
             got = {canonical_form(g, allow_transpose=(m == n))
                    for g, _ in exhaustive_search(spec)}
             naive = set()
@@ -227,9 +230,19 @@ class TestExhaustiveSearch:
         b = [g.edges() for g, _ in exhaustive_search(spec)]
         assert a == b
 
-    def test_workers_do_not_change_output(self, monkeypatch):
-        # two CPUs even on a one-CPU machine, so the pool path runs; one pool
-        # of at most two processes at a time
+    # mirror branches skipped, one of them before the start branch
+    POOLED_SPECS = [
+        SearchSpec(m=5, n=5, k=4, target="dhat2"),
+        SearchSpec(m=5, n=5, k=4, target="flag-dhat2"),
+        SearchSpec(m=5, n=5, k=4, target="dhat2", dedup="side-preserving"),
+        SearchSpec(m=5, n=5, k=9, target="dhat2"),
+        SearchSpec(m=6, n=6, k=8, target="dhat2", start_branch=2),
+    ]
+
+    @staticmethod
+    def _real_pool(monkeypatch):
+        """Two CPUs even on a one-CPU machine, so the pool path runs; the
+        sizes of the pools started."""
         monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
         sizes = []
 
@@ -239,25 +252,59 @@ class TestExhaustiveSearch:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        specs = [
-            SearchSpec(m=5, n=5, k=4, target="dhat2"),
-            SearchSpec(m=5, n=5, k=4, target="flag-dhat2"),
-            SearchSpec(m=5, n=5, k=4, target="dhat2", dedup="side-preserving"),
-            # mirror branches skipped, one of them before the start branch
-            SearchSpec(m=5, n=5, k=9, target="dhat2"),
-            SearchSpec(m=6, n=6, k=8, target="dhat2", start_branch=2),
-        ]
-        for spec in specs:
-            # the reports are pickled back from the workers
-            serial = [(g.edges(), report) for g, report in exhaustive_search(spec)]
-            parallel = [(g.edges(), report) for g, report in exhaustive_search(spec, workers=2)]
-            assert serial == parallel, spec
-        assert sizes == [2] * len(specs)
+        return sizes
 
-    def test_workers_reject_time_limit(self):
-        spec = SearchSpec(m=3, n=3, k=4, target="dhat2", max_seconds=5)
-        with pytest.raises(ValueError):
+    @staticmethod
+    def _outcome(spec, workers_):
+        """The results, with their reports pickled back from the workers,
+        and the stop: its message and branch, or None."""
+        out = []
+        try:
+            out.extend((g.edges(), report) for g, report in exhaustive_search(spec, workers_))
+        except SearchBudgetError as exc:
+            return out, (str(exc), exc.branch_index)
+        return out, None
+
+    def test_workers_do_not_change_output(self, monkeypatch):
+        sizes = self._real_pool(monkeypatch)
+        for spec in self.POOLED_SPECS:
+            assert self._outcome(spec, 1) == self._outcome(spec, 2), spec
+        assert sizes == [2] * len(self.POOLED_SPECS)
+
+    def test_workers_do_not_change_a_node_budget_stop(self, monkeypatch):
+        # half of each run's nodes: the run stops, serially and pooled, at
+        # the first branch where the nodes so far pass the budget
+        sizes = self._real_pool(monkeypatch)
+        for spec in self.POOLED_SPECS:
+            branches = degree_branches(spec)
+            indices = _searched_branches(spec, branches)
+            used = [_branch_results(spec, i, branches[i], None)[1] for i in indices]
+            budget = sum(used) // 2
+            stop = next(i for i, total in zip(indices, accumulate(used)) if total > budget)
+            assert stop != indices[0], spec
+            stopped = replace(spec, max_nodes=budget)
+            serial = self._outcome(stopped, 1)
+            assert serial[1] == (f"node budget of {budget} exhausted "
+                                 f"(resume at degree branch {stop})", stop)
+            assert serial[0] == self._outcome(spec, 1)[0][:len(serial[0])]
+            assert self._outcome(stopped, 2) == serial, spec
+        assert sizes == [2] * len(self.POOLED_SPECS)
+
+    def test_pooled_time_budget_stops_at_first_branch(self, monkeypatch):
+        # the run's deadline is already past when the pool starts: the
+        # parent reads a clock two seconds behind, the workers (forked or
+        # spawned) read the real one
+        self._real_pool(monkeypatch)
+        parent, real = os.getpid(), time.monotonic_ns
+        monkeypatch.setattr(search.time, "monotonic_ns",
+                            lambda: real() - (2 * 10**9 if os.getpid() == parent else 0))
+        spec = SearchSpec(m=6, n=6, k=8, target="dhat2", max_seconds=1, start_branch=2)
+        first = _searched_branches(spec, degree_branches(spec))[0]
+        with pytest.raises(SearchBudgetError) as exc:
             list(exhaustive_search(spec, workers=2))
+        assert exc.value.branch_index == first
+        assert str(exc.value) == (f"time budget of 1 s exhausted after 1 nodes "
+                                  f"(resume at degree branch {first})")
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -355,8 +402,7 @@ class TestDegreeBranches:
                 for k in range(m * n + 1):
                     targets = TARGETS if m == n else ("d2", "d3")
                     for target in targets:
-                        dedup = "allow-tau" if m == n else "side-preserving"
-                        spec = SearchSpec(m=m, n=n, k=k, target=target, dedup=dedup)
+                        spec = SearchSpec(m=m, n=n, k=k, target=target)
                         got = degree_branches(spec)
                         assert got == _cross_product_branches(spec), spec
                         nonempty += bool(got)
@@ -392,7 +438,7 @@ class TestCanonicalOnSearch:
         # every matrix the unpruned reference realizer yields for
         # `search --m 7 --k 8 --target dhat2`
         spec = SearchSpec(m=7, n=7, k=8, target="dhat2")
-        state = _RealizeState(spec=spec)
+        state = _RealizeState(spec, 0)
         graphs = [BiGraph(7, 7, rows)
                   for x, y in degree_branches(spec)
                   for rows in search_reference._realize(x, y, state)]
@@ -428,7 +474,8 @@ def _assert_branch_matches_reference(spec, x, y, full):
     if allow-tau; _branch_results keys only the matrices that meet the
     target, and under the transpose only in a branch that is its own
     mirror.  Returns the number of results."""
-    got = [g.rows for g, _ in _branch_results(spec, 0, (x, y))]
+    results, _ = _branch_results(spec, 0, (x, y), None)
+    got = [g.rows for g, _ in results]
     want = [rows for rows in search_reference.branch_stream(spec, full)
             if _meets_target(BiGraph(spec.m, spec.n, rows), spec.target)]
     assert got == want, (spec, x, y)
@@ -454,8 +501,8 @@ class TestLexLeaderRealization:
     def test_same_representatives_as_reference(self, branches):
         pruned_total = full_total = 0
         for (_, _, x, y, _), spec in branches.items():
-            pruned = list(_realize(x, y, _RealizeState(spec=spec)))
-            full = list(search_reference._realize(x, y, _RealizeState(spec=spec)))
+            pruned = list(_realize(x, y, _RealizeState(spec, 0)))
+            full = list(search_reference._realize(x, y, _RealizeState(spec, 0)))
             rest = iter(full)
             assert all(rows in rest for rows in pruned), spec
             pruned_total += len(pruned)
@@ -474,7 +521,7 @@ class TestLexLeaderRealization:
         assert len(branches) == 926
         results = dict.fromkeys(TARGETS, 0)
         for (_, _, x, y, _, target), spec in branches.items():
-            full = list(search_reference._realize(x, y, _RealizeState(spec=spec)))
+            full = list(search_reference._realize(x, y, _RealizeState(spec, 0)))
             results[target] += _assert_branch_matches_reference(spec, x, y, full)
         assert all(results.values()), results
 
@@ -487,7 +534,7 @@ class TestLexLeaderRealization:
         # the counts behind --max-nodes stops and --start-branch resumes
         spec = SearchSpec(m=m, n=m, k=k, target=target)
         branches = degree_branches(spec)
-        state = _RealizeState(spec=spec)
+        state = _RealizeState(spec, 0)
         got = sum(1 for i in _searched_branches(spec, branches)
                   for _ in _realize(*branches[i], state))
         assert (state.nodes, got) == (nodes, realized)
@@ -512,7 +559,7 @@ class TestWhatTheBranchLeavesOpen:
                 c, d = count_targets(design, spec.m, spec.n, 3)["p3"]
                 p3 = c * spec.k * (spec.k - 1) * (spec.k - 2) // d
             for x, y in branches:
-                for rows in search_reference._realize(x, y, _RealizeState(spec=spec)):
+                for rows in search_reference._realize(x, y, _RealizeState(spec, 0)):
                     residual = spec.k >= t and (p3 is None or three_paths(rows, x, y) == p3)
                     assert residual == check(BiGraph(spec.m, spec.n, rows))[t - 2], (spec, rows)
                     verdicts.add((design, t, residual))

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,14 +12,24 @@ from griddesigns.bigraph import format_graph_text, from_edge_list
 from griddesigns.cli import main
 from griddesigns.oracle import orbit_verdicts
 from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
-from griddesigns.search import SearchSpec, degree_branches, exhaustive_search, family_figure
+from griddesigns.search import (
+    SearchBudgetError,
+    SearchSpec,
+    _branch_results,
+    _searched_branches,
+    degree_branches,
+    exhaustive_search,
+    family_figure,
+)
 from griddesigns.workers import pool_size
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially
+    and lazily, and logs each mapped call and each shutdown in events."""
 
     sizes: list = []
+    events: list = []
 
     def __init__(self, max_workers):
         FakePool.sizes.append(max_workers)
@@ -30,12 +41,19 @@ class FakePool:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        def logged(*args):
+            FakePool.events.append(("call", args[1]))
+            return fn(*args)
+        return map(logged, *iterables)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        FakePool.events.append(("shutdown", cancel_futures))
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakePool.sizes = []
+    FakePool.events = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool.sizes
 
@@ -128,6 +146,24 @@ class TestCapAtCallSites:
         branches = degree_branches(spec)
         assert branches[2] == branches[0][::-1]
         assert fake_pool == [2]
+
+    def test_stop_cancels_queued_branches(self, monkeypatch, fake_pool):
+        # the budget passes in the second searched branch; the pool is shut
+        # down with its queued branches cancelled before the error leaves
+        # the search, and no later branch is decided
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = SearchSpec(m=5, n=5, k=9, target="dhat2")
+        branches = degree_branches(spec)
+        indices = _searched_branches(spec, branches)
+        results, used = _branch_results(spec, indices[0], branches[indices[0]], None)
+        with pytest.raises(SearchBudgetError) as exc:
+            for _ in exhaustive_search(replace(spec, max_nodes=used + 1), workers=2):
+                FakePool.events.append("result")
+        FakePool.events.append(("error", exc.value.branch_index))
+        assert len(indices) > 2 and fake_pool == [2]
+        assert FakePool.events == [("call", indices[0]), *["result"] * len(results),
+                                   ("call", indices[1]), ("shutdown", True),
+                                   ("error", indices[1])]
 
     def test_single_worker_starts_no_pool(self, monkeypatch, fake_pool):
         # one worker is never sized: no pool_size, no CPU count
