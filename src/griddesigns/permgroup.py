@@ -38,6 +38,27 @@ onto its b-cell, and _descend takes that map at once and checks it like a
 leaf.  In the chain, a candidate w that is a twin of u needs no replay: the
 swap (u w) takes the u-partition to the w-partition, and refinement commutes
 with relabelling, so the b-root is the a-root with u and w exchanged.
+
+A chain level's root, the partition with its pins individualized, is the
+current root with the new pin u moved to the front of the non-pinned cells,
+without refining again, in two cases.  First, when u has no neighbours: u is
+nobody's neighbour, so moving u shifts the starts of the cells that appear
+in signatures by a strictly increasing map.  Every signature comparison,
+every bucket order and every split of the from-scratch refinement is then
+the same (u's empty signature puts it in the first bucket of its cell), and
+it ends in the moved partition, cells and order alike.  Second, when the
+current root is a twin node with a single non-singleton cell: that cell's
+vertices are twins, so a vertex is next to all of them or to none, and the
+vertices of one equitable cell have the same count into it.  So they agree
+on u, and the partition with u split off is still equitable.  It is also
+the coarsest equitable one with u split off, so the
+from-scratch refinement has the same cells, perhaps in another order.  No
+later step reads that order: each later level is again such a node, its
+pin is the lowest vertex of the one non-singleton cell, and its generators
+are twin swaps, which are built cell by cell.  In both cases every
+candidate of the level is a twin of u, so the moved root needs no trace.
+At a twin root, the leaf map _descend finds for a twin candidate w is built
+directly (see _twin_swap).
 """
 
 from __future__ import annotations
@@ -298,16 +319,18 @@ def _replay_part(part, nbrs, dirty: int, trace) -> bool:
 
 
 def _node(part, nbrs, dirty: int):
-    """Refine part in place; the search node (part, trace, branch), where
-    branch is the start of the first smallest non-singleton cell, or None
-    when every non-singleton cell holds twins (a leaf, see _descend)."""
-    trace = _refine_part(part, nbrs, dirty)
-    ptn, masks = part[0], nbrs[1]
+    """Refine part in place; the search node (part, trace, branch)."""
+    return part, _refine_part(part, nbrs, dirty), _branch(part[0], nbrs[1])
+
+
+def _branch(ptn, masks):
+    """The start of the first smallest non-singleton cell, or None when every
+    non-singleton cell holds twins (a leaf, see _descend)."""
     sizes = [(cell.bit_count(), start) for start, cell in enumerate(ptn)
              if cell & (cell - 1)]
     if all(len({masks[v] for v in _bits(ptn[start])}) == 1 for _, start in sizes):
-        return part, trace, None
-    return part, trace, min(sizes)[1]
+        return None
+    return min(sizes)[1]
 
 
 def _start(cells, nbrs) -> list:
@@ -329,6 +352,28 @@ def _child(part, start: int, v: int):
     for u in _bits(rest):
         cell_of[u] = -(start + 1)
     return ptn, cell_of
+
+
+def _pinned(part, p: int, u: int):
+    """A copy of part, whose first p cells are the pinned singletons, with
+    vertex u taken out of its cell and put in a singleton cell at start p.
+    The cells from start p to u's cell move up one place."""
+    cells = [cell for cell in part[0] if cell]
+    rest = [cell & ~(1 << u) for cell in cells[p:]]
+    return _layout(cells[:p] + [1 << u] + [cell for cell in rest if cell], len(part[0]))
+
+
+def _twin_swap(part, u: int, w: int) -> list[int]:
+    """The leaf map of _descend at the twin node part, with the b-side part
+    the same with the twins u and w exchanged: u, a singleton, goes to w, and
+    w's cell maps in ascending order onto the same cell with w replaced by u;
+    every other vertex is fixed."""
+    cell = part[0][-part[1][w]]
+    mapping = list(range(len(part[0])))
+    mapping[u] = w
+    for a, b in zip(_bits(cell), _bits(cell ^ (1 << w | 1 << u))):
+        mapping[a] = b
+    return mapping
 
 
 def _swapped(part, u: int, w: int):
@@ -449,29 +494,44 @@ def _k_stabilizer(g: BiGraph, nbrs):
 
     The searches of one level share one a-side path, from the partition
     with the level's candidate pinned as well; that path's root is the next
-    level's partition.
+    level's partition.  It is the current root with the candidate moved to
+    the front of the non-pinned cells, unrefined, when the candidate is
+    isolated or the current root is a twin node with a single non-singleton
+    cell (see the module docstring); else it is refined from scratch.
     """
     gens: list[list[int]] = []
     pins: list[int] = []
     order = 1
+    masks = nbrs[1]
     root = level = _start(_side_cells(g.m, g.n, ()), nbrs)
     while True:
-        (ptn, _), _, _ = level[0]
-        target = next((c for c in ptn if c & (c - 1)), None)
-        if target is None:
+        part, _, branch = level[0]
+        cells = [c for c in part[0] if c & (c - 1)]
+        if not cells:
             break
+        target = cells[0]
         u = (target & -target).bit_length() - 1
         # a generator found at an earlier level moves that level's pin, so
         # only this level's own generators fix every pin
         level_gens: list[list[int]] = []
         orbit = _schreier(u, level_gens)
-        level = _start(_side_cells(g.m, g.n, tuple(pins) + (u,)), nbrs)
+        if masks[u] == 0 or (branch is None and len(cells) == 1):
+            # every candidate is a twin of u, so no _search_iso replays the
+            # missing root trace
+            moved = _pinned(part, len(pins), u)
+            level = [(moved, None, _branch(moved[0], masks))]
+        else:
+            level = _start(_side_cells(g.m, g.n, tuple(pins) + (u,)), nbrs)
+        twin_root = level[0][2] is None
         for w in _bits(target):
             if w in orbit:
                 continue
-            if nbrs[1][w] == nbrs[1][u]:
-                # the twin swap (u w) takes the a-root to the b-root
-                found = _descend(nbrs, nbrs, level, 0, _swapped(level[0][0], u, w))
+            if masks[w] == masks[u]:
+                if twin_root:
+                    found = _twin_swap(level[0][0], u, w)
+                else:
+                    # the twin swap (u w) takes the a-root to the b-root
+                    found = _descend(nbrs, nbrs, level, 0, _swapped(level[0][0], u, w))
             else:
                 found = _search_iso(
                     nbrs, level, nbrs, _side_cells(g.m, g.n, tuple(pins) + (w,)))

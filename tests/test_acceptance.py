@@ -97,8 +97,8 @@ def test_criterion_4_fig1_criteria():
 
 
 def test_criterion_5_path_family():
-    with criterion(5, "diagonal paths, m <= 30: Dhat 2-designs, lambdas, cases, oracle", 60):
-        for m in range(3, 31):
+    with criterion(5, "diagonal paths, m <= 60: Dhat 2-designs, lambdas, cases, oracle", 60):
+        for m in range(3, 61):
             k = m + 1
             g = family_path(k, m, m)
             aut = automorphisms(g)

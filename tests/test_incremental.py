@@ -6,6 +6,9 @@ against the same partition refined from scratch.
 ``automorphisms`` searches is checked the other way: the seeded a-side child
 has the same cells as a from-scratch refinement, and the seeded b-side replay
 fails on exactly the candidates where replaying the from-scratch trace fails.
+The figures' chains reach no passing replay through the chain shortcuts, so
+they are checked on the from-scratch chain of ``chain_reference``, which
+still descends at every level.
 """
 
 from collections import defaultdict
@@ -29,6 +32,7 @@ from griddesigns.permgroup import (
 )
 from griddesigns.search import family_cycle, family_figure, family_path
 
+import chain_reference
 from conftest import iso_class_reps
 from refine_reference import refine_from_scratch, replay_from_scratch
 
@@ -134,7 +138,7 @@ class TestSeededChildren:
     @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
     def test_figures(self, monkeypatch, fig):
         failed, passed = check_children(
-            partial(automorphisms, family_figure(fig)), monkeypatch)
+            partial(chain_reference.automorphisms, family_figure(fig)), monkeypatch)
         assert passed
 
     @pytest.mark.parametrize("g", [
@@ -184,20 +188,25 @@ class TestSignatureBudget:
     8,736 signatures, against 73,492, 28,584 and 153,856 when every round
     signed every cell.  Twin nodes as leaves and twin roots without a replay
     took the rounds on empty 16x16, path k=6 on 14x14 and fig3 from 4,808,
-    1,743 and 967 down to the bounds below."""
+    1,743 and 967 down to 33, 235 and 120.  Chain levels built by moving the
+    pinned vertex, without refining again, took the signatures on fig3, path
+    k=6 on 14x14, empty 16x16 and empty 40x40 from 4,780, 1,231, 1,024 and
+    6,400, and the rounds from 114, 232 and 32, down to the bounds below."""
 
     @pytest.mark.parametrize("g, bound", [
-        (family_figure("fig3"), 5_016),
-        (BiGraph(12, 12, tuple(1 << i for i in range(12))), 5_583),
-        (BiGraph(16, 16, (0,) * 16), 1_056),
-    ], ids=["fig3", "matching-12x12", "empty-16x16"])
+        (family_figure("fig3"), 2_929),
+        (BiGraph(12, 12, tuple(1 << i for i in range(12))), 5_559),
+        (family_path(6, 14, 14), 519),
+        (BiGraph(16, 16, (0,) * 16), 64),
+        (BiGraph(40, 40, (0,) * 40), 160),
+    ], ids=["fig3", "matching-12x12", "path6-14x14", "empty-16x16", "empty-40x40"])
     def test_upper_bound(self, monkeypatch, g, bound):
         assert calls("_sig", g, monkeypatch) <= bound
 
     @pytest.mark.parametrize("g, bound", [
-        (BiGraph(16, 16, (0,) * 16), 33),
-        (family_path(6, 14, 14), 235),
-        (family_figure("fig3"), 120),
+        (BiGraph(16, 16, (0,) * 16), 2),
+        (family_path(6, 14, 14), 175),
+        (family_figure("fig3"), 70),
     ], ids=["empty-16x16", "path6-14x14", "fig3"])
     def test_split_rounds(self, monkeypatch, g, bound):
         assert calls("_split_round", g, monkeypatch) <= bound
