@@ -21,10 +21,11 @@ partition in the search starts from its equitable parent.  A trace round
 holds an entry for each cell it signs; the cells it leaves out cannot split
 (see _split_round), so the refined cells, the failing round and the first
 isomorphism found are those of signing every cell in every round.  A
-vertex's signature is built from its neighbour list: the cell starts of its
-neighbours, sparse, in a form that sorts exactly like the dense vector of
-neighbour counts per cell.  Cells therefore split in the same order as with
-dense vectors, and the search finds the same first isomorphism.
+vertex's signature is built from its neighbour list, inline in the round
+that takes it: the cell starts of its neighbours, sparse, in a form that
+sorts exactly like the dense vector of neighbour counts per cell.  Cells
+therefore split in the same order as with dense vectors, and the search
+finds the same first isomorphism.
 
 Twins, vertices with equal neighbourhoods (every isolated vertex of a side,
 for one), let the search skip what they already decide, and it still returns
@@ -204,17 +205,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _sig(v: int, cell_of: list[int], lists) -> tuple:
-    """The negated cell starts of v's neighbours, ascending by start.
-
-    cell_of holds -(cell start) per vertex.  These keys sort exactly like the
-    dense vectors of neighbour counts over all cells: where two vectors first
-    differ, the larger count puts an entry where the other key has a later
-    cell (a smaller entry) or has ended.  So cells split in the same order.
-    """
-    return tuple(sorted(map(cell_of.__getitem__, lists[v]), reverse=True))
-
-
 def _layout(cells, nv: int):
     """The ordered partition `cells` (vertex bitmasks) as (ptn, cell_of).
 
@@ -228,8 +218,11 @@ def _layout(cells, nv: int):
     start = 0
     for cell in cells:
         ptn[start] = cell
-        for v in _bits(cell):
-            cell_of[v] = -start
+        rest = cell
+        while rest:
+            low = rest & -rest
+            cell_of[low.bit_length() - 1] = -start
+            rest ^= low
         start += cell.bit_count()
     return ptn, cell_of
 
@@ -238,6 +231,13 @@ def _split_round(part, nbrs, dirty: int):
     """One refinement round, in place: each cell that meets the vertex mask
     dirty splits by signature into its buckets in key order.  Returns the
     round's trace entries and the next round's mask.
+
+    A vertex's signature is the negated cell starts of its neighbours,
+    ascending by start (cell_of holds -(cell start) per vertex).  These keys
+    sort exactly like the dense vectors of neighbour counts over all cells:
+    where two vectors first differ, the larger count puts an entry where the
+    other key has a later cell (a smaller entry) or has ended.  So cells
+    split in the same order.
 
     The entries are (cell start, entry) for the cells that meet dirty, in
     order: a singleton's signature, or the split keys in order with their
@@ -254,6 +254,7 @@ def _split_round(part, nbrs, dirty: int):
     """
     ptn, cell_of = part
     lists, masks = nbrs
+    get = cell_of.__getitem__
     starts = []
     while dirty:
         start = -cell_of[(dirty & -dirty).bit_length() - 1]
@@ -265,16 +266,22 @@ def _split_round(part, nbrs, dirty: int):
     for start in starts:
         cell = ptn[start]
         if cell & (cell - 1) == 0:
-            entries.append((start, _sig(cell.bit_length() - 1, cell_of, lists)))
+            key = tuple(sorted(map(get, lists[cell.bit_length() - 1]), reverse=True))
+            entries.append((start, key))
             continue
         buckets: dict[tuple, int] = {}
-        for v in _bits(cell):
-            key = _sig(v, cell_of, lists)
-            buckets[key] = buckets.get(key, 0) | (1 << v)
+        rest = cell
+        while rest:
+            low = rest & -rest
+            key = tuple(sorted(map(get, lists[low.bit_length() - 1]), reverse=True))
+            buckets[key] = buckets.get(key, 0) | low
+            rest ^= low
+        if len(buckets) == 1:
+            entries.append((start, ((key, cell.bit_count()),)))
+            continue
         keys = sorted(buckets)
         entries.append((start, tuple([(key, buckets[key].bit_count()) for key in keys])))
-        if len(keys) > 1:
-            splits.append((start, [buckets[key] for key in keys]))
+        splits.append((start, [buckets[key] for key in keys]))
     # every signature of the round is taken before any cell moves
     touched = 0
     for start, buckets in splits:
@@ -282,10 +289,14 @@ def _split_round(part, nbrs, dirty: int):
         pos = start
         for bucket in buckets:
             ptn[pos] = bucket
-            for v in _bits(bucket):
+            rest = bucket
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
                 cell_of[v] = -pos
                 if bucket != largest:
                     touched |= masks[v]
+                rest ^= low
             pos += bucket.bit_count()
     return entries, touched
 
@@ -328,9 +339,15 @@ def _branch(ptn, masks):
     non-singleton cell holds twins (a leaf, see _descend)."""
     sizes = [(cell.bit_count(), start) for start, cell in enumerate(ptn)
              if cell & (cell - 1)]
-    if all(len({masks[v] for v in _bits(ptn[start])}) == 1 for _, start in sizes):
-        return None
-    return min(sizes)[1]
+    for _, start in sizes:
+        rest = ptn[start]
+        first = masks[(rest & -rest).bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            if masks[low.bit_length() - 1] != first:
+                return min(sizes)[1]
+            rest ^= low
+    return None
 
 
 def _start(cells, nbrs) -> list:
@@ -349,8 +366,10 @@ def _child(part, start: int, v: int):
     rest = ptn[start] ^ (1 << v)
     ptn[start] = 1 << v
     ptn[start + 1] = rest
-    for u in _bits(rest):
-        cell_of[u] = -(start + 1)
+    while rest:
+        low = rest & -rest
+        cell_of[low.bit_length() - 1] = -(start + 1)
+        rest ^= low
     return ptn, cell_of
 
 
@@ -409,14 +428,16 @@ def _descend(nbrs_a, nbrs_b, path, depth: int, part_b):
     """
     part_a, _, branch = path[depth]
     if branch is None:
-        # the search below a twin node maps each cell in ascending order;
-        # cell_of holds -start, so a stable sort on it, descending, lists
-        # the vertices cell by cell and each cell in ascending order
-        nv = len(part_a[1])
-        mapping = [0] * nv
-        for a, b in zip(sorted(range(nv), key=part_a[1].__getitem__, reverse=True),
-                        sorted(range(nv), key=part_b[1].__getitem__, reverse=True)):
-            mapping[a] = b
+        # the search below a twin node maps each cell in ascending order
+        # onto the b-cell at the same start
+        mapping = [0] * len(part_a[0])
+        for cell_a, cell_b in zip(part_a[0], part_b[0]):
+            while cell_a:
+                a = cell_a & -cell_a
+                b = cell_b & -cell_b
+                mapping[a.bit_length() - 1] = b.bit_length() - 1
+                cell_a ^= a
+                cell_b ^= b
         masks_b = nbrs_b[1]
         for v, vs in enumerate(nbrs_a[0]):
             if sum([1 << mapping[u] for u in vs]) != masks_b[mapping[v]]:
@@ -545,9 +566,16 @@ def _k_stabilizer(g: BiGraph, nbrs):
 
 
 def _vertex_map_to_gridperm(mapping, m: int, n: int) -> GridPerm:
-    rows = tuple(mapping[i] for i in range(m))
-    cols = tuple(mapping[m + j] - m for j in range(n))
-    return GridPerm(rows, cols, False)
+    return GridPerm(tuple(mapping[:m]), tuple([v - m for v in mapping[m:]]), False)
+
+
+def _fixes(p: GridPerm, edges: set) -> bool:
+    """Whether p maps the edge set (0-based cells) onto itself; for a
+    bijection of cells that is apply(p, g) == g, g the graph of the edges."""
+    rows, cols = p.rows, p.cols
+    if p.swap:
+        return {(rows[j], cols[i]) for i, j in edges} == edges
+    return {(rows[i], cols[j]) for i, j in edges} == edges
 
 
 def automorphisms(g: BiGraph) -> AutReport:
@@ -569,19 +597,18 @@ def automorphisms(g: BiGraph) -> AutReport:
                               _side_cells(g.m, g.n, ()))
         tau_eq = mapping is not None
         if tau_eq:
-            rows = tuple(mapping[g.m + j] - g.m for j in range(g.n))
-            cols = tuple(mapping[i] for i in range(g.m))
-            swap_gen = GridPerm(rows, cols, True)
-            g_gens = k_gens + (swap_gen,)
+            p = _vertex_map_to_gridperm(mapping, g.m, g.n)
+            g_gens = k_gens + (GridPerm(p.cols, p.rows, True),)
             g_order = 2 * k_order
         else:
             g_gens = k_gens
             g_order = k_order
 
     report = AutReport(k_gens, k_order, g_gens, g_order, tau_eq)
+    edges = {(i, v - g.m) for i in range(g.m) for v in nbrs[0][i]}
     # on square grids g_gens holds every K generator
     for p in report.g_gens or report.k_gens:
-        if apply(p, g) != g:
+        if not _fixes(p, edges):
             raise AssertionError("stabilizer search returned a non-automorphism")
     return report
 

@@ -115,9 +115,9 @@ def test_criterion_5_path_family():
 
 
 def test_criterion_6_cycle_family():
-    with criterion(6, "cycles, even m <= 30: flag-transitive 2-designs, lambdas", 60):
+    with criterion(6, "cycles, even m <= 60: flag-transitive 2-designs, lambdas", 60):
         assert [cycle_lambda_closed_form(k) for k in (6, 8)] == [12, 720]
-        for m in range(4, 31, 2):
+        for m in range(4, 61, 2):
             k = m + 2
             g = family_cycle(k, m)
             aut = automorphisms(g)

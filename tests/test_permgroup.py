@@ -224,21 +224,66 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("which, calls", [("fig3", 38), ("fig1", 10), ("fig2", 6)])
     def test_each_generator_checked_once(self, monkeypatch, which, calls):
         # g_gens extends k_gens on square grids, so each K generator gets
-        # one apply check, not two
+        # one check, not two
         g = family_figure(which)
-        applied = []
-        monkeypatch.setattr(permgroup, "apply", lambda p, h: applied.append(p) or apply(p, h))
+        checked = []
+        fixes = permgroup._fixes
+        monkeypatch.setattr(permgroup, "_fixes", lambda p, edges: checked.append(p) or fixes(p, edges))
         rep = automorphisms(g)
-        assert len(applied) == calls
-        assert applied == list(rep.g_gens or rep.k_gens)
+        assert len(checked) == calls
+        assert checked == list(rep.g_gens or rep.k_gens)
 
     def test_tau_equivalent_checks_the_swap_once(self, monkeypatch):
         g = family_cycle(6, 5)
-        applied = []
-        monkeypatch.setattr(permgroup, "apply", lambda p, h: applied.append(p) or apply(p, h))
+        checked = []
+        fixes = permgroup._fixes
+        monkeypatch.setattr(permgroup, "_fixes", lambda p, edges: checked.append(p) or fixes(p, edges))
         rep = automorphisms(g)
         assert rep.tau_equivalent is True
-        assert len(applied) == len(rep.k_gens) + 1
+        assert len(checked) == len(rep.k_gens) + 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_edge_set_check_is_apply(self, m):
+        # the generator check compares edge sets instead of applying p
+        elements = all_g_elements(m)
+        for g in iso_class_reps(m, m):
+            edges = {(i - 1, j - 1) for i, j in g.edges()}
+            for p in elements:
+                assert permgroup._fixes(p, edges) == (apply(p, g) == g)
+
+    def test_non_automorphism_raises(self, monkeypatch):
+        # rows 0 and i are not twins, so swapping them moves g
+        g = family_figure("fig1")
+        i = next(i for i, mask in enumerate(g.rows) if mask != g.rows[0])
+        chain = permgroup._k_stabilizer
+
+        def bad_chain(h, nbrs):
+            gens, order, root = chain(h, nbrs)
+            swap = list(range(h.m + h.n))
+            swap[0], swap[i] = i, 0
+            return gens + [swap], order, root
+
+        with monkeypatch.context() as patch:
+            patch.setattr(permgroup, "_k_stabilizer", bad_chain)
+            with pytest.raises(AssertionError, match="non-automorphism"):
+                automorphisms(g)
+
+    def test_non_automorphism_swap_raises(self, monkeypatch):
+        # fig1 is not tau-equivalent, so g differs from its transpose and the
+        # identity vertex map, taken as a swap element, moves g
+        g = family_figure("fig1")
+        assert transpose(g) != g
+        search = permgroup._search_iso
+
+        def bad_transpose(nbrs_a, path, nbrs_b, cells_b):
+            if nbrs_b is nbrs_a:
+                return search(nbrs_a, path, nbrs_b, cells_b)
+            return list(range(g.m + g.n))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(permgroup, "_search_iso", bad_transpose)
+            with pytest.raises(AssertionError, match="non-automorphism"):
+                automorphisms(g)
 
 
 class TestTauEquivalence:
