@@ -12,6 +12,18 @@ block's row multiset with the point's row marked.  Everything here is
 independent of the degree formulas in the criteria module; agreement between
 the two routes is the package's central correctness check.
 
+The verdicts count coverage on a prefix of the grid.  The blocks of a
+multiset are all its distinct row orders, so the orbit's block list is
+closed under row permutations by construction, whatever the group under
+test, and so is the coverage of the t-subsets.  A t-subset meets at most
+L = min(t, m) rows, so it suffices to count the t-subsets inside the first L
+rows: those meeting s rows stand for C(m, s)/C(L, s) times as many of the
+grid's.  A block covers such a subset exactly when its first L rows do, so
+only each distinct L-row prefix is built, and counted once for every row
+order that begins with it.  The check is exact division: for each coverage
+count and each s, the keys must split evenly over the C(L, s) sets of s
+rows, or the coverage is not row-symmetric and AssertionError is raised.
+
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
 """
@@ -84,11 +96,16 @@ def _check_group(m: int, n: int, group: str) -> None:
         raise ValueError("G requires a square grid")
 
 
-def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter]:
-    """One picker per distinct row order of a multiset whose distinct rows
-    occur counts[i] times and hold sizes[i] cells each.  Applied to the
-    cells of every distinct row in every row position, position major, a
-    picker returns the ascending cells of its block.
+def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...],
+             depth: int) -> list[tuple[list[itemgetter], int]]:
+    """One picker per distinct order of the first `depth` rows of a
+    multiset whose distinct rows occur counts[i] times and hold sizes[i]
+    cells each, in groups of equal multiplicity: (pickers, multiplicity)
+    per group.  Applied to the cells of every distinct row in each of the
+    first `depth` row positions, position major, a picker returns the
+    ascending cells of its prefix; the multiplicity is the number of row
+    orders that begin with that prefix.  At depth m there is one group,
+    of whole blocks, and its multiplicity is 1.
 
     Each level fills one more row position: the partial orders, grouped by
     the rows they have left, are extended by each distinct row still left.
@@ -97,7 +114,7 @@ def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter
     width = sum(sizes)
     bounds = list(accumulate(sizes, initial=0))
     groups = {counts: [()]}  # rows left -> index tuples of the partial orders
-    for p in range(sum(counts)):
+    for p in range(depth):
         grown = defaultdict(list)
         for left, partial in groups.items():
             for i, c in enumerate(left):
@@ -107,12 +124,18 @@ def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter
                     after = left[:i] + (c - 1,) + left[i + 1:]
                     grown[after] += map(add, partial, repeat(span))
         groups = grown
-    (picks,) = groups.values()
-    if len(picks[0]) > 1:
-        return list(starmap(itemgetter, picks))
-    # itemgetter of one index returns a bare item, not a tuple, so a block
-    # of at most one cell is a slice
-    return [itemgetter(slice(at[0], at[0] + 1) if at else slice(0)) for at in picks]
+    out = []
+    for left, picks in groups.items():
+        # the prefixes of one group hold the same rows, so the same number
+        # of cells; itemgetter of one index returns a bare item, not a
+        # tuple, so a prefix of at most one cell is a slice
+        if len(picks[0]) > 1:
+            pickers = list(starmap(itemgetter, picks))
+        else:
+            pickers = [itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+                       for at in picks]
+        out.append((pickers, _arrangements(left)))
+    return out
 
 
 def _arrangements(counts: tuple[int, ...]) -> int:
@@ -175,27 +198,31 @@ def _check_subsets(v: int, t: int, budget: Budget) -> None:
         )
 
 
-def _blocks(shapes, m: int, n: int) -> list[tuple[int, ...]]:
-    """The blocks of every distinct row order of the multisets with these
-    shapes (see _shape), each built once as an ascending cell tuple, grouped
-    by multiset and not sorted.
+def _blocks(shapes, n: int, depth: int) -> list[tuple[int, ...]]:
+    """The first `depth` rows of every block of every distinct row order of
+    the multisets with these shapes (see _shape), as ascending cell tuples,
+    grouped by multiset and not sorted; one entry per block, so a prefix
+    stands once for each row order that begins with it.  At depth m the
+    entries are the blocks themselves, each built once.
 
-    Per multiset, `cells` holds the cells of every distinct row in every
-    row position, position major; one picker per distinct row order takes
-    its block out of it in a single C call.  The pickers depend only on
-    the shape's multiplicities and sizes, shared across a K-orbit."""
+    Per multiset, `cells` holds the cells of every distinct row in each of
+    the first `depth` row positions, position major; one picker per
+    distinct prefix takes it out of `cells` in a single C call.  The
+    pickers depend only on the shape's multiplicities and sizes, shared
+    across a K-orbit."""
     columns: dict[int, list[int]] = {}
-    pickers: dict[tuple, list[itemgetter]] = {}
+    pickers: dict[tuple, list[tuple[list[itemgetter], int]]] = {}
     blocks: list[tuple[int, ...]] = []
     for values, counts, sizes in shapes:
         for r in values:
             if r not in columns:
                 columns[r] = [j for j in range(n) if r >> j & 1]
         line = [j for r in values for j in columns[r]]
-        cells = tuple(p * n + j for p in range(m) for j in line)
+        cells = tuple(p * n + j for p in range(depth) for j in line)
         if (counts, sizes) not in pickers:
-            pickers[counts, sizes] = _pickers(counts, sizes)
-        blocks += [pick(cells) for pick in pickers[counts, sizes]]
+            pickers[counts, sizes] = _pickers(counts, sizes, depth)
+        for picks, times in pickers[counts, sizes]:
+            blocks += [pick(cells) for pick in picks] * times
     return blocks
 
 
@@ -219,11 +246,32 @@ def _cover(blocks, t: int, workers: int = 1, coverage: Counter | None = None) ->
     return coverage
 
 
-def _histogram(coverage: Counter, v: int, t: int) -> dict[int, int]:
-    """{coverage count: number of t-subsets} over all C(v, t) t-subsets,
-    from the counts of the covered ones."""
-    hist = Counter(coverage.values())
-    uncovered = comb(v, t) - len(coverage)
+def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int) -> dict[int, int]:
+    """{coverage count: number of t-subsets} over all C(mn, t) t-subsets of
+    the m x n grid, from the counts of the covered ones inside the first
+    `depth` rows: min(t, m) rows for `orbit_verdicts`, all m for
+    `lambda_table`.
+
+    The counts must not change under row permutations, as for the blocks
+    of `_blocks`, which hold every row order of each multiset.  Then every
+    set of s rows meets equally many t-subsets of each coverage count, so
+    the keys of one count meeting s of the first `depth` rows split evenly
+    over the C(depth, s) row sets and stand for C(m, s) such sets on the
+    grid.  A count of keys that does not split evenly proves the coverage
+    not row-symmetric and raises AssertionError.  At depth m nothing is
+    scaled and nothing is assumed, so `lambda_table` takes any design."""
+    if depth == m:
+        hist = Counter(coverage.values())
+    else:
+        tally = Counter(zip(coverage.values(),
+                            (len({cell // n for cell in key}) for key in coverage)))
+        hist = Counter()
+        for (count, s), keys in tally.items():
+            per_rows, rest = divmod(keys, comb(depth, s))
+            if rest:
+                raise AssertionError("coverage is not invariant under row permutations")
+            hist[count] += per_rows * comb(m, s)
+    uncovered = comb(m * n, t) - hist.total()
     if uncovered:
         hist[0] = uncovered
     return dict(sorted(hist.items()))
@@ -257,7 +305,7 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
         starts.append(tuple(sorted(g.columns())))
     seen, total = _multisets(starts, n, budget.max_blocks)
     _check_blocks(total, budget)
-    blocks = _blocks(seen.values(), m, n)
+    blocks = _blocks(seen.values(), n, m)
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
@@ -275,11 +323,19 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
     united with K-orbit(B^T).  So when the closure of B's row multiset
     holds B^T's, the G result is the K result; otherwise the closure of
     B^T's multiset is built too, and its coverage is added to the K
-    coverage (for G alone, both closures are counted in one go).  Every
-    block is built and counted once, and none is sorted: a histogram does
-    not depend on the order of the blocks.  Refusals come in the order of
+    coverage (for G alone, both closures are counted in one go).  No
+    closure is counted twice, and nothing is sorted: a histogram does not
+    depend on the order of the blocks.  Refusals come in the order of
     materialize, then lambda_table, per group.  With workers > 1 each count
     runs in one process pool.
+
+    Only the t-subsets inside the first L = min(t, m) rows are counted.
+    Each block enters as its first L rows, once per block, and the
+    histogram scales the keys meeting s rows by C(m, s)/C(L, s): the block
+    list holds every row order of every multiset, so the coverage does not
+    change under row permutations (see `_histogram`, which checks that
+    the keys split evenly over the row sets).  b is the number of
+    entries, which is the number of blocks.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
@@ -297,18 +353,19 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
             _check_blocks(total + extra, budget)
         _check_subsets(m * n, t, budget)
 
+    depth = min(t, m)
     stages = (("K", seen), ("G", flipped)) if "K" in groups else (("G", seen | flipped),)
     out = {}
     b, coverage, hist = 0, None, None
     for group, closure in stages:
         if closure:
-            more = _blocks(closure.values(), m, n)
+            more = _blocks(closure.values(), n, depth)
             b += len(more)
             coverage = _cover(more, t, workers, coverage)
             hist = None
         if group in groups:
             if hist is None:
-                hist = _histogram(coverage, m * n, t)
+                hist = _histogram(coverage, m, n, t, depth)
             out[group] = (b, len(hist) == 1 and g.k >= t, hist)
     return out
 
@@ -319,7 +376,7 @@ def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dic
     design is a t-design exactly when the histogram has a single key and
     k >= t."""
     _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
-    return _histogram(_cover(d.blocks, t), d.v, t)
+    return _histogram(_cover(d.blocks, t), d.m, d.n, t, d.m)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .bigraph import BiGraph, transpose
+from .bigraph import BiGraph
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,17 @@ def _neighbours(g: BiGraph):
             lists[g.m + j].append(i)
             masks[g.m + j] |= 1 << i
     return [tuple(vs) for vs in lists], masks
+
+
+def _transposed(nbrs):
+    """The neighbour lists and masks of transpose(g) from g's (m = n): row
+    i of the transpose is column i of g and column j is row j, so the two
+    halves change places, shifted by m."""
+    lists, masks = nbrs
+    m = len(lists) // 2
+    up, down = m.__add__, (-m).__add__
+    return ([tuple(map(up, vs)) for vs in lists[m:]] + [tuple(map(down, vs)) for vs in lists[:m]],
+            [mask << m for mask in masks[m:]] + [mask >> m for mask in masks[:m]])
 
 
 def _bits(mask: int):
@@ -593,8 +604,7 @@ def automorphisms(g: BiGraph) -> AutReport:
     g_order = None
     tau_eq = None
     if g.m == g.n:
-        mapping = _search_iso(nbrs, root, _neighbours(transpose(g)),
-                              _side_cells(g.m, g.n, ()))
+        mapping = _search_iso(nbrs, root, _transposed(nbrs), _side_cells(g.m, g.n, ()))
         tau_eq = mapping is not None
         if tau_eq:
             p = _vertex_map_to_gridperm(mapping, g.m, g.n)
@@ -620,7 +630,7 @@ def tau_equivalent(g: BiGraph) -> bool:
     if g.m != g.n:
         raise ValueError("tau equivalence is only defined on square grids")
     nbrs, cells = _neighbours(g), _side_cells(g.m, g.n, ())
-    return _search_iso(nbrs, _start(cells, nbrs), _neighbours(transpose(g)), cells) is not None
+    return _search_iso(nbrs, _start(cells, nbrs), _transposed(nbrs), cells) is not None
 
 
 def is_edge_transitive(g: BiGraph, report: AutReport, group: str = "K") -> bool:

@@ -82,11 +82,12 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
 
 
 def coverage_of_blocks(args) -> Counter:
+    """One count for every t-subset of every block: one Counter.update per
+    block, over its combinations."""
     blocks, t = args
     coverage: Counter = Counter()
     for blk in blocks:
-        for sub in combinations(blk, t):
-            coverage[sub] += 1
+        coverage.update(combinations(blk, t))
     return coverage
 
 

@@ -1,7 +1,9 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import comb
 
@@ -15,6 +17,7 @@ from griddesigns.criteria import check_D, check_Dhat, evaluate
 from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
+    ExplicitDesign,
     export_block_list,
     flag_transitive_direct,
     lambda_table,
@@ -208,20 +211,26 @@ class TestExport:
 
 def _assert_same_design(g, group, budget=None):
     """The library and the frozenset reference agree on the blocks (order
-    included), the export text, the histograms for t = 2, 3, 4 and the flag
-    verdict; or both refuse the budget with the same message."""
+    included), the export text, the histograms for t = 1..4, counted on all
+    blocks by lambda_table and on row prefixes by orbit_verdicts, and the
+    flag verdict; or all three routes refuse the budget with the same
+    message."""
     try:
         want = oracle_reference.materialize(g, group, budget)
     except BudgetExceededError as exc:
-        with pytest.raises(BudgetExceededError) as got:
-            materialize(g, group, budget)
-        assert str(got.value) == str(exc)
+        for route in (partial(materialize, g, group), partial(orbit_verdicts, g, 2, [group])):
+            with pytest.raises(BudgetExceededError) as got:
+                route(budget=budget)
+            assert str(got.value) == str(exc)
         return
     d = materialize(g, group, budget)
     assert d == want
     assert export_block_list(d) == export_block_list(want)
-    for t in (2, 3, 4):
-        assert lambda_table(d, t) == oracle_reference.lambda_table(want, t)
+    for t in (1, 2, 3, 4):
+        hist = oracle_reference.lambda_table(want, t)
+        assert lambda_table(d, t) == hist
+        verdict = len(hist) == 1 and want.k >= t
+        assert orbit_verdicts(g, t, [group], budget) == {group: (want.b, verdict, hist)}
     if d.k:
         assert (flag_transitive_direct(g, group, d.b)
                 == oracle_reference.flag_transitive_direct(want))
@@ -473,16 +482,36 @@ def _verdicts_by_materialize(g, t, groups, budget=None):
     return out
 
 
-def _assert_same_verdicts(g, t):
-    """orbit_verdicts equals materialize + lambda_table for K, and on a
-    square grid for G alone and for both, in the order asked."""
-    groups = ("K", "G") if g.m == g.n else ("K",)
-    want = _verdicts_by_materialize(g, t, groups)
-    got = orbit_verdicts(g, t, groups)
-    assert got == want, (g, t)
-    assert list(got) == list(groups)
-    if g.m == g.n:
-        assert orbit_verdicts(g, t, ("G",)) == {"G": want["G"]}, (g, t)
+def _assert_same_verdicts(g, ts, budget=None):
+    """For each t in ts, orbit_verdicts equals materialize + lambda_table
+    for K, and on a square grid for K, G and both, in the order asked; or
+    both routes refuse the budget with the same message."""
+    designs = {}
+    for group in ("K", "G") if g.m == g.n else ("K",):
+        try:
+            designs[group] = materialize(g, group, budget)
+        except BudgetExceededError as exc:
+            designs[group] = exc
+    for t in ts:
+        literal = dict(designs)
+        for group, d in designs.items():
+            if isinstance(d, ExplicitDesign):
+                try:
+                    hist = lambda_table(d, t, budget)
+                    literal[group] = (d.b, len(hist) == 1 and d.k >= t, hist)
+                except BudgetExceededError as exc:
+                    literal[group] = exc
+        for groups in [("K",), ("G",), ("K", "G")] if g.m == g.n else [("K",)]:
+            refused = [literal[group] for group in groups
+                       if isinstance(literal[group], BudgetExceededError)]
+            if refused:
+                with pytest.raises(BudgetExceededError) as got:
+                    orbit_verdicts(g, t, groups, budget)
+                assert str(got.value) == str(refused[0])
+                continue
+            got = orbit_verdicts(g, t, groups, budget)
+            assert got == {group: literal[group] for group in groups}, (g, t, groups)
+            assert list(got) == list(groups)
 
 
 # K-orbit of 9 blocks and G-orbit of 18: the transpose puts the two edges in
@@ -491,22 +520,49 @@ NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
 
 
 class TestOrbitVerdicts:
-    """The K-orbit is built and counted once, and G reuses it."""
+    """The K-orbit is built and counted once, and G reuses it; the counts on
+    row prefixes, scaled by row symmetry, equal the count over all blocks."""
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
     def test_every_class(self, m, n):
         for g in iso_class_reps(m, n):
-            for t in (2, 3):
-                _assert_same_verdicts(g, t)
+            _assert_same_verdicts(g, (1, 2, 3, 4))
+
+    def test_seeded_graphs_to_6x6(self):
+        # every grid up to 6x6, so m < t, n = 1, k = 0 and k < t all occur;
+        # an orbit over the budget must be refused by both routes alike
+        rng = random.Random(24)
+        budget = Budget(max_blocks=1500)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for k in (0, 1, rng.randint(1, min(m * n, 8))):
+                    _assert_same_verdicts(_random_graph(rng, m, n, k), (1, 2, 3, 4), budget)
+
+    def test_asymmetric_coverage_raises(self):
+        # the histogram extends prefix counts by row symmetry, and refuses
+        # counts that do not split evenly over the row sets
+        g = family_path(5, 4, 4)
+        seen, _ = oracle._multisets([tuple(sorted(g.rows))], g.n, 10 ** 6)
+        coverage = oracle._cover(oracle._blocks(seen.values(), g.n, 2), 2)
+        assert oracle._histogram(coverage, 4, 4, 2, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
+        key = next(key for key in coverage if key[-1] < g.n)  # both cells in row 0
+        for change in (-1, 1):
+            broken = coverage.copy()
+            broken[key] += change
+            with pytest.raises(AssertionError, match="row permutations"):
+                oracle._histogram(broken, 4, 4, 2, 2)
+        # one covered pair in row 0 of a 3x2 grid, and none in row 1
+        with pytest.raises(AssertionError, match="row permutations"):
+            oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 2)
+        # at depth m nothing is scaled, so any design is counted as it is
+        assert oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 3) == {0: 14, 1: 1}
 
     @pytest.mark.parametrize("m,n", [(5, 5), (6, 4)])
     def test_random_graphs(self, m, n):
         rng = random.Random(10 * m + n)
         for k in range(3, 8):
             for _ in range(3):
-                g = _random_graph(rng, m, n, k)
-                for t in (2, 3):
-                    _assert_same_verdicts(g, t)
+                _assert_same_verdicts(_random_graph(rng, m, n, k), (2, 3))
 
     @pytest.mark.parametrize("groups, budget, message", [
         # the K-orbit fits, the G-orbit does not
@@ -532,17 +588,23 @@ class TestOrbitVerdicts:
         (family_path(5, 4, 4), 1),  # tau-equivalent: G reuses the K-orbit
         (NOT_TAU, 2),
     ], ids=["path5-4x4", "not-tau"])
-    def test_each_block_built_once(self, monkeypatch, g, closures):
+    def test_each_closure_counted_once(self, monkeypatch, g, closures):
+        # each closure's row prefixes are built in one call, each entered
+        # once per block that begins with it, so the multiplicities add up
+        # to b; the prefixes are the blocks cut to their first min(t, m) rows
+        t = 2
         want = materialize(g, "G").blocks
         built = []
         real = oracle._blocks
 
-        def spy(shapes, m, n):
-            built.append(real(shapes, m, n))
+        def spy(shapes, n, depth):
+            built.append(real(shapes, n, depth))
             return built[-1]
 
         monkeypatch.setattr(oracle, "_blocks", spy)
-        got = orbit_verdicts(g, 2, ("K", "G"))
+        got = orbit_verdicts(g, t, ("K", "G"))
         assert len(built) == closures
-        assert tuple(sorted(chain.from_iterable(built))) == want
-        assert got["G"][0] == len(want)
+        prefixes = Counter(chain.from_iterable(built))
+        cut = min(t, g.m) * g.n
+        assert prefixes == Counter(tuple(c for c in blk if c < cut) for blk in want)
+        assert sum(prefixes.values()) == got["G"][0] == len(want)

@@ -304,6 +304,19 @@ class TestTauEquivalence:
         with pytest.raises(ValueError):
             tau_equivalent(BiGraph(2, 3, (1, 2)))
 
+    def test_transposed_neighbours(self):
+        # the transpose test searches against lists and masks derived from
+        # g's own; they are those of the transposed graph
+        rng = random.Random(31)
+        graphs = [g for m in range(1, 5) for g in iso_class_reps(m, m)]
+        for _ in range(200):
+            m = rng.randint(1, 12)
+            graphs.append(BiGraph(m, m, tuple(rng.getrandbits(m) for _ in range(m))))
+        graphs += [family_figure(which) for which in ("fig1", "fig3")]
+        for g in graphs:
+            want = permgroup._neighbours(transpose(g))
+            assert permgroup._transposed(permgroup._neighbours(g)) == want, g
+
     def test_agrees_with_canonical_forms(self):
         rng = random.Random(29)
         for _ in range(80):
