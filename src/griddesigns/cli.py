@@ -34,9 +34,9 @@ def _read_graph(path: str) -> BiGraph:
 
 
 def _positive(text: str) -> int:
-    """An integer of at least 1: --workers of search and oracle (the pool is
-    capped at the CPU count and the number of jobs by workers.pool_size),
-    --max-blocks and --max-subsets."""
+    """An integer of at least 1: --workers of search (the pool is capped at
+    the CPU count and the number of branches), --max-blocks and
+    --max-subsets."""
     try:
         value = int(text)
     except ValueError:
@@ -245,8 +245,7 @@ def _cmd_oracle(args) -> int:
     if args.ratio and args.t not in (2, 3):
         print("error: --ratio needs --t 2 or 3", file=sys.stderr)
         return EXIT_USAGE
-    b, verdict, hist = oracle.orbit_verdicts(
-        g, args.t, [args.group], budget, workers=args.workers)[args.group]
+    b, verdict, hist = oracle.orbit_verdicts(g, args.t, [args.group], budget)[args.group]
     payload = {
         "group": args.group,
         "t": args.t,
@@ -413,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-blocks", type=_positive, default=None)
     p.add_argument("--max-subsets", type=_positive, default=None)
-    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(fn=_cmd_oracle)
 
     return parser

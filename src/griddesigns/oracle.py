@@ -12,17 +12,10 @@ block's row multiset with the point's row marked.  Everything here is
 independent of the degree formulas in the criteria module; agreement between
 the two routes is the package's central correctness check.
 
-The verdicts count coverage on a prefix of the grid.  The blocks of a
-multiset are all its distinct row orders, so the orbit's block list is
-closed under row permutations by construction, whatever the group under
-test, and so is the coverage of the t-subsets.  A t-subset meets at most
-L = min(t, m) rows, so it suffices to count the t-subsets inside the first L
-rows: those meeting s rows stand for C(m, s)/C(L, s) times as many of the
-grid's.  A block covers such a subset exactly when its first L rows do, so
-only each distinct L-row prefix is built, and counted once for every row
-order that begins with it.  The check is exact division: for each coverage
-count and each s, the keys must split evenly over the C(L, s) sets of s
-rows, or the coverage is not row-symmetric and AssertionError is raised.
+The verdicts count coverage in one serial pass on the window of the first
+min(t, m) rows and min(t, n) columns, and scale it to the grid by row and
+column symmetry: the block lists are closed under K, so the coverage is
+K-invariant (see `orbit_verdicts`).
 
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
@@ -38,7 +31,6 @@ from math import comb, factorial
 from operator import add, itemgetter
 
 from .bigraph import BiGraph
-from .workers import pool_size
 
 
 class BudgetExceededError(RuntimeError):
@@ -198,27 +190,29 @@ def _check_subsets(v: int, t: int, budget: Budget) -> None:
         )
 
 
-def _blocks(shapes, n: int, depth: int) -> list[tuple[int, ...]]:
-    """The first `depth` rows of every block of every distinct row order of
-    the multisets with these shapes (see _shape), as ascending cell tuples,
-    grouped by multiset and not sorted; one entry per block, so a prefix
-    stands once for each row order that begins with it.  At depth m the
-    entries are the blocks themselves, each built once.
+def _blocks(shapes, n: int, depth: int, width: int) -> list[tuple[int, ...]]:
+    """The first `depth` rows and first `width` columns of every block of
+    every distinct row order of the multisets with these shapes (see
+    _shape), as ascending cell tuples, grouped by multiset and not sorted;
+    one entry per block, so a cut block stands once for each row order that
+    begins with its cut.  At depth m and width n the entries are the blocks
+    themselves, each built once.
 
-    Per multiset, `cells` holds the cells of every distinct row in each of
-    the first `depth` row positions, position major; one picker per
-    distinct prefix takes it out of `cells` in a single C call.  The
-    pickers depend only on the shape's multiplicities and sizes, shared
-    across a K-orbit."""
+    Per multiset, each distinct row is cut to its first `width` columns, and
+    `cells` holds the cut rows in each of the first `depth` row positions,
+    position major; one picker per distinct prefix takes it out of `cells`
+    in a single C call.  The pickers depend only on the multiplicities and
+    the cut sizes, so multisets with equal ones share them."""
     columns: dict[int, list[int]] = {}
     pickers: dict[tuple, list[tuple[list[itemgetter], int]]] = {}
     blocks: list[tuple[int, ...]] = []
-    for values, counts, sizes in shapes:
+    for values, counts, _ in shapes:
         for r in values:
             if r not in columns:
-                columns[r] = [j for j in range(n) if r >> j & 1]
-        line = [j for r in values for j in columns[r]]
-        cells = tuple(p * n + j for p in range(depth) for j in line)
+                columns[r] = [j for j in range(width) if r >> j & 1]
+        cut = [columns[r] for r in values]
+        sizes = tuple(map(len, cut))
+        cells = tuple(p * n + j for p in range(depth) for row in cut for j in row)
         if (counts, sizes) not in pickers:
             pickers[counts, sizes] = _pickers(counts, sizes, depth)
         for picks, times in pickers[counts, sizes]:
@@ -226,51 +220,44 @@ def _blocks(shapes, n: int, depth: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _cover(blocks, t: int, workers: int = 1, coverage: Counter | None = None) -> Counter:
+def _cover(blocks, t: int, coverage: Counter | None = None) -> Counter:
     """`coverage` (a new Counter if None) plus one count for every t-subset
-    of every block.  With workers > 1 the blocks are counted in chunks in
-    one pool of worker processes, and the parts are merged; the counts do
-    not depend on the chunking."""
+    of every block."""
     coverage = Counter() if coverage is None else coverage
-    size = pool_size(workers, len(blocks)) if workers > 1 else 1
-    if size == 1:
-        coverage.update(chain.from_iterable(map(combinations, blocks, repeat(t))))
-        return coverage
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = -(-len(blocks) // size)
-    chunks = [blocks[i:i + step] for i in range(0, len(blocks), step)]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        for part in pool.map(_cover, chunks, repeat(t)):
-            coverage.update(part)
+    coverage.update(chain.from_iterable(map(combinations, blocks, repeat(t))))
     return coverage
 
 
-def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int) -> dict[int, int]:
+def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int,
+               width: int) -> dict[int, int]:
     """{coverage count: number of t-subsets} over all C(mn, t) t-subsets of
-    the m x n grid, from the counts of the covered ones inside the first
-    `depth` rows: min(t, m) rows for `orbit_verdicts`, all m for
-    `lambda_table`.
+    the m x n grid, from the counts of the covered ones inside the window of
+    the first `depth` rows and first `width` columns: min(t, m) x min(t, n)
+    for `orbit_verdicts`, all of the grid for `lambda_table`.
 
-    The counts must not change under row permutations, as for the blocks
-    of `_blocks`, which hold every row order of each multiset.  Then every
-    set of s rows meets equally many t-subsets of each coverage count, so
-    the keys of one count meeting s of the first `depth` rows split evenly
-    over the C(depth, s) row sets and stand for C(m, s) such sets on the
-    grid.  A count of keys that does not split evenly proves the coverage
-    not row-symmetric and raises AssertionError.  At depth m nothing is
-    scaled and nothing is assumed, so `lambda_table` takes any design."""
-    if depth == m:
+    The counts must not change under row and column permutations, as for
+    the K-closed block lists of `orbit_verdicts`.  Then the keys of one count
+    meeting exactly s of the window's rows and r of its columns split evenly
+    over the C(depth, s)·C(width, r) such row and column sets, and stand for
+    C(m, s)·C(n, r) sets on the grid; keys that do not split evenly prove
+    the coverage not symmetric and raise AssertionError.  A side the window
+    spans whole is neither counted nor scaled, so on the whole grid nothing
+    is assumed, and `lambda_table` takes any design."""
+    if depth == m and width == n:
         hist = Counter(coverage.values())
     else:
-        tally = Counter(zip(coverage.values(),
-                            (len({cell // n for cell in key}) for key in coverage)))
+        tally = Counter()
+        for key, count in coverage.items():
+            s = len({cell // n for cell in key}) if depth < m else 0
+            r = len({cell % n for cell in key}) if width < n else 0
+            tally[count, s, r] += 1
         hist = Counter()
-        for (count, s), keys in tally.items():
-            per_rows, rest = divmod(keys, comb(depth, s))
+        for (count, s, r), keys in tally.items():
+            per_sets, rest = divmod(keys, comb(depth, s) * comb(width, r))
             if rest:
-                raise AssertionError("coverage is not invariant under row permutations")
-            hist[count] += per_rows * comb(m, s)
+                raise AssertionError(
+                    "coverage is not invariant under row and column permutations")
+            hist[count] += per_sets * comb(m, s) * comb(n, r)
     uncovered = comb(m * n, t) - hist.total()
     if uncovered:
         hist[0] = uncovered
@@ -305,13 +292,12 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
         starts.append(tuple(sorted(g.columns())))
     seen, total = _multisets(starts, n, budget.max_blocks)
     _check_blocks(total, budget)
-    blocks = _blocks(seen.values(), n, m)
+    blocks = _blocks(seen.values(), n, m, n)
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
 
-def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
-                   workers: int = 1) -> dict:
+def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> dict:
     """{group: (blocks, is_t_design, histogram)} for each of `groups` ("K",
     "G" or both, in that order): the block count of `materialize` and the
     coverage histogram of `lambda_table`, with the K-orbit built and counted
@@ -326,16 +312,18 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
     coverage (for G alone, both closures are counted in one go).  No
     closure is counted twice, and nothing is sorted: a histogram does not
     depend on the order of the blocks.  Refusals come in the order of
-    materialize, then lambda_table, per group.  With workers > 1 each count
-    runs in one process pool.
+    materialize, then lambda_table, per group.
 
-    Only the t-subsets inside the first L = min(t, m) rows are counted.
-    Each block enters as its first L rows, once per block, and the
-    histogram scales the keys meeting s rows by C(m, s)/C(L, s): the block
-    list holds every row order of every multiset, so the coverage does not
-    change under row permutations (see `_histogram`, which checks that
-    the keys split evenly over the row sets).  b is the number of
-    entries, which is the number of blocks.
+    Only the t-subsets inside the window of the first L = min(t, m) rows
+    and the first M = min(t, n) columns are counted, serially.  Each block
+    enters cut to the window, once per block, so b is the number of
+    entries, and the histogram scales the keys meeting s rows and r columns
+    by C(m, s)·C(n, r)/(C(L, s)·C(M, r)).  This is exact because the block
+    list is closed under K: under row permutations since it holds every row
+    order of every multiset, and under column permutations since the
+    closure takes every adjacent column swap, and those generate them all;
+    a G-orbit is the union of two K-orbits.  `_histogram` checks that the
+    keys split evenly.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
@@ -353,19 +341,19 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None,
             _check_blocks(total + extra, budget)
         _check_subsets(m * n, t, budget)
 
-    depth = min(t, m)
+    depth, width = min(t, m), min(t, n)
     stages = (("K", seen), ("G", flipped)) if "K" in groups else (("G", seen | flipped),)
     out = {}
     b, coverage, hist = 0, None, None
     for group, closure in stages:
         if closure:
-            more = _blocks(closure.values(), n, depth)
+            more = _blocks(closure.values(), n, depth, width)
             b += len(more)
-            coverage = _cover(more, t, workers, coverage)
+            coverage = _cover(more, t, coverage)
             hist = None
         if group in groups:
             if hist is None:
-                hist = _histogram(coverage, m, n, t, depth)
+                hist = _histogram(coverage, m, n, t, depth, width)
             out[group] = (b, len(hist) == 1 and g.k >= t, hist)
     return out
 
@@ -376,7 +364,7 @@ def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dic
     design is a t-design exactly when the histogram has a single key and
     k >= t."""
     _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
-    return _histogram(_cover(d.blocks, t), d.m, d.n, t, d.m)
+    return _histogram(_cover(d.blocks, t), d.m, d.n, t, d.m, d.n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ what a search yields nor where its node budget stops it.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -30,7 +31,6 @@ from math import comb, perm
 
 from . import criteria, permgroup
 from .bigraph import BiGraph, canonical_form, from_edge_list, parse_graph_text, three_paths
-from .workers import pool_size
 
 # target -> (design, t, flag-transitive)
 TARGETS = {
@@ -367,10 +367,11 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     branch is skipped), so the output of a resumed run is the full run's
     output from that branch on.
 
-    Each branch is decided whole, in a process pool when workers.pool_size
-    allows more than one process, and its results are yielded in branch
-    order.  The run stops at the first branch whose nodes take the run's
-    total past spec.max_nodes, or that realizes a node after spec.max_seconds
+    Each branch is decided whole, in a process pool of `workers` processes
+    capped at the CPU count and the number of searched branches (serially
+    when that is 1 or less), and its results are yielded in branch order.  The run
+    stops at the first branch whose nodes take the run's total past
+    spec.max_nodes, or that realizes a node after spec.max_seconds
     (one monotonic deadline for every process).  SearchBudgetError names
     that branch for resumption after every earlier branch's results, and a
     pool drops its queued branches; so the worker count changes neither the
@@ -385,7 +386,9 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
     deadline_ns = None
     if spec.max_seconds is not None:
         deadline_ns = time.monotonic_ns() + spec.max_seconds * 10**9
-    size = pool_size(workers, len(indices))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    size = min(workers, os.cpu_count() or 1, len(indices))
     pool = None
     if size > 1:
         from concurrent.futures import ProcessPoolExecutor

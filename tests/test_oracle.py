@@ -99,11 +99,6 @@ class TestLambdaTable:
         with pytest.raises(BudgetExceededError):
             lambda_table(d, 3, Budget(max_subsets=10))
 
-    def test_workers_do_not_change_output(self):
-        g = family_path(5, 4, 4)
-        for groups in (["K"], ["G"], ["K", "G"]):
-            assert orbit_verdicts(g, 2, groups, workers=3) == orbit_verdicts(g, 2, groups)
-
 
 class TestOrbitRatio:
     def test_fig1_counts(self):
@@ -324,13 +319,6 @@ class TestMatchesReference:
         if g.m == g.n:
             _assert_same_design(g, "G", budget)
 
-    def test_workers_path(self, monkeypatch):
-        # one chunk per worker, merged, equals the reference coverage
-        monkeypatch.setattr("griddesigns.workers.os.cpu_count", lambda: 2)
-        g = family_cycle(6, 4)
-        want = oracle_reference.lambda_table(oracle_reference.materialize(g, "G"), 3)
-        assert orbit_verdicts(g, 3, ["G"], workers=2)["G"][2] == want
-
 
 class TestBudgetBoundary:
     def test_exact_orbit_size_fits(self):
@@ -512,6 +500,9 @@ def _assert_same_verdicts(g, ts, budget=None):
             got = orbit_verdicts(g, t, groups, budget)
             assert got == {group: literal[group] for group in groups}, (g, t, groups)
             assert list(got) == list(groups)
+            # double counting: each of b blocks covers C(k, t) t-subsets
+            for b, _, hist in got.values():
+                assert sum(c * num for c, num in hist.items()) == b * comb(g.k, t)
 
 
 # K-orbit of 9 blocks and G-orbit of 18: the transpose puts the two edges in
@@ -521,7 +512,8 @@ NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
 
 class TestOrbitVerdicts:
     """The K-orbit is built and counted once, and G reuses it; the counts on
-    row prefixes, scaled by row symmetry, equal the count over all blocks."""
+    the window of min(t, m) rows and min(t, n) columns, scaled by row and
+    column symmetry, equal the count over all blocks."""
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
     def test_every_class(self, m, n):
@@ -539,23 +531,36 @@ class TestOrbitVerdicts:
                     _assert_same_verdicts(_random_graph(rng, m, n, k), (1, 2, 3, 4), budget)
 
     def test_asymmetric_coverage_raises(self):
-        # the histogram extends prefix counts by row symmetry, and refuses
-        # counts that do not split evenly over the row sets
+        # the histogram extends window counts by row and column symmetry,
+        # and refuses counts that do not split evenly over the row and
+        # column sets
         g = family_path(5, 4, 4)
         seen, _ = oracle._multisets([tuple(sorted(g.rows))], g.n, 10 ** 6)
-        coverage = oracle._cover(oracle._blocks(seen.values(), g.n, 2), 2)
-        assert oracle._histogram(coverage, 4, 4, 2, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
+        coverage = oracle._cover(oracle._blocks(seen.values(), g.n, 2, 2), 2)
+        assert oracle._histogram(coverage, 4, 4, 2, 2, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
         key = next(key for key in coverage if key[-1] < g.n)  # both cells in row 0
         for change in (-1, 1):
             broken = coverage.copy()
             broken[key] += change
-            with pytest.raises(AssertionError, match="row permutations"):
-                oracle._histogram(broken, 4, 4, 2, 2)
+            with pytest.raises(AssertionError, match="row and column permutations"):
+                oracle._histogram(broken, 4, 4, 2, 2, 2)
         # one covered pair in row 0 of a 3x2 grid, and none in row 1
-        with pytest.raises(AssertionError, match="row permutations"):
-            oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 2)
-        # at depth m nothing is scaled, so any design is counted as it is
-        assert oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 3) == {0: 14, 1: 1}
+        with pytest.raises(AssertionError, match="row and column permutations"):
+            oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 2, 2)
+        # symmetric in rows but not in columns: on a 2x3 grid the pair in
+        # column 0 is covered and the pair in column 1 is not
+        with pytest.raises(AssertionError, match="row and column permutations"):
+            oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2, 2, 2)
+        assert oracle._histogram(Counter({(0, 3): 1, (1, 4): 1}), 2, 3, 2, 2, 2) == {0: 12, 1: 3}
+        # on the whole grid nothing is scaled, so any design is counted as it is
+        assert oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 3, 2) == {0: 14, 1: 1}
+
+    def test_large_table_matches_whole_count(self):
+        # 43,200 blocks at t = 4 on 6x5, counted whole by lambda_table
+        g = from_edge_list(6, 5, [(2, 1), (2, 2), (3, 5), (4, 2), (4, 3),
+                                  (4, 4), (5, 5), (6, 1), (6, 3), (6, 5)])
+        d = materialize(g, "K")
+        assert orbit_verdicts(g, 4, ["K"]) == {"K": (43_200, False, lambda_table(d, 4))}
 
     @pytest.mark.parametrize("m,n", [(5, 5), (6, 4)])
     def test_random_graphs(self, m, n):
@@ -589,22 +594,23 @@ class TestOrbitVerdicts:
         (NOT_TAU, 2),
     ], ids=["path5-4x4", "not-tau"])
     def test_each_closure_counted_once(self, monkeypatch, g, closures):
-        # each closure's row prefixes are built in one call, each entered
-        # once per block that begins with it, so the multiplicities add up
-        # to b; the prefixes are the blocks cut to their first min(t, m) rows
+        # each closure's cut blocks are built in one call, each entered once
+        # per block, so the multiplicities add up to b; the cuts are the
+        # blocks cut to their first min(t, m) rows and min(t, n) columns
         t = 2
         want = materialize(g, "G").blocks
         built = []
         real = oracle._blocks
 
-        def spy(shapes, n, depth):
-            built.append(real(shapes, n, depth))
+        def spy(shapes, n, depth, width):
+            built.append(real(shapes, n, depth, width))
             return built[-1]
 
         monkeypatch.setattr(oracle, "_blocks", spy)
         got = orbit_verdicts(g, t, ("K", "G"))
         assert len(built) == closures
         prefixes = Counter(chain.from_iterable(built))
-        cut = min(t, g.m) * g.n
-        assert prefixes == Counter(tuple(c for c in blk if c < cut) for blk in want)
+        depth, width = min(t, g.m), min(t, g.n)
+        assert prefixes == Counter(
+            tuple(c for c in blk if c < depth * g.n and c % g.n < width) for blk in want)
         assert sum(prefixes.values()) == got["G"][0] == len(want)

@@ -16,7 +16,7 @@ from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats, three_p
 from griddesigns.cli import main
 from griddesigns.criteria import check_D, check_Dhat, count_targets, evaluate
 from griddesigns.oracle import materialize, orbit_verdicts
-from griddesigns import bigraph, criteria, search, workers
+from griddesigns import bigraph, criteria, search
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
     TARGETS,
@@ -243,7 +243,7 @@ class TestExhaustiveSearch:
     def _real_pool(monkeypatch):
         """Two CPUs even on a one-CPU machine, so the pool path runs; the
         sizes of the pools started."""
-        monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         sizes = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):

@@ -1,4 +1,5 @@
-"""--workers validation and the pool-size cap, with no process started."""
+"""--workers validation and the search's pool-size cap, with no process
+started."""
 
 import concurrent.futures
 import json
@@ -7,8 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from griddesigns import oracle
-from griddesigns.bigraph import format_graph_text, from_edge_list
+from griddesigns.bigraph import from_edge_list
 from griddesigns.cli import main
 from griddesigns.oracle import orbit_verdicts
 from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
@@ -21,7 +21,6 @@ from griddesigns.search import (
     exhaustive_search,
     family_figure,
 )
-from griddesigns.workers import pool_size
 
 
 class FakePool:
@@ -58,23 +57,37 @@ def fake_pool(monkeypatch):
     return FakePool.sizes
 
 
-class TestPoolSize:
-    def test_caps(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert pool_size(1, 100) == 1
-        assert pool_size(3, 100) == 3
-        assert pool_size(10_000, 100) == 4
-        assert pool_size(10_000, 2) == 2
-        assert pool_size(8, 0) == 1
+# six searched branches of ten: the mirrors of four are skipped
+SIX_BRANCHES = SearchSpec(m=5, n=5, k=9, target="dhat2")
 
-    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+
+class TestPoolSize:
+    # the search's pool is capped at the CPU count and at the number of
+    # searched branches; a cap of 1 starts no pool
+    @staticmethod
+    def _sizes(spec, workers, fake_pool):
+        serial = [g.edges() for g, _ in exhaustive_search(spec)]
+        fake_pool.clear()
+        assert [g.edges() for g, _ in exhaustive_search(spec, workers)] == serial
+        return list(fake_pool)
+
+    def test_caps(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert len(_searched_branches(SIX_BRANCHES, degree_branches(SIX_BRANCHES))) == 6
+        assert self._sizes(SIX_BRANCHES, 1, fake_pool) == []
+        assert self._sizes(SIX_BRANCHES, 3, fake_pool) == [3]
+        assert self._sizes(SIX_BRANCHES, 10_000, fake_pool) == [4]
+        # a start branch at the end searches nothing
+        assert self._sizes(replace(SIX_BRANCHES, start_branch=10), 8, fake_pool) == []
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert pool_size(8, 100) == 1
+        assert self._sizes(SIX_BRANCHES, 8, fake_pool) == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_below_one_rejected(self, workers):
-        with pytest.raises(ValueError):
-            pool_size(workers, 10)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            list(exhaustive_search(SIX_BRANCHES, workers))
 
 
 class TestCapAtCallSites:
@@ -99,41 +112,6 @@ class TestCapAtCallSites:
         self._assert_serial([
             (scan_general_3design(14, 14), "--general3 --max-m 14 --max-n 14"),
         ], capsys, fake_pool)
-
-    def test_oracle_capped(self, monkeypatch, fake_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        g = family_figure("fig2")
-        assert orbit_verdicts(g, 2, ["K"], workers=10_000) == orbit_verdicts(g, 2, ["K"])
-        assert fake_pool == [3]
-
-    def test_oracle_command_pools_its_count(self, monkeypatch, fake_pool, capsys, tmp_path):
-        # the command's verdict comes from orbit_verdicts, which counts the
-        # blocks in a pool of --workers processes
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        path = tmp_path / "fig2.grid"
-        path.write_text(format_graph_text(family_figure("fig2")))
-        outputs = []
-        for workers in ("1", "4"):
-            assert main(["oracle", str(path), "--t", "3", "--workers", workers]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "3design = yes" in outputs[0]
-        assert fake_pool == [3]
-
-    def test_one_pool_for_both_closures(self, monkeypatch, fake_pool, capsys, tmp_path):
-        # not tau-equivalent: the G-orbit is the K-orbit of the block and
-        # that of its transpose, 9 blocks each, counted in one pool
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        path = tmp_path / "not-tau.grid"
-        path.write_text(format_graph_text(from_edge_list(3, 3, [(1, 1), (1, 2)])))
-        outputs = []
-        for workers in ("1", "2"):
-            assert main(["oracle", str(path), "--group", "G", "--t", "2",
-                         "--workers", workers]) == 1
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "blocks = 18" in outputs[0]
-        assert fake_pool == [2]
 
     def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
@@ -166,16 +144,16 @@ class TestCapAtCallSites:
                                    ("error", indices[1])]
 
     def test_single_worker_starts_no_pool(self, monkeypatch, fake_pool):
-        # one worker is never sized: no pool_size, no CPU count
+        # the oracle never reads the CPU count, and neither the oracle nor a
+        # search on one worker starts a pool
         def refuse(*args):
-            raise AssertionError("a single worker was sized")
+            raise AssertionError("the oracle read the CPU count")
 
         scan_square_3design(40)
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "pool_size", refuse)
             patch.setattr(os, "cpu_count", refuse)
             orbit_verdicts(from_edge_list(3, 3, [(1, 1), (1, 2)]), 2, ["K", "G"])
-            orbit_verdicts(family_figure("fig2"), 2, ["K"], workers=1)
+            orbit_verdicts(family_figure("fig2"), 2, ["K"])
         list(exhaustive_search(SearchSpec(m=4, n=4, k=5, target="dhat2"), workers=1))
         assert fake_pool == []
 
@@ -197,5 +175,12 @@ class TestCli:
     def test_scan_takes_no_workers(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--square3", "--max-m", "11", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_oracle_takes_no_workers(self, capsys):
+        # the oracle counts in one process and takes no --workers
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-", "--t", "4", "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
