@@ -13,9 +13,12 @@ independent of the degree formulas in the criteria module; agreement between
 the two routes is the package's central correctness check.
 
 The verdicts count coverage in one serial pass on the window of the first
-min(t, m) rows and min(t, n) columns, and scale it to the grid by row and
-column symmetry: the block lists are closed under K, so the coverage is
-K-invariant (see `orbit_verdicts`).
+L = min(t, m) rows and M = min(t, n) columns, and scale it to the grid by
+row and column symmetry, as the block lists are closed under K.  Each
+distinct window cut of the blocks counts once, weighted by the blocks cut
+to it: a sub-multiset U of L cut rows of a row multiset S weighs
+arr(S)·prod fall(c_u, d_u), and the weight summed over the closure must
+divide by fall(m, L), or AssertionError is raised (see `orbit_verdicts`).
 
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, repeat, starmap
+from itertools import accumulate, chain, combinations, permutations, repeat, starmap
 from math import comb, factorial
 from operator import add, itemgetter
 
@@ -88,16 +91,11 @@ def _check_group(m: int, n: int, group: str) -> None:
         raise ValueError("G requires a square grid")
 
 
-def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...],
-             depth: int) -> list[tuple[list[itemgetter], int]]:
-    """One picker per distinct order of the first `depth` rows of a
-    multiset whose distinct rows occur counts[i] times and hold sizes[i]
-    cells each, in groups of equal multiplicity: (pickers, multiplicity)
-    per group.  Applied to the cells of every distinct row in each of the
-    first `depth` row positions, position major, a picker returns the
-    ascending cells of its prefix; the multiplicity is the number of row
-    orders that begin with that prefix.  At depth m there is one group,
-    of whole blocks, and its multiplicity is 1.
+def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter]:
+    """One picker per distinct row order of a multiset whose distinct rows
+    occur counts[i] times and hold sizes[i] cells each.  Applied to the
+    cells of every distinct row in each row position, position major, a
+    picker returns the ascending cells of its block.
 
     Each level fills one more row position: the partial orders, grouped by
     the rows they have left, are extended by each distinct row still left.
@@ -106,7 +104,7 @@ def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...],
     width = sum(sizes)
     bounds = list(accumulate(sizes, initial=0))
     groups = {counts: [()]}  # rows left -> index tuples of the partial orders
-    for p in range(depth):
+    for p in range(sum(counts)):
         grown = defaultdict(list)
         for left, partial in groups.items():
             for i, c in enumerate(left):
@@ -116,18 +114,12 @@ def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...],
                     after = left[:i] + (c - 1,) + left[i + 1:]
                     grown[after] += map(add, partial, repeat(span))
         groups = grown
-    out = []
-    for left, picks in groups.items():
-        # the prefixes of one group hold the same rows, so the same number
-        # of cells; itemgetter of one index returns a bare item, not a
-        # tuple, so a prefix of at most one cell is a slice
-        if len(picks[0]) > 1:
-            pickers = list(starmap(itemgetter, picks))
-        else:
-            pickers = [itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
-                       for at in picks]
-        out.append((pickers, _arrangements(left)))
-    return out
+    (picks,) = groups.values()
+    # itemgetter of one index returns a bare item, not a tuple, so a block
+    # of at most one cell is a slice
+    if len(picks[0]) > 1:
+        return list(starmap(itemgetter, picks))
+    return [itemgetter(slice(at[0], at[0] + 1) if at else slice(0)) for at in picks]
 
 
 def _arrangements(counts: tuple[int, ...]) -> int:
@@ -143,7 +135,8 @@ def _shape(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """(distinct rows, their multiplicities, their sizes) of a row multiset,
     ordered by (multiplicity, size, mask).  Column permutations keep
     multiplicities and sizes, so every multiset of one K-orbit has the same
-    multiplicities and sizes in this order."""
+    multiplicities and sizes in this order, and `_blocks` builds its
+    pickers once per K-orbit."""
     distinct = dict.fromkeys(rows)
     ranked = zip(map(rows.count, distinct), map(int.bit_count, distinct), distinct)
     counts, sizes, values = zip(*sorted(ranked))
@@ -190,41 +183,70 @@ def _check_subsets(v: int, t: int, budget: Budget) -> None:
         )
 
 
-def _blocks(shapes, n: int, depth: int, width: int) -> list[tuple[int, ...]]:
-    """The first `depth` rows and first `width` columns of every block of
-    every distinct row order of the multisets with these shapes (see
-    _shape), as ascending cell tuples, grouped by multiset and not sorted;
-    one entry per block, so a cut block stands once for each row order that
-    begins with its cut.  At depth m and width n the entries are the blocks
-    themselves, each built once.
+def _blocks(shapes, n: int) -> list[tuple[int, ...]]:
+    """Every block of every distinct row order of the multisets with these
+    shapes (see _shape), each built once as an ascending cell tuple, grouped
+    by multiset and not sorted.
 
-    Per multiset, each distinct row is cut to its first `width` columns, and
-    `cells` holds the cut rows in each of the first `depth` row positions,
-    position major; one picker per distinct prefix takes it out of `cells`
-    in a single C call.  The pickers depend only on the multiplicities and
-    the cut sizes, so multisets with equal ones share them."""
-    columns: dict[int, list[int]] = {}
-    pickers: dict[tuple, list[tuple[list[itemgetter], int]]] = {}
+    Per multiset, `cells` holds the cells of every distinct row in each row
+    position, position major; one picker per row order takes its block out
+    of `cells` in a single C call.  The pickers depend only on the
+    multiplicities and the sizes, so multisets with equal ones share them."""
+    pickers: dict[tuple, list[itemgetter]] = {}
     blocks: list[tuple[int, ...]] = []
-    for values, counts, _ in shapes:
-        for r in values:
-            if r not in columns:
-                columns[r] = [j for j in range(width) if r >> j & 1]
-        cut = [columns[r] for r in values]
-        sizes = tuple(map(len, cut))
-        cells = tuple(p * n + j for p in range(depth) for row in cut for j in row)
+    for values, counts, sizes in shapes:
+        cells = tuple(p * n + j for p in range(sum(counts)) for r in values
+                      for j in range(n) if r >> j & 1)
         if (counts, sizes) not in pickers:
-            pickers[counts, sizes] = _pickers(counts, sizes, depth)
-        for picks, times in pickers[counts, sizes]:
-            blocks += [pick(cells) for pick in picks] * times
+            pickers[counts, sizes] = _pickers(counts, sizes)
+        blocks += [pick(cells) for pick in pickers[counts, sizes]]
     return blocks
 
 
-def _cover(blocks, t: int, coverage: Counter | None = None) -> Counter:
-    """`coverage` (a new Counter if None) plus one count for every t-subset
-    of every block."""
+def _window(closure: dict, m: int, n: int, depth: int,
+            width: int) -> list[tuple[tuple[int, ...], int]]:
+    """(entry, weight) pairs: each distinct cut of a block of the closure
+    (multiset -> shape) to its first L = `depth` rows and first `width`
+    columns, as an ascending cell tuple, with the number of blocks cut to it.
+
+    A multiset S holds its distinct rows c_i times and cut value u c_u
+    times, and a sub-multiset U of L cut rows holds u d_u times.  Of the m!
+    orders of S's rows taken as distinct, prod fall(c_u, d_u)·(m - L)! begin
+    with one order of U, and each of S's arr(S) row orders stands for prod
+    c_i! of them.  Counting L-subsets of cut rows gives prod C(c_u, d_u) =
+    prod fall(c_u, d_u)/prod d_u!, and fall(m, L)/prod d_u! is C(m, L) times
+    U's number of orders."""
+    mask = (1 << width) - 1
+    cuts = Counter((tuple(sorted([r & mask for r in rows])), counts)
+                   for rows, (_, counts, _) in closure.items())
+    totals: dict = defaultdict(int)  # U -> summed arr(S)·prod C(c_u, d_u)
+    for (cut, counts), many in cuts.items():
+        times = many * _arrangements(counts)
+        for sub, ways in Counter(combinations(cut, depth)).items():
+            totals[sub] += times * ways
+    values = set(chain.from_iterable(totals))
+    cells = [{u: tuple(p * n + j for j in range(width) if u >> j & 1) for u in values}
+             for p in range(depth)]  # position -> cut value -> cells
+    out = []
+    for sub, total in totals.items():
+        orders = set(permutations(sub))
+        weight, rest = divmod(total, comb(m, depth) * len(orders))
+        if rest:
+            raise AssertionError("window weight is not a whole number of row orders")
+        out += [(sum(map(dict.__getitem__, cells, order), ()), weight) for order in orders]
+    return out
+
+
+def _cover(entries, t: int, coverage: Counter | None = None) -> Counter:
+    """`coverage` (a new Counter if None) plus `weight` counts for every
+    t-subset of every (entry, weight) pair, counted one weight at a time."""
     coverage = Counter() if coverage is None else coverage
-    coverage.update(chain.from_iterable(map(combinations, blocks, repeat(t))))
+    groups = defaultdict(list)
+    for entry, weight in entries:
+        groups[weight].append(entry)
+    for weight, group in groups.items():
+        counts = Counter(chain.from_iterable(map(combinations, group, repeat(t))))
+        coverage.update({key: weight * count for key, count in counts.items()})
     return coverage
 
 
@@ -292,7 +314,7 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
         starts.append(tuple(sorted(g.columns())))
     seen, total = _multisets(starts, n, budget.max_blocks)
     _check_blocks(total, budget)
-    blocks = _blocks(seen.values(), n, m, n)
+    blocks = _blocks(seen.values(), n)
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
@@ -315,15 +337,18 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     materialize, then lambda_table, per group.
 
     Only the t-subsets inside the window of the first L = min(t, m) rows
-    and the first M = min(t, n) columns are counted, serially.  Each block
-    enters cut to the window, once per block, so b is the number of
-    entries, and the histogram scales the keys meeting s rows and r columns
-    by C(m, s)·C(n, r)/(C(L, s)·C(M, r)).  This is exact because the block
-    list is closed under K: under row permutations since it holds every row
-    order of every multiset, and under column permutations since the
-    closure takes every adjacent column swap, and those generate them all;
-    a G-orbit is the union of two K-orbits.  `_histogram` checks that the
-    keys split evenly.
+    and the first M = min(t, n) columns are counted, serially, and the
+    histogram scales the keys meeting s rows and r columns by C(m, s)·C(n,
+    r)/(C(L, s)·C(M, r)).  This is exact because the block list is closed
+    under K: under row permutations since it holds every row order of every
+    multiset, and under column permutations since the closure takes every
+    adjacent column swap, and those generate them all; a G-orbit is the
+    union of two K-orbits.  `_histogram` checks that the keys split evenly.
+    Each distinct window cut counts once, weighted by the blocks cut to it:
+    U of L cut rows of a multiset S weighs arr(S)·prod fall(c_u, d_u), summed
+    over the closure and divided by fall(m, L); a remainder raises
+    AssertionError (see `_window`).  The weights count row orders, as b
+    does, so no degree formula enters.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
@@ -333,7 +358,7 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     _check_blocks(total, budget)
     if "K" in groups:
         _check_subsets(m * n, t, budget)
-    flipped: dict = {}
+    flipped, extra = {}, 0
     if "G" in groups:
         start = tuple(sorted(g.columns()))
         if start not in seen:
@@ -342,14 +367,14 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
         _check_subsets(m * n, t, budget)
 
     depth, width = min(t, m), min(t, n)
-    stages = (("K", seen), ("G", flipped)) if "K" in groups else (("G", seen | flipped),)
+    stages = ((("K", seen, total), ("G", flipped, extra)) if "K" in groups
+              else (("G", seen | flipped, total + extra),))
     out = {}
     b, coverage, hist = 0, None, None
-    for group, closure in stages:
+    for group, closure, size in stages:
         if closure:
-            more = _blocks(closure.values(), n, depth, width)
-            b += len(more)
-            coverage = _cover(more, t, coverage)
+            b += size
+            coverage = _cover(_window(closure, m, n, depth, width), t, coverage)
             hist = None
         if group in groups:
             if hist is None:
@@ -364,7 +389,7 @@ def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dic
     design is a t-design exactly when the histogram has a single key and
     k >= t."""
     _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
-    return _histogram(_cover(d.blocks, t), d.m, d.n, t, d.m, d.n)
+    return _histogram(_cover(zip(d.blocks, repeat(1)), t), d.m, d.n, t, d.m, d.n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from math import comb
 
 import pytest
@@ -505,6 +504,12 @@ def _assert_same_verdicts(g, ts, budget=None):
                 assert sum(c * num for c, num in hist.items()) == b * comb(g.k, t)
 
 
+def _cut(g, t, block):
+    """The block cut to its first min(t, m) rows and min(t, n) columns."""
+    depth, width = min(t, g.m), min(t, g.n)
+    return tuple(c for c in block if c < depth * g.n and c % g.n < width)
+
+
 # K-orbit of 9 blocks and G-orbit of 18: the transpose puts the two edges in
 # one column, and no element of K does
 NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
@@ -536,7 +541,7 @@ class TestOrbitVerdicts:
         # column sets
         g = family_path(5, 4, 4)
         seen, _ = oracle._multisets([tuple(sorted(g.rows))], g.n, 10 ** 6)
-        coverage = oracle._cover(oracle._blocks(seen.values(), g.n, 2, 2), 2)
+        coverage = oracle._cover(oracle._window(seen, g.m, g.n, 2, 2), 2)
         assert oracle._histogram(coverage, 4, 4, 2, 2, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
         key = next(key for key in coverage if key[-1] < g.n)  # both cells in row 0
         for change in (-1, 1):
@@ -594,23 +599,55 @@ class TestOrbitVerdicts:
         (NOT_TAU, 2),
     ], ids=["path5-4x4", "not-tau"])
     def test_each_closure_counted_once(self, monkeypatch, g, closures):
-        # each closure's cut blocks are built in one call, each entered once
-        # per block, so the multiplicities add up to b; the cuts are the
-        # blocks cut to their first min(t, m) rows and min(t, n) columns
+        # each closure's window entries are built in one call; weighted,
+        # they are the blocks cut to their first min(t, m) rows and
+        # min(t, n) columns, so the weights add up to b
         t = 2
         want = materialize(g, "G").blocks
         built = []
-        real = oracle._blocks
+        real = oracle._window
 
-        def spy(shapes, n, depth, width):
-            built.append(real(shapes, n, depth, width))
+        def spy(closure, m, n, depth, width):
+            built.append(real(closure, m, n, depth, width))
             return built[-1]
 
-        monkeypatch.setattr(oracle, "_blocks", spy)
+        monkeypatch.setattr(oracle, "_window", spy)
         got = orbit_verdicts(g, t, ("K", "G"))
         assert len(built) == closures
-        prefixes = Counter(chain.from_iterable(built))
-        depth, width = min(t, g.m), min(t, g.n)
-        assert prefixes == Counter(
-            tuple(c for c in blk if c < depth * g.n and c % g.n < width) for blk in want)
-        assert sum(prefixes.values()) == got["G"][0] == len(want)
+        entries = Counter()
+        for pairs in built:
+            assert len(dict(pairs)) == len(pairs)  # distinct within a closure
+            entries.update(dict(pairs))
+        assert entries == Counter(map(partial(_cut, g, t), want))
+        assert sum(entries.values()) == got["G"][0] == len(want)
+
+    @pytest.mark.parametrize("group", ["K", "G"])
+    def test_window_entries_are_cut_blocks(self, group):
+        # one entry per distinct window cut, weighted by the number of
+        # blocks cut to it, on seeded graphs up to 6x6 and t = 1..4
+        rng = random.Random(26)
+        for m in range(1, 7):
+            for n in range(1, 7) if group == "K" else (m,):
+                total = limit = 20_000
+                while total >= limit:  # orbits small enough to list
+                    g = _random_graph(rng, m, n, rng.randint(1, min(m * n, 9)))
+                    starts = [tuple(sorted(g.rows))]
+                    if group == "G":
+                        starts.append(tuple(sorted(g.columns())))
+                    seen, total = oracle._multisets(starts, n, limit)
+                blocks = materialize(g, group).blocks
+                assert len(blocks) == total
+                for t in (1, 2, 3, 4):
+                    depth, width = min(t, m), min(t, n)
+                    pairs = oracle._window(seen, m, n, depth, width)
+                    entries = Counter(dict(pairs))
+                    assert len(entries) == len(pairs) <= (2 ** width) ** depth
+                    assert entries == Counter(map(partial(_cut, g, t), blocks)), (g, t)
+
+    def test_window_weight_remainder_raises(self, monkeypatch):
+        # with each multiset counted as one row order, the summed window
+        # weights no longer divide by fall(m, L)
+        g = from_edge_list(3, 3, [(1, 1), (2, 1), (2, 2)])
+        monkeypatch.setattr(oracle, "_arrangements", lambda counts: 1)
+        with pytest.raises(AssertionError, match="whole number of row orders"):
+            orbit_verdicts(g, 2, ["K"])
