@@ -92,13 +92,12 @@ def _report_dict(rep: criteria.CriteriaReport) -> dict:
             "stabilizer_order": big(rep.g_order),
             "tau_equivalent": rep.tau_equivalent,
         }
-        if rep.case_2 is not None:
-            out["case_2"] = rep.case_2.label
-            out["case_3"] = rep.case_3.label
+        out["case_2"] = rep.case_2.label
+        out["case_3"] = rep.case_3.label
     return out
 
 
-def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport | None):
+def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport):
     def yn(v):
         return "yes" if v else "no"
 
@@ -107,9 +106,8 @@ def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport | 
     print(f"k = {rep.k}")
     if rep.outside_standard_range:
         print("warning = k outside the standing range 3 <= k <= mn/2")
-    if rep.k_order is not None:
-        print(f"stabilizer_order_K = {rep.k_order}")
-        print(f"blocks_D = {rep.b_d}")
+    print(f"stabilizer_order_K = {rep.k_order}")
+    print(f"blocks_D = {rep.b_d}")
     print(f"D_2design = {yn(rep.d_is_2design)}")
     if rep.lambda_d_2 is not None:
         print(f"lambda_D_2 = {rep.lambda_d_2}")
@@ -117,23 +115,20 @@ def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport | 
     if rep.lambda_d_3 is not None:
         print(f"lambda_D_3 = {rep.lambda_d_3}")
     if rep.dhat_is_2design is not None:
-        if rep.g_order is not None:
-            print(f"stabilizer_order_G = {rep.g_order}")
-            print(f"blocks_Dhat = {rep.b_dhat}")
-            print(f"tau_equivalent = {yn(rep.tau_equivalent)}")
+        print(f"stabilizer_order_G = {rep.g_order}")
+        print(f"blocks_Dhat = {rep.b_dhat}")
+        print(f"tau_equivalent = {yn(rep.tau_equivalent)}")
         print(f"Dhat_2design = {yn(rep.dhat_is_2design)}")
         if rep.lambda_dhat_2 is not None:
             print(f"lambda_Dhat_2 = {rep.lambda_dhat_2}")
         print(f"Dhat_3design = {yn(rep.dhat_is_3design)}")
         if rep.lambda_dhat_3 is not None:
             print(f"lambda_Dhat_3 = {rep.lambda_dhat_3}")
-        if rep.case_2 is not None:
-            print(f"case_t2 = {rep.case_2.label}")
-            print(f"case_t3 = {rep.case_3.label}")
-    if aut is not None:
-        gens = aut.g_gens if aut.g_gens is not None else aut.k_gens
-        for p in gens:
-            print(f"generator = {permgroup.gridperm_text(p)}")
+        print(f"case_t2 = {rep.case_2.label}")
+        print(f"case_t3 = {rep.case_3.label}")
+    gens = aut.g_gens if aut.g_gens is not None else aut.k_gens
+    for p in gens:
+        print(f"generator = {permgroup.gridperm_text(p)}")
 
 
 def _verdict(rep: criteria.CriteriaReport, t: int, group: str) -> bool:

@@ -204,10 +204,12 @@ def _blocks(shapes, n: int) -> list[tuple[int, ...]]:
 
 
 def _window(closure: dict, m: int, n: int, depth: int,
-            width: int) -> list[tuple[tuple[int, ...], int]]:
-    """(entry, weight) pairs: each distinct cut of a block of the closure
+            width: int) -> dict[int, list[tuple[int, ...]]]:
+    """{weight: entries}: each distinct cut of a block of the closure
     (multiset -> shape) to its first L = `depth` rows and first `width`
-    columns, as an ascending cell tuple, with the number of blocks cut to it.
+    columns, as an ascending cell tuple, listed under the number of blocks
+    cut to it.  The closure must be K-closed, as each closure of
+    `orbit_verdicts` is, so that every weight is a whole number.
 
     A multiset S holds its distinct rows c_i times and cut value u c_u
     times, and a sub-multiset U of L cut rows holds u d_u times.  Of the m!
@@ -227,25 +229,23 @@ def _window(closure: dict, m: int, n: int, depth: int,
     values = set(chain.from_iterable(totals))
     cells = [{u: tuple(p * n + j for j in range(width) if u >> j & 1) for u in values}
              for p in range(depth)]  # position -> cut value -> cells
-    out = []
+    out = defaultdict(list)
     for sub, total in totals.items():
         orders = set(permutations(sub))
         weight, rest = divmod(total, comb(m, depth) * len(orders))
         if rest:
             raise AssertionError("window weight is not a whole number of row orders")
-        out += [(sum(map(dict.__getitem__, cells, order), ()), weight) for order in orders]
+        out[weight] += [sum(map(dict.__getitem__, cells, order), ()) for order in orders]
     return out
 
 
-def _cover(entries, t: int, coverage: Counter | None = None) -> Counter:
+def _cover(groups: dict, t: int, coverage: Counter | None = None) -> Counter:
     """`coverage` (a new Counter if None) plus `weight` counts for every
-    t-subset of every (entry, weight) pair, counted one weight at a time."""
+    t-subset of every entry of `groups` ({weight: entries}), one pass per
+    weight."""
     coverage = Counter() if coverage is None else coverage
-    groups = defaultdict(list)
-    for entry, weight in entries:
-        groups[weight].append(entry)
-    for weight, group in groups.items():
-        counts = Counter(chain.from_iterable(map(combinations, group, repeat(t))))
+    for weight, entries in groups.items():
+        counts = Counter(chain.from_iterable(map(combinations, entries, repeat(t))))
         coverage.update({key: weight * count for key, count in counts.items()})
     return coverage
 
@@ -263,23 +263,21 @@ def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int,
     over the C(depth, s)·C(width, r) such row and column sets, and stand for
     C(m, s)·C(n, r) sets on the grid; keys that do not split evenly prove
     the coverage not symmetric and raise AssertionError.  A side the window
-    spans whole is neither counted nor scaled, so on the whole grid nothing
-    is assumed, and `lambda_table` takes any design."""
-    if depth == m and width == n:
-        hist = Counter(coverage.values())
-    else:
-        tally = Counter()
-        for key, count in coverage.items():
-            s = len({cell // n for cell in key}) if depth < m else 0
-            r = len({cell % n for cell in key}) if width < n else 0
-            tally[count, s, r] += 1
-        hist = Counter()
-        for (count, s, r), keys in tally.items():
-            per_sets, rest = divmod(keys, comb(depth, s) * comb(width, r))
-            if rest:
-                raise AssertionError(
-                    "coverage is not invariant under row and column permutations")
-            hist[count] += per_sets * comb(m, s) * comb(n, r)
+    spans whole is neither counted nor scaled (s or r is 0), so on the whole
+    grid every divisor is 1, nothing is assumed, and `lambda_table` takes
+    any design."""
+    tally = Counter()
+    for key, count in coverage.items():
+        s = len({cell // n for cell in key}) if depth < m else 0
+        r = len({cell % n for cell in key}) if width < n else 0
+        tally[count, s, r] += 1
+    hist = Counter()
+    for (count, s, r), keys in tally.items():
+        per_sets, rest = divmod(keys, comb(depth, s) * comb(width, r))
+        if rest:
+            raise AssertionError(
+                "coverage is not invariant under row and column permutations")
+        hist[count] += per_sets * comb(m, s) * comb(n, r)
     uncovered = comb(m * n, t) - hist.total()
     if uncovered:
         hist[0] = uncovered
@@ -331,10 +329,10 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     united with K-orbit(B^T).  So when the closure of B's row multiset
     holds B^T's, the G result is the K result; otherwise the closure of
     B^T's multiset is built too, and its coverage is added to the K
-    coverage (for G alone, both closures are counted in one go).  No
-    closure is counted twice, and nothing is sorted: a histogram does not
-    depend on the order of the blocks.  Refusals come in the order of
-    materialize, then lambda_table, per group.
+    coverage.  Each closure is counted in turn, the K closure first, also
+    for G alone; none is counted twice, and nothing is sorted: a histogram
+    does not depend on the order of the blocks.  Refusals come in the
+    order of materialize, then lambda_table, per group.
 
     Only the t-subsets inside the window of the first L = min(t, m) rows
     and the first M = min(t, n) columns are counted, serially, and the
@@ -347,8 +345,9 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     Each distinct window cut counts once, weighted by the blocks cut to it:
     U of L cut rows of a multiset S weighs arr(S)·prod fall(c_u, d_u), summed
     over the closure and divided by fall(m, L); a remainder raises
-    AssertionError (see `_window`).  The weights count row orders, as b
-    does, so no degree formula enters.
+    AssertionError (see `_window`); each closure is K-closed, so its
+    weights divide on their own.  The weights count row orders, as b does,
+    so no degree formula enters.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
@@ -367,14 +366,12 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
         _check_subsets(m * n, t, budget)
 
     depth, width = min(t, m), min(t, n)
-    stages = ((("K", seen, total), ("G", flipped, extra)) if "K" in groups
-              else (("G", seen | flipped, total + extra),))
     out = {}
-    b, coverage, hist = 0, None, None
-    for group, closure, size in stages:
+    b, coverage, hist = 0, Counter(), None
+    for group, closure, size in (("K", seen, total), ("G", flipped, extra)):
         if closure:
             b += size
-            coverage = _cover(_window(closure, m, n, depth, width), t, coverage)
+            _cover(_window(closure, m, n, depth, width), t, coverage)
             hist = None
         if group in groups:
             if hist is None:
@@ -389,7 +386,7 @@ def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dic
     design is a t-design exactly when the histogram has a single key and
     k >= t."""
     _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
-    return _histogram(_cover(zip(d.blocks, repeat(1)), t), d.m, d.n, t, d.m, d.n)
+    return _histogram(_cover({1: d.blocks}, t), d.m, d.n, t, d.m, d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,89 +405,53 @@ class OrbitRatio:
         return Fraction(self.count_in_block, self.orbit_size)
 
 
-def _classify(cells: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    rows = len({c[0] for c in cells})
-    cols = len({c[1] for c in cells})
-    return rows, cols
-
-
-_K_ORBITS = {
+# (rows met, columns met) of a t-subset of cells -> (K-orbit, G-orbit); on
+# square grids the transpose map fuses the row/column-symmetric K-orbits
+_ORBITS = {
     2: {
-        (1, 2): "row-pair",
-        (2, 1): "col-pair",
-        (2, 2): "free-pair",
+        (1, 2): ("row-pair", "line-pair"),
+        (2, 1): ("col-pair", "line-pair"),
+        (2, 2): ("free-pair", "free-pair"),
     },
     3: {
-        (1, 3): "row-triple",
-        (3, 1): "col-triple",
-        (2, 2): "corner",
-        (2, 3): "row-pair-plus",
-        (3, 2): "col-pair-plus",
-        (3, 3): "free-triple",
+        (1, 3): ("row-triple", "line-triple"),
+        (3, 1): ("col-triple", "line-triple"),
+        (2, 2): ("corner", "corner"),
+        (2, 3): ("row-pair-plus", "pair-plus"),
+        (3, 2): ("col-pair-plus", "pair-plus"),
+        (3, 3): ("free-triple", "free-triple"),
     },
 }
-
-# On square grids the transpose map fuses the row/column-symmetric K-orbits.
-_G_FUSION = {
-    2: {"row-pair": "line-pair", "col-pair": "line-pair", "free-pair": "free-pair"},
-    3: {
-        "row-triple": "line-triple",
-        "col-triple": "line-triple",
-        "corner": "corner",
-        "row-pair-plus": "pair-plus",
-        "col-pair-plus": "pair-plus",
-        "free-triple": "free-triple",
-    },
-}
-
-
-def _orbit_sizes(m: int, n: int, t: int) -> dict[str, int]:
-    if t == 2:
-        return {
-            "row-pair": m * comb(n, 2),
-            "col-pair": n * comb(m, 2),
-            "free-pair": m * n * (m - 1) * (n - 1) // 2,
-        }
-    if t == 3:
-        return {
-            "row-triple": m * comb(n, 3),
-            "col-triple": n * comb(m, 3),
-            "corner": m * n * (m - 1) * (n - 1),
-            "row-pair-plus": m * (m - 1) * n * (n - 1) * (n - 2) // 2,
-            "col-pair-plus": n * (n - 1) * m * (m - 1) * (m - 2) // 2,
-            "free-triple": m * (m - 1) * (m - 2) * n * (n - 1) * (n - 2) // 6,
-        }
-    raise ValueError("orbit ratios are implemented for t in {2, 3}")
 
 
 def orbit_ratio_check(g: BiGraph, group: str, t: int):
     """(is_t_design, per-orbit records) by the ratio criterion.
 
-    T-subsets of the grid are classified by their row/column coincidence
-    pattern, which determines the orbit of the acting group; the counts are
-    taken on the single block of g by direct enumeration, independently of
-    the degree formulas.  The structure is a t-design iff count/size is the
-    same fraction for every non-empty orbit (and k >= t).
+    T-subsets of the grid are classified by the numbers (a, c) of rows and
+    columns they meet, which determine the orbit of K; G fuses (a, c) with
+    (c, a).  Pattern (a, c) holds C(m, a)·C(n, c) times the number of
+    t-subsets of an a x c grid that meet every row and every column, which
+    inclusion-exclusion over the rows and columns left out gives as the sum
+    over i <= a, j <= c of (-1)^(a-i+c-j)·C(a, i)·C(c, j)·C(ij, t).  The
+    counts are taken on the single block of g by direct enumeration,
+    independently of the degree formulas.  The structure is a t-design iff
+    count/size is the same fraction for every non-empty orbit (and k >= t).
     """
     if t not in (2, 3):
         raise ValueError("t must be 2 or 3")
     _check_group(g.m, g.n, group)
 
-    sizes = _orbit_sizes(g.m, g.n, t)
-    counts = {name: 0 for name in sizes}
-    for triple in combinations(g.edges(), t):
-        counts[_K_ORBITS[t][_classify(triple)]] += 1
+    orbits, pick = _ORBITS[t], 1 if group == "G" else 0
+    sizes, counts = Counter(), Counter()
+    for (a, c), names in orbits.items():
+        spanning = sum((-1) ** (a - i + c - j) * comb(a, i) * comb(c, j) * comb(i * j, t)
+                       for i in range(a + 1) for j in range(c + 1))
+        sizes[names[pick]] += comb(g.m, a) * comb(g.n, c) * spanning
+    for cells in combinations(g.edges(), t):
+        rows, cols = zip(*cells)
+        counts[orbits[len(set(rows)), len(set(cols))][pick]] += 1
 
-    if group == "G":
-        fused_sizes: dict[str, int] = {}
-        fused_counts: dict[str, int] = {}
-        for name, size in sizes.items():
-            target = _G_FUSION[t][name]
-            fused_sizes[target] = fused_sizes.get(target, 0) + size
-            fused_counts[target] = fused_counts.get(target, 0) + counts[name]
-        sizes, counts = fused_sizes, fused_counts
-
-    assert sum(sizes.values()) == comb(g.m * g.n, t)
+    assert sizes.total() == comb(g.m * g.n, t)
     records = [
         OrbitRatio(name, size, counts[name])
         for name, size in sorted(sizes.items())

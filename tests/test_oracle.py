@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -119,6 +120,39 @@ class TestOrbitRatio:
                 if m == n:
                     _, grecords = orbit_ratio_check(g, "G", t)
                     assert sum(r.orbit_size for r in grecords) == comb(m * n, t)
+
+    def test_records_match_enumeration(self):
+        # every record against a direct count, by the rows and columns each
+        # t-subset meets, of the grid's t-subsets and of the block's
+        names = {  # (t, rows met, columns met) -> (K-orbit, G-orbit)
+            (2, 1, 2): ("row-pair", "line-pair"),
+            (2, 2, 1): ("col-pair", "line-pair"),
+            (2, 2, 2): ("free-pair", "free-pair"),
+            (3, 1, 3): ("row-triple", "line-triple"),
+            (3, 3, 1): ("col-triple", "line-triple"),
+            (3, 2, 2): ("corner", "corner"),
+            (3, 2, 3): ("row-pair-plus", "pair-plus"),
+            (3, 3, 2): ("col-pair-plus", "pair-plus"),
+            (3, 3, 3): ("free-triple", "free-triple"),
+        }
+        rng = random.Random(27)
+        for m in range(1, 6):
+            for n in range(1, 6):
+                cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+                for k in (rng.randint(1, m * n), m * n):
+                    g = from_edge_list(m, n, rng.sample(cells, k))
+                    for t in (2, 3):
+                        for pick, group in enumerate(("K", "G") if m == n else ("K",)):
+                            sizes, counts = Counter(), Counter()
+                            for subsets, tally in ((combinations(cells, t), sizes),
+                                                   (combinations(g.edges(), t), counts)):
+                                for sub in subsets:
+                                    rows, cols = map(len, map(set, zip(*sub)))
+                                    tally[names[t, rows, cols][pick]] += 1
+                            _, records = orbit_ratio_check(g, group, t)
+                            assert [(r.name, r.orbit_size, r.count_in_block) for r in records] == [
+                                (name, size, counts[name]) for name, size in sorted(sizes.items())
+                            ], (g, group, t)
 
     def test_matching_has_no_2paths(self):
         g = from_edge_list(3, 3, [(1, 1), (2, 2), (3, 3)])
@@ -510,6 +544,11 @@ def _cut(g, t, block):
     return tuple(c for c in block if c < depth * g.n and c % g.n < width)
 
 
+def _weighted(grouped):
+    """{entry: weight} from `_window`'s {weight: entries}."""
+    return Counter({entry: weight for weight, entries in grouped.items() for entry in entries})
+
+
 # K-orbit of 9 blocks and G-orbit of 18: the transpose puts the two edges in
 # one column, and no element of K does
 NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
@@ -594,11 +633,12 @@ class TestOrbitVerdicts:
         assert orbit_verdicts(NOT_TAU, 2, ("G",), Budget(max_blocks=18)) == {
             "G": (18, False, {0: 18, 1: 18})}
 
-    @pytest.mark.parametrize("g, closures", [
-        (family_path(5, 4, 4), 1),  # tau-equivalent: G reuses the K-orbit
-        (NOT_TAU, 2),
-    ], ids=["path5-4x4", "not-tau"])
-    def test_each_closure_counted_once(self, monkeypatch, g, closures):
+    @pytest.mark.parametrize("g, groups, closures", [
+        (family_path(5, 4, 4), ("K", "G"), 1),  # tau-equivalent: G reuses the K-orbit
+        (NOT_TAU, ("K", "G"), 2),
+        (NOT_TAU, ("G",), 2),  # G alone counts the K closure, then the transposed one
+    ], ids=["path5-4x4", "not-tau", "not-tau-G-alone"])
+    def test_each_closure_counted_once(self, monkeypatch, g, groups, closures):
         # each closure's window entries are built in one call; weighted,
         # they are the blocks cut to their first min(t, m) rows and
         # min(t, n) columns, so the weights add up to b
@@ -612,18 +652,19 @@ class TestOrbitVerdicts:
             return built[-1]
 
         monkeypatch.setattr(oracle, "_window", spy)
-        got = orbit_verdicts(g, t, ("K", "G"))
+        got = orbit_verdicts(g, t, groups)
         assert len(built) == closures
         entries = Counter()
-        for pairs in built:
-            assert len(dict(pairs)) == len(pairs)  # distinct within a closure
-            entries.update(dict(pairs))
+        for grouped in built:
+            weighted = _weighted(grouped)
+            assert len(weighted) == sum(map(len, grouped.values()))  # distinct within a closure
+            entries.update(weighted)
         assert entries == Counter(map(partial(_cut, g, t), want))
         assert sum(entries.values()) == got["G"][0] == len(want)
 
     @pytest.mark.parametrize("group", ["K", "G"])
     def test_window_entries_are_cut_blocks(self, group):
-        # one entry per distinct window cut, weighted by the number of
+        # one entry per distinct window cut, listed under the number of
         # blocks cut to it, on seeded graphs up to 6x6 and t = 1..4
         rng = random.Random(26)
         for m in range(1, 7):
@@ -639,9 +680,9 @@ class TestOrbitVerdicts:
                 assert len(blocks) == total
                 for t in (1, 2, 3, 4):
                     depth, width = min(t, m), min(t, n)
-                    pairs = oracle._window(seen, m, n, depth, width)
-                    entries = Counter(dict(pairs))
-                    assert len(entries) == len(pairs) <= (2 ** width) ** depth
+                    grouped = oracle._window(seen, m, n, depth, width)
+                    entries = _weighted(grouped)
+                    assert len(entries) == sum(map(len, grouped.values())) <= (2 ** width) ** depth
                     assert entries == Counter(map(partial(_cut, g, t), blocks)), (g, t)
 
     def test_window_weight_remainder_raises(self, monkeypatch):
