@@ -12,13 +12,17 @@ block's row multiset with the point's row marked.  Everything here is
 independent of the degree formulas in the criteria module; agreement between
 the two routes is the package's central correctness check.
 
-The verdicts count coverage in one serial pass on the window of the first
-L = min(t, m) rows and M = min(t, n) columns, and scale it to the grid by
-row and column symmetry, as the block lists are closed under K.  Each
-distinct window cut of the blocks counts once, weighted by the blocks cut
-to it: a sub-multiset U of L cut rows of a row multiset S weighs
-arr(S)·prod fall(c_u, d_u), and the weight summed over the closure must
-divide by fall(m, L), or AssertionError is raised (see `orbit_verdicts`).
+The verdicts close the block's row multiset once and count its coverage in
+one serial pass on the window of the first L = min(t, m) rows and M =
+min(t, n) columns, and scale it to the grid by row and column symmetry, as
+the block list is closed under K.  Each distinct window cut of the blocks
+counts once, weighted by the blocks cut to it: a sub-multiset U of L cut
+rows of a row multiset S weighs arr(S)·prod fall(c_u, d_u), where arr(S),
+S's number of row orders, is the same for every S of one closure, and the
+weight summed over the closure must divide by fall(m, L), or
+AssertionError is raised.  The G coverage is the K coverage plus its
+transpose, unless the closure holds the transposed block's multiset (see
+`orbit_verdicts`).
 
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
@@ -29,9 +33,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, combinations, permutations, repeat, starmap
 from math import comb, factorial
-from operator import add, itemgetter
+from operator import add, itemgetter, or_
 
 from .bigraph import BiGraph
 
@@ -122,11 +127,11 @@ def _pickers(counts: tuple[int, ...], sizes: tuple[int, ...]) -> list[itemgetter
     return [itemgetter(slice(at[0], at[0] + 1) if at else slice(0)) for at in picks]
 
 
-def _arrangements(counts: tuple[int, ...]) -> int:
-    """The number of distinct orders of a multiset whose distinct items
-    occur counts[i] times each: (sum counts)! / prod counts[i]!."""
-    out = factorial(sum(counts))
-    for c in counts:
+def _arrangements(items: tuple[int, ...]) -> int:
+    """The number of distinct orders of the multiset `items`: len(items)!
+    / prod c! over the multiplicities c of its distinct items."""
+    out = factorial(len(items))
+    for c in Counter(items).values():
         out //= factorial(c)
     return out
 
@@ -143,28 +148,32 @@ def _shape(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return values, counts, sizes
 
 
-def _multisets(starts, n: int, limit: int) -> tuple[dict, int]:
-    """(multiset -> shape, total row orders) over the closure of the start
-    row multisets under adjacent column swaps.
+def _multisets(starts, n: int, limit: int) -> tuple[set, int]:
+    """(multisets, total row orders) of the closure of the start row
+    multisets under adjacent column swaps, closed one start at a time.
 
     A row is the mask of its cells' columns in bits 0..n-1; bits n..2n-1
     may mark one column, and a swap of columns c, c+1 moves both bit pairs.
-    The closure stops once the total passes `limit`; a total above `limit`
-    is then only a lower bound on the orbit's."""
+    A swap keeps the multiplicities of a multiset's rows, so every multiset
+    reached from one start has that start's number of row orders, taken
+    once per start.  The closure stops once the total passes `limit`; a
+    total above `limit` is then only a lower bound on the orbit's."""
     swaps = [(1 | 1 << n) << c for c in range(n - 1)]
     total = 0
-    seen = {}
-    frontier = list(starts)
-    while frontier and total <= limit:
-        rows = frontier.pop()
-        if rows in seen:
-            continue
-        seen[rows] = shape = _shape(rows)
-        total += _arrangements(shape[1])
-        for pairs in swaps:
-            image = tuple(sorted([r ^ ((r ^ r >> 1) & pairs) * 3 for r in rows]))
-            if image not in seen:
-                frontier.append(image)
+    seen = set()
+    for start in starts:
+        arr = _arrangements(start)
+        frontier = [start]
+        while frontier and total <= limit:
+            rows = frontier.pop()
+            if rows in seen:
+                continue
+            seen.add(rows)
+            total += arr
+            for pairs in swaps:
+                image = tuple(sorted([r ^ ((r ^ r >> 1) & pairs) * 3 for r in rows]))
+                if image not in seen:
+                    frontier.append(image)
     return seen, total
 
 
@@ -203,47 +212,46 @@ def _blocks(shapes, n: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _window(closure: dict, m: int, n: int, depth: int,
+def _window(closure, m: int, n: int, depth: int,
             width: int) -> dict[int, list[tuple[int, ...]]]:
-    """{weight: entries}: each distinct cut of a block of the closure
-    (multiset -> shape) to its first L = `depth` rows and first `width`
-    columns, as an ascending cell tuple, listed under the number of blocks
-    cut to it.  The closure must be K-closed, as each closure of
-    `orbit_verdicts` is, so that every weight is a whole number.
+    """{weight: entries}: each distinct cut of a block of the closure (its
+    row multisets) to its first L = `depth` rows and first `width` columns,
+    as an ascending cell tuple, listed under the number of blocks cut to
+    it.  The closure must be one start's closure, as in `orbit_verdicts`:
+    it is then K-closed, so that every weight is a whole number, and every
+    multiset in it has the same number arr of row orders, taken once.
 
     A multiset S holds its distinct rows c_i times and cut value u c_u
     times, and a sub-multiset U of L cut rows holds u d_u times.  Of the m!
     orders of S's rows taken as distinct, prod fall(c_u, d_u)·(m - L)! begin
-    with one order of U, and each of S's arr(S) row orders stands for prod
-    c_i! of them.  Counting L-subsets of cut rows gives prod C(c_u, d_u) =
-    prod fall(c_u, d_u)/prod d_u!, and fall(m, L)/prod d_u! is C(m, L) times
-    U's number of orders."""
+    with one order of U, and each of S's arr row orders stands for prod c_i!
+    of them.  Counting L-subsets of cut rows gives prod C(c_u, d_u) = prod
+    fall(c_u, d_u)/prod d_u!, and fall(m, L)/prod d_u! is C(m, L) times U's
+    number of orders."""
+    arr = _arrangements(next(iter(closure)))
     mask = (1 << width) - 1
-    cuts = Counter((tuple(sorted([r & mask for r in rows])), counts)
-                   for rows, (_, counts, _) in closure.items())
-    totals: dict = defaultdict(int)  # U -> summed arr(S)·prod C(c_u, d_u)
-    for (cut, counts), many in cuts.items():
-        times = many * _arrangements(counts)
+    cuts = Counter(tuple(sorted([r & mask for r in rows])) for rows in closure)
+    totals: dict = defaultdict(int)  # U -> summed prod C(c_u, d_u)
+    for cut, many in cuts.items():
         for sub, ways in Counter(combinations(cut, depth)).items():
-            totals[sub] += times * ways
+            totals[sub] += many * ways
     values = set(chain.from_iterable(totals))
     cells = [{u: tuple(p * n + j for j in range(width) if u >> j & 1) for u in values}
              for p in range(depth)]  # position -> cut value -> cells
     out = defaultdict(list)
     for sub, total in totals.items():
         orders = set(permutations(sub))
-        weight, rest = divmod(total, comb(m, depth) * len(orders))
+        weight, rest = divmod(arr * total, comb(m, depth) * len(orders))
         if rest:
             raise AssertionError("window weight is not a whole number of row orders")
         out[weight] += [sum(map(dict.__getitem__, cells, order), ()) for order in orders]
     return out
 
 
-def _cover(groups: dict, t: int, coverage: Counter | None = None) -> Counter:
-    """`coverage` (a new Counter if None) plus `weight` counts for every
-    t-subset of every entry of `groups` ({weight: entries}), one pass per
-    weight."""
-    coverage = Counter() if coverage is None else coverage
+def _cover(groups: dict, t: int) -> Counter:
+    """`weight` counts for every t-subset of every entry of `groups`
+    ({weight: entries}), one pass per weight."""
+    coverage = Counter()
     for weight, entries in groups.items():
         counts = Counter(chain.from_iterable(map(combinations, entries, repeat(t))))
         coverage.update({key: weight * count for key, count in counts.items()})
@@ -265,12 +273,17 @@ def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int,
     the coverage not symmetric and raise AssertionError.  A side the window
     spans whole is neither counted nor scaled (s or r is 0), so on the whole
     grid every divisor is 1, nothing is assumed, and `lambda_table` takes
-    any design."""
+    any design.  A key's span is the OR of its cells' row and column bits,
+    and s and r are read off once per distinct (count, span)."""
+    rows = (1 << depth) - 1 if depth < m else 0
+    cols = ((1 << width) - 1) << depth if width < n else 0
+    bits = {i * n + j: 1 << i | 1 << (depth + j) for i in range(depth) for j in range(width)}
+    key_bits = map(map, repeat(bits.__getitem__), coverage)
+    # no span is needed where the window spans both sides
+    spans = map(reduce, repeat(or_), key_bits, repeat(0)) if rows | cols else repeat(0)
     tally = Counter()
-    for key, count in coverage.items():
-        s = len({cell // n for cell in key}) if depth < m else 0
-        r = len({cell % n for cell in key}) if width < n else 0
-        tally[count, s, r] += 1
+    for (count, span), keys in Counter(zip(coverage.values(), spans)).items():
+        tally[count, (span & rows).bit_count(), (span & cols).bit_count()] += keys
     hist = Counter()
     for (count, s, r), keys in tally.items():
         per_sets, rest = divmod(keys, comb(depth, s) * comb(width, r))
@@ -312,7 +325,7 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
         starts.append(tuple(sorted(g.columns())))
     seen, total = _multisets(starts, n, budget.max_blocks)
     _check_blocks(total, budget)
-    blocks = _blocks(seen.values(), n)
+    blocks = _blocks(map(_shape, seen), n)
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
@@ -320,19 +333,21 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
 def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> dict:
     """{group: (blocks, is_t_design, histogram)} for each of `groups` ("K",
     "G" or both, in that order): the block count of `materialize` and the
-    coverage histogram of `lambda_table`, with the K-orbit built and counted
-    once.  k >= t is required so that the constant coverage is a positive
-    lambda; blocks smaller than t cover every t-subset zero times, which
-    does not count as a design.
+    coverage histogram of `lambda_table`, from one closure of B's row
+    multiset, built and counted once.  k >= t is required so that the
+    constant coverage is a positive lambda; blocks smaller than t cover
+    every t-subset zero times, which does not count as a design.
 
-    Two K-orbits are equal or disjoint, and the G-orbit of B is K-orbit(B)
-    united with K-orbit(B^T).  So when the closure of B's row multiset
-    holds B^T's, the G result is the K result; otherwise the closure of
-    B^T's multiset is built too, and its coverage is added to the K
-    coverage.  Each closure is counted in turn, the K closure first, also
-    for G alone; none is counted twice, and nothing is sorted: a histogram
-    does not depend on the order of the blocks.  Refusals come in the
-    order of materialize, then lambda_table, per group.
+    Two K-orbits are equal or disjoint, the G-orbit of B is K-orbit(B)
+    united with K-orbit(B^T), and tau K tau = K, so tau maps K-orbit(B)
+    block by block onto K-orbit(B^T).  So when the closure of B's row
+    multiset holds B^T's, the G result is the K result; otherwise G has 2b
+    blocks, and its coverage is the K coverage plus its transpose, each key
+    mapped cell by cell by i·n + j -> j·n + i.  The G count rests on tau K
+    tau = K as the window scaling rests on K-invariance; `materialize(g,
+    "G")`, which closes both starts, does not.  Nothing is sorted: a
+    histogram does not depend on the order of the blocks.  Refusals come in
+    the order of materialize, then lambda_table, per group.
 
     Only the t-subsets inside the window of the first L = min(t, m) rows
     and the first M = min(t, n) columns are counted, serially, and the
@@ -340,38 +355,36 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     r)/(C(L, s)·C(M, r)).  This is exact because the block list is closed
     under K: under row permutations since it holds every row order of every
     multiset, and under column permutations since the closure takes every
-    adjacent column swap, and those generate them all; a G-orbit is the
-    union of two K-orbits.  `_histogram` checks that the keys split evenly.
-    Each distinct window cut counts once, weighted by the blocks cut to it:
-    U of L cut rows of a multiset S weighs arr(S)·prod fall(c_u, d_u), summed
-    over the closure and divided by fall(m, L); a remainder raises
-    AssertionError (see `_window`); each closure is K-closed, so its
-    weights divide on their own.  The weights count row orders, as b does,
-    so no degree formula enters.
+    adjacent column swap, and those generate them all; on a square grid L =
+    M, so the transpose keeps the window.  `_histogram` checks that the
+    keys split evenly.  Each distinct window cut counts once, weighted by
+    the blocks cut to it: U of L cut rows of a multiset S weighs
+    arr(S)·prod fall(c_u, d_u), summed over the closure and divided by
+    fall(m, L); a remainder raises AssertionError (see `_window`).  The
+    weights count row orders, as b does, so no degree formula enters.
     """
     budget = budget or DEFAULT_BUDGET
     for group in groups:
         _check_group(g.m, g.n, group)
     m, n = g.m, g.n
-    seen, total = _multisets([tuple(sorted(g.rows))], n, budget.max_blocks)
-    _check_blocks(total, budget)
+    seen, b = _multisets([tuple(sorted(g.rows))], n, budget.max_blocks)
+    _check_blocks(b, budget)
     if "K" in groups:
         _check_subsets(m * n, t, budget)
-    flipped, extra = {}, 0
+    flipped = "G" in groups and tuple(sorted(g.columns())) not in seen
     if "G" in groups:
-        start = tuple(sorted(g.columns()))
-        if start not in seen:
-            flipped, extra = _multisets([start], n, budget.max_blocks - total)
-            _check_blocks(total + extra, budget)
+        if flipped:
+            _check_blocks(2 * b, budget)
         _check_subsets(m * n, t, budget)
 
     depth, width = min(t, m), min(t, n)
-    out = {}
-    b, coverage, hist = 0, Counter(), None
-    for group, closure, size in (("K", seen, total), ("G", flipped, extra)):
-        if closure:
-            b += size
-            _cover(_window(closure, m, n, depth, width), t, coverage)
+    coverage = _cover(_window(seen, m, n, depth, width), t)
+    out, hist = {}, None
+    for group in ("K", "G"):
+        if group == "G" and flipped:
+            b *= 2
+            coverage.update({tuple(sorted([c % n * n + c // n for c in key])): count
+                             for key, count in coverage.items()})
             hist = None
         if group in groups:
             if hist is None:

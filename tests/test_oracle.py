@@ -544,6 +544,14 @@ def _cut(g, t, block):
     return tuple(c for c in block if c < depth * g.n and c % g.n < width)
 
 
+def _transposed(g, counts):
+    """`counts` ({cells: count}) with every cell i·n + j of every key moved
+    to j·n + i."""
+    n = g.n
+    return Counter({tuple(sorted(c % n * n + c // n for c in key)): count
+                    for key, count in counts.items()})
+
+
 def _weighted(grouped):
     """{entry: weight} from `_window`'s {weight: entries}."""
     return Counter({entry: weight for weight, entries in grouped.items() for entry in entries})
@@ -555,9 +563,9 @@ NOT_TAU = from_edge_list(3, 3, [(1, 1), (1, 2)])
 
 
 class TestOrbitVerdicts:
-    """The K-orbit is built and counted once, and G reuses it; the counts on
-    the window of min(t, m) rows and min(t, n) columns, scaled by row and
-    column symmetry, equal the count over all blocks."""
+    """The K-orbit is built and counted once, and G transposes it; the
+    counts on the window of min(t, m) rows and min(t, n) columns, scaled by
+    row and column symmetry, equal the count over all blocks."""
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
     def test_every_class(self, m, n):
@@ -596,8 +604,10 @@ class TestOrbitVerdicts:
         with pytest.raises(AssertionError, match="row and column permutations"):
             oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2, 2, 2)
         assert oracle._histogram(Counter({(0, 3): 1, (1, 4): 1}), 2, 3, 2, 2, 2) == {0: 12, 1: 3}
-        # on the whole grid nothing is scaled, so any design is counted as it is
+        # on the whole grid nothing is scaled, so any design is counted as it
+        # is, asymmetric in rows or in columns
         assert oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 3, 2) == {0: 14, 1: 1}
+        assert oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2, 2, 3) == {0: 14, 1: 1}
 
     def test_large_table_matches_whole_count(self):
         # 43,200 blocks at t = 4 on 6x5, counted whole by lambda_table
@@ -633,14 +643,26 @@ class TestOrbitVerdicts:
         assert orbit_verdicts(NOT_TAU, 2, ("G",), Budget(max_blocks=18)) == {
             "G": (18, False, {0: 18, 1: 18})}
 
-    @pytest.mark.parametrize("g, groups, closures", [
-        (family_path(5, 4, 4), ("K", "G"), 1),  # tau-equivalent: G reuses the K-orbit
-        (NOT_TAU, ("K", "G"), 2),
-        (NOT_TAU, ("G",), 2),  # G alone counts the K closure, then the transposed one
+    def test_g_design_budget_boundary(self):
+        # B is not tau-equivalent and D is not a 2-design, but Dhat is: the
+        # G count is the K count and its transpose, and b = 2·18 must fit
+        g = from_edge_list(3, 3, [(1, 1), (1, 3), (2, 1), (2, 2)])
+        assert orbit_verdicts(g, 2, ("K",))["K"][:2] == (18, False)
+        for route in (orbit_verdicts, _verdicts_by_materialize):
+            with pytest.raises(BudgetExceededError) as exc:
+                route(g, 2, ("G",), Budget(max_blocks=35))
+            assert str(exc.value) == "block orbit exceeds budget of 35 blocks"
+            assert route(g, 2, ("G",), Budget(max_blocks=36)) == {"G": (36, True, {6: 36})}
+
+    @pytest.mark.parametrize("g, groups, flipped", [
+        (family_path(5, 4, 4), ("K", "G"), False),  # tau-equivalent: G reuses the K-orbit
+        (NOT_TAU, ("K", "G"), True),
+        (NOT_TAU, ("G",), True),  # G alone counts the K closure and transposes it
     ], ids=["path5-4x4", "not-tau", "not-tau-G-alone"])
-    def test_each_closure_counted_once(self, monkeypatch, g, groups, closures):
-        # each closure's window entries are built in one call; weighted,
-        # they are the blocks cut to their first min(t, m) rows and
+    def test_each_closure_counted_once(self, monkeypatch, g, groups, flipped):
+        # the one closure's window entries are built in one call; weighted,
+        # and with their transposes when B^T is outside the closure, they
+        # are the G-orbit's blocks cut to their first min(t, m) rows and
         # min(t, n) columns, so the weights add up to b
         t = 2
         want = materialize(g, "G").blocks
@@ -653,29 +675,42 @@ class TestOrbitVerdicts:
 
         monkeypatch.setattr(oracle, "_window", spy)
         got = orbit_verdicts(g, t, groups)
-        assert len(built) == closures
-        entries = Counter()
-        for grouped in built:
-            weighted = _weighted(grouped)
-            assert len(weighted) == sum(map(len, grouped.values()))  # distinct within a closure
-            entries.update(weighted)
+        assert len(built) == 1
+        (grouped,) = built
+        entries = _weighted(grouped)
+        assert len(entries) == sum(map(len, grouped.values()))  # distinct within the closure
+        if flipped:
+            entries += _transposed(g, entries)
         assert entries == Counter(map(partial(_cut, g, t), want))
         assert sum(entries.values()) == got["G"][0] == len(want)
 
+    def test_g_alone_closes_one_start(self, monkeypatch):
+        # B^T's closure is not built: tau maps K-orbit(B) onto it
+        closures = []
+        real = oracle._multisets
+
+        def spy(starts, n, limit):
+            closures.append(list(starts))
+            return real(starts, n, limit)
+
+        monkeypatch.setattr(oracle, "_multisets", spy)
+        assert orbit_verdicts(NOT_TAU, 2, ("G",))["G"][0] == 18
+        assert closures == [[tuple(sorted(NOT_TAU.rows))]]
+
     @pytest.mark.parametrize("group", ["K", "G"])
     def test_window_entries_are_cut_blocks(self, group):
-        # one entry per distinct window cut, listed under the number of
-        # blocks cut to it, on seeded graphs up to 6x6 and t = 1..4
+        # one entry per distinct window cut of B's closure, listed under the
+        # number of blocks cut to it, on seeded graphs up to 6x6 and t =
+        # 1..4; under G, with their transposes when B^T is outside it
         rng = random.Random(26)
         for m in range(1, 7):
             for n in range(1, 7) if group == "K" else (m,):
                 total = limit = 20_000
                 while total >= limit:  # orbits small enough to list
                     g = _random_graph(rng, m, n, rng.randint(1, min(m * n, 9)))
-                    starts = [tuple(sorted(g.rows))]
-                    if group == "G":
-                        starts.append(tuple(sorted(g.columns())))
-                    seen, total = oracle._multisets(starts, n, limit)
+                    seen, total = oracle._multisets([tuple(sorted(g.rows))], n, limit)
+                    flipped = group == "G" and tuple(sorted(g.columns())) not in seen
+                    total *= 2 if flipped else 1
                 blocks = materialize(g, group).blocks
                 assert len(blocks) == total
                 for t in (1, 2, 3, 4):
@@ -683,12 +718,38 @@ class TestOrbitVerdicts:
                     grouped = oracle._window(seen, m, n, depth, width)
                     entries = _weighted(grouped)
                     assert len(entries) == sum(map(len, grouped.values())) <= (2 ** width) ** depth
+                    if flipped:
+                        entries += _transposed(g, entries)
                     assert entries == Counter(map(partial(_cut, g, t), blocks)), (g, t)
+                    assert sum(entries.values()) == total
+
+    def test_transposed_coverage_is_the_transposed_closure(self):
+        # the G count transposes the K coverage instead of counting the
+        # closure of B^T: tau K tau = K, so the two agree on every square
+        # class with m <= 4 and on seeded square graphs up to 6x6
+        rng = random.Random(28)
+        graphs = [g for m in range(1, 5) for g in iso_class_reps(m, m)]
+        for m in range(1, 7):
+            for _ in range(4):
+                total = limit = 20_000
+                while total >= limit:  # orbits small enough to count twice
+                    g = _random_graph(rng, m, m, rng.randint(1, min(m * m, 9)))
+                    total = oracle._multisets([tuple(sorted(g.rows))], m, limit)[1]
+                graphs.append(g)
+        for g in graphs:
+            m = g.m
+            seen, _ = oracle._multisets([tuple(sorted(g.rows))], m, 10 ** 6)
+            flipped, _ = oracle._multisets([tuple(sorted(g.columns()))], m, 10 ** 6)
+            for t in (1, 2, 3, 4):
+                L = min(t, m)
+                coverage = oracle._cover(oracle._window(seen, m, m, L, L), t)
+                direct = oracle._cover(oracle._window(flipped, m, m, L, L), t)
+                assert direct == _transposed(g, coverage), (g, t)
 
     def test_window_weight_remainder_raises(self, monkeypatch):
         # with each multiset counted as one row order, the summed window
         # weights no longer divide by fall(m, L)
         g = from_edge_list(3, 3, [(1, 1), (2, 1), (2, 2)])
-        monkeypatch.setattr(oracle, "_arrangements", lambda counts: 1)
+        monkeypatch.setattr(oracle, "_arrangements", lambda rows: 1)
         with pytest.raises(AssertionError, match="whole number of row orders"):
             orbit_verdicts(g, 2, ["K"])
