@@ -36,9 +36,24 @@ can be composed with twin swaps on the b-side.  So the lowest b-candidate
 always succeeds when some isomorphism exists, and no candidate succeeds when
 none does.  The full search would therefore map each cell in ascending order
 onto its b-cell, and _descend takes that map at once and checks it like a
-leaf.  In the chain, a candidate w that is a twin of u needs no replay: the
-swap (u w) takes the u-partition to the w-partition, and refinement commutes
-with relabelling, so the b-root is the a-root with u and w exchanged.
+leaf.
+
+In the chain, a candidate w that is a twin of u (masks[w] == masks[u]) gets
+the generator tau = _twin_swap(A0, u, w) at every level, A0 the level root,
+and tau is the first isomorphism the coset search of w would find.  (1) u is
+a singleton of the equitable partition A0: a refined root is equitable, an
+isolated u moves out of an equitable root, and the twin-node case is below.
+(2) So every vertex of a cell has the same count into {u}, and N(u) is a
+union of cells; a vertex x of w's cell has w's count into every cell, all
+of it or none of it, so N(x) = N(u), and w's cell holds only twins of u.
+(3) tau sends u to w and w's cell in ascending order onto that cell with w
+replaced by u.  It permutes twins, so it is an automorphism, and refinement
+commutes with it: tau(A0), A0 with u and w exchanged, is the b-root.  (4)
+Every branch cell on the a-path lies in a cell of A0 and misses the
+singleton u; tau is increasing on w's cell and fixes the other cells.  So
+the first b-candidate _descend tries at each depth is tau(a), and its
+replay passes.  (5) The leaf maps each cell in ascending order onto its
+tau-image: it is tau.
 
 A chain level's root, the partition with its pins individualized, is the
 current root with the new pin u moved to the front of the non-pinned cells,
@@ -52,14 +67,12 @@ current root is a twin node with a single non-singleton cell: that cell's
 vertices are twins, so a vertex is next to all of them or to none, and the
 vertices of one equitable cell have the same count into it.  So they agree
 on u, and the partition with u split off is still equitable.  It is also
-the coarsest equitable one with u split off, so the
-from-scratch refinement has the same cells, perhaps in another order.  No
+the coarsest equitable one with u split off, so the from-scratch
+refinement has the same cells, perhaps in another order.  No
 later step reads that order: each later level is again such a node, its
 pin is the lowest vertex of the one non-singleton cell, and its generators
 are twin swaps, which are built cell by cell.  In both cases every
 candidate of the level is a twin of u, so the moved root needs no trace.
-At a twin root, the leaf map _descend finds for a twin candidate w is built
-directly (see _twin_swap).
 """
 
 from __future__ import annotations
@@ -394,27 +407,17 @@ def _pinned(part, p: int, u: int):
 
 
 def _twin_swap(part, u: int, w: int) -> list[int]:
-    """The leaf map of _descend at the twin node part, with the b-side part
-    the same with the twins u and w exchanged: u, a singleton, goes to w, and
-    w's cell maps in ascending order onto the same cell with w replaced by u;
-    every other vertex is fixed."""
+    """The first isomorphism _descend finds from the chain level root part,
+    where u is a singleton, onto part with the twins u and w exchanged: u
+    goes to w, and w's cell, which holds only twins of u, maps in ascending
+    order onto the same cell with w replaced by u; every other vertex is
+    fixed (the lemma is in the module docstring)."""
     cell = part[0][-part[1][w]]
     mapping = list(range(len(part[0])))
     mapping[u] = w
     for a, b in zip(_bits(cell), _bits(cell ^ (1 << w | 1 << u))):
         mapping[a] = b
     return mapping
-
-
-def _swapped(part, u: int, w: int):
-    """A copy of part with vertices u and w exchanged."""
-    ptn, cell_of = part[0][:], part[1][:]
-    both = 1 << u | 1 << w
-    for start in {-cell_of[u], -cell_of[w]}:
-        if ptn[start] & both != both:
-            ptn[start] ^= both
-    cell_of[u], cell_of[w] = cell_of[w], cell_of[u]
-    return ptn, cell_of
 
 
 def _search_iso(nbrs_a, path, nbrs_b, cells_b):
@@ -521,8 +524,9 @@ def _k_stabilizer(g: BiGraph, nbrs):
 
     Builds a stabilizer chain: repeatedly refine with the pinned prefix
     individualized, branch on the first non-singleton cell, and find one
-    stabilizer element per coset by a constrained isomorphism search.  The
-    order is the product of the orbit sizes along the chain.
+    stabilizer element per coset by a constrained isomorphism search, or,
+    for a twin of the pin, by _twin_swap, the map that search would return.
+    The order is the product of the orbit sizes along the chain.
 
     The searches of one level share one a-side path, from the partition
     with the level's candidate pinned as well; that path's root is the next
@@ -548,22 +552,17 @@ def _k_stabilizer(g: BiGraph, nbrs):
         level_gens: list[list[int]] = []
         orbit = _schreier(u, level_gens)
         if masks[u] == 0 or (branch is None and len(cells) == 1):
-            # every candidate is a twin of u, so no _search_iso replays the
-            # missing root trace
+            # every candidate is a twin of u: no search replays the root trace
             moved = _pinned(part, len(pins), u)
             level = [(moved, None, _branch(moved[0], masks))]
         else:
             level = _start(_side_cells(g.m, g.n, tuple(pins) + (u,)), nbrs)
-        twin_root = level[0][2] is None
         for w in _bits(target):
             if w in orbit:
                 continue
             if masks[w] == masks[u]:
-                if twin_root:
-                    found = _twin_swap(level[0][0], u, w)
-                else:
-                    # the twin swap (u w) takes the a-root to the b-root
-                    found = _descend(nbrs, nbrs, level, 0, _swapped(level[0][0], u, w))
+                # the first isomorphism of the coset search (module docstring)
+                found = _twin_swap(level[0][0], u, w)
             else:
                 found = _search_iso(
                     nbrs, level, nbrs, _side_cells(g.m, g.n, tuple(pins) + (w,)))

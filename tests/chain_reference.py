@@ -2,12 +2,13 @@
 tests only.
 
 `griddesigns.permgroup._k_stabilizer` builds a level's root by moving the
-pinned vertex when that provably gives the from-scratch cells, and builds a
-twin candidate's generator at a twin root directly.  This chain refines
-every level's root from scratch (`_start`) and searches every twin swap
-through `_descend`, on the same search helpers, so the tests can hold the
-shortcuts to the same reports.  It looks `_descend` up on the module, so a
-test that wraps it sees every descent of this chain.
+pinned vertex when that provably gives the from-scratch cells, and gives
+every twin candidate its generator without a search (`_twin_swap`).  This
+chain refines every level's root from scratch (`_start`) and searches every
+twin candidate through `_descend`, from the root with the twins exchanged,
+on the same search helpers, so the tests can hold the shortcuts to the same
+reports.  It looks `_descend` up on the module, so a test that wraps it
+sees every descent of this chain.
 """
 
 from __future__ import annotations
@@ -23,9 +24,19 @@ from griddesigns.permgroup import (
     _search_iso,
     _side_cells,
     _start,
-    _swapped,
     _vertex_map_to_gridperm,
 )
+
+
+def swapped(part, u: int, w: int):
+    """A copy of part with vertices u and w exchanged."""
+    ptn, cell_of = part[0][:], part[1][:]
+    both = 1 << u | 1 << w
+    for start in {-cell_of[u], -cell_of[w]}:
+        if ptn[start] & both != both:
+            ptn[start] ^= both
+    cell_of[u], cell_of[w] = cell_of[w], cell_of[u]
+    return ptn, cell_of
 
 
 def k_stabilizer(g: BiGraph, nbrs):
@@ -48,8 +59,9 @@ def k_stabilizer(g: BiGraph, nbrs):
             if w in orbit:
                 continue
             if nbrs[1][w] == nbrs[1][u]:
+                # the twin swap (u w) takes the a-root to the b-root
                 found = permgroup._descend(
-                    nbrs, nbrs, level, 0, _swapped(level[0][0], u, w))
+                    nbrs, nbrs, level, 0, swapped(level[0][0], u, w))
             else:
                 found = _search_iso(
                     nbrs, level, nbrs, _side_cells(g.m, g.n, tuple(pins) + (w,)))

@@ -97,8 +97,8 @@ def test_criterion_4_fig1_criteria():
 
 
 def test_criterion_5_path_family():
-    with criterion(5, "diagonal paths, m <= 60: Dhat 2-designs, lambdas, cases, oracle", 60):
-        for m in range(3, 61):
+    with criterion(5, "diagonal paths, m <= 100: Dhat 2-designs, lambdas, cases, oracle", 60):
+        for m in range(3, 101):
             k = m + 1
             g = family_path(k, m, m)
             aut = automorphisms(g)
@@ -115,9 +115,9 @@ def test_criterion_5_path_family():
 
 
 def test_criterion_6_cycle_family():
-    with criterion(6, "cycles, even m <= 60: flag-transitive 2-designs, lambdas", 60):
+    with criterion(6, "cycles, even m <= 100: flag-transitive 2-designs, lambdas", 60):
         assert [cycle_lambda_closed_form(k) for k in (6, 8)] == [12, 720]
-        for m in range(4, 61, 2):
+        for m in range(4, 101, 2):
             k = m + 2
             g = family_cycle(k, m)
             aut = automorphisms(g)

@@ -6,9 +6,10 @@ against the same partition refined from scratch.
 ``automorphisms`` searches is checked the other way: the seeded a-side child
 has the same cells as a from-scratch refinement, and the seeded b-side replay
 fails on exactly the candidates where replaying the from-scratch trace fails.
-The figures' chains reach no passing replay through the chain shortcuts, so
-they are checked on the from-scratch chain of ``chain_reference``, which
-still descends at every level.
+The chain shortcuts leave few passing replays in the figures' and the
+families' chains (none in the figures'), so those are checked on the
+from-scratch chain of ``chain_reference``, which still descends at every
+level and for every twin candidate.
 """
 
 from collections import defaultdict
@@ -134,6 +135,7 @@ class TestSeededChildren:
             for n in range(1, 5):
                 for g in iso_class_reps(m, n):
                     check_children(partial(automorphisms, g), monkeypatch)
+                    check_children(partial(chain_reference.automorphisms, g), monkeypatch)
 
     @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
     def test_figures(self, monkeypatch, fig):
@@ -147,7 +149,7 @@ class TestSeededChildren:
         family_cycle(10, 6),
     ], ids=["path5-4x4", "path6-8x8", "path9-10x10", "path7-4x5", "cycle6-4", "cycle8-8", "cycle10-6"])
     def test_path_and_cycle_families(self, monkeypatch, g):
-        check_children(partial(automorphisms, g), monkeypatch)
+        check_children(partial(chain_reference.automorphisms, g), monkeypatch)
 
     def test_non_isomorphic_candidates(self, monkeypatch):
         pairs = degree_twins()
@@ -194,22 +196,28 @@ class TestSignatureBudget:
     1,743 and 967 down to 33, 235 and 120.  Chain levels built by moving the
     pinned vertex, without refining again, took the signatures on fig3, path
     k=6 on 14x14, empty 16x16 and empty 40x40 from 4,780, 1,231, 1,024 and
-    6,400, and the rounds from 114, 232 and 32, down to the bounds below."""
+    6,400, and the rounds from 114, 232 and 32, down to 2,929, 519, 64 and
+    160, and 70, 175 and 2.  Twin swaps without a search at every level took
+    path k=6 on 14x14 from 519 signatures and 175 rounds, and cycle k=62 on
+    60x60 from 280,933 and 45,913, down to the bounds below."""
 
     @pytest.mark.parametrize("g, bound", [
         (family_figure("fig3"), 2_929),
         (BiGraph(12, 12, tuple(1 << i for i in range(12))), 5_559),
-        (family_path(6, 14, 14), 519),
+        (family_path(6, 14, 14), 141),
         (BiGraph(16, 16, (0,) * 16), 64),
         (BiGraph(40, 40, (0,) * 40), 160),
-    ], ids=["fig3", "matching-12x12", "path6-14x14", "empty-16x16", "empty-40x40"])
+        (family_cycle(62, 60), 4_909),
+    ], ids=["fig3", "matching-12x12", "path6-14x14", "empty-16x16", "empty-40x40",
+            "cycle62-60x60"])
     def test_upper_bound(self, monkeypatch, g, bound):
         assert 0 < work(g, monkeypatch)[0] <= bound
 
     @pytest.mark.parametrize("g, bound", [
         (BiGraph(16, 16, (0,) * 16), 2),
-        (family_path(6, 14, 14), 175),
+        (family_path(6, 14, 14), 10),
         (family_figure("fig3"), 70),
-    ], ids=["empty-16x16", "path6-14x14", "fig3"])
+        (family_cycle(62, 60), 469),
+    ], ids=["empty-16x16", "path6-14x14", "fig3", "cycle62-60x60"])
     def test_split_rounds(self, monkeypatch, g, bound):
         assert 0 < work(g, monkeypatch)[1] <= bound
