@@ -11,7 +11,6 @@ from .bigraph import (
     BiGraph,
     GraphFormatError,
     SubgraphStats,
-    canonical_form,
     complement,
     degrees,
     format_graph_text,
@@ -66,7 +65,6 @@ __all__ = [
     "BiGraph",
     "GraphFormatError",
     "SubgraphStats",
-    "canonical_form",
     "complement",
     "degrees",
     "format_graph_text",

@@ -166,114 +166,6 @@ def complement(g: BiGraph) -> BiGraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form under row/column permutations
-# ---------------------------------------------------------------------------
-#
-# Two graphs get the same key exactly when one is the image of the other under
-# some pair of independent row and column permutations.  The key is the
-# lexicographically least column-major reading of the bit matrix over the
-# labellings that respect the degree partition: rows start grouped by degree,
-# highest degree first, and columns are placed one degree class at a time,
-# highest degree first.  Within that, the columns of a class may come in any
-# order, and rows are sorted ascending under the chosen column order.  An
-# isomorphism preserves degrees, so it maps these labellings of one graph onto
-# those of the other, and the least reading is the same.
-#
-# The search extends the column order one position at a time, keeping every
-# partial order that still achieves the minimal prefix.  States that induce
-# the same ordered row partition and leave the same multiset of columns of
-# the current class are interchangeable and deduplicated.  Adequate at search
-# scales (small grids, highly structured larger graphs); not a general-purpose
-# canonical labeller.
-#
-# Keys are compared, never printed or stored, and their bytes may change
-# between versions of this package.
-
-def canonical_form(g: BiGraph, allow_transpose: bool = False) -> bytes:
-    """Canonical byte string; equal strings <=> isomorphic under row/column
-    permutations.  With allow_transpose (square grids only) the key is also
-    invariant under the transpose map, i.e. it canonicalizes under the full
-    automorphism group of K_{m,m}: the lesser key of both orientations.
-    Compare keys within one version of the package; do not store them.
-    """
-    cols = g.columns()
-    x = [mask.bit_count() for mask in g.rows]
-    y = [mask.bit_count() for mask in cols]
-    if not allow_transpose:
-        return _canonical_key(cols, x, y)
-    if g.m != g.n:
-        raise ValueError("transpose is only defined on square grids")
-    # the transposed graph has the columns of g as rows and the rows as columns
-    return min(_canonical_key(cols, x, y), _canonical_key(g.rows, y, x))
-
-
-def _canonical_key(cols, x, y) -> bytes:
-    """Key of the graph with column masks `cols` (bit i = row i), row degrees
-    x and column degrees y."""
-    m, n = len(x), len(y)
-    row_classes: dict[int, int] = {}
-    for i, d in enumerate(x):
-        row_classes[d] = row_classes.get(d, 0) | 1 << i
-    col_classes: dict[int, list[int]] = {}
-    for col, d in zip(cols, y):
-        col_classes.setdefault(d, []).append(col)
-
-    # state: (ordered row groups as bitmasks, sorted tuple of the unused
-    # column masks of the current degree class)
-    frontier = {tuple(row_classes[d] for d in sorted(row_classes, reverse=True))}
-    packed = 0
-    for d in sorted(col_classes, reverse=True):
-        count = len(col_classes[d])
-        if d == 0:
-            packed <<= m * count  # empty columns read as zero blocks
-            continue
-        states = {(groups, tuple(sorted(col_classes[d]))) for groups in frontier}
-        for _ in range(count):
-            best: int | None = None
-            best_states: set = set()
-            for groups, remaining in states:
-                for i, col in enumerate(remaining):
-                    if i and remaining[i - 1] == col:
-                        continue  # equal columns lead to equal states
-                    block, new_groups = _extend(groups, col, m)
-                    if best is None or block < best:
-                        best = block
-                        best_states = set()
-                    if block == best:
-                        best_states.add((new_groups, remaining[:i] + remaining[i + 1:]))
-            packed = (packed << m) | best
-            states = best_states
-        frontier = {groups for groups, _ in states}
-
-    # the sides in decimal, so any size fits and equal sides give equal headers
-    width = (m * n + 7) // 8
-    return b"%d,%d:" % (m, n) + packed.to_bytes(width, "big")
-
-
-def _extend(groups: tuple[int, ...], col: int, m: int):
-    """Column block under the partial row order, plus the refined order.
-
-    Within each tied row group the 0-rows precede the 1-rows (ascending sort),
-    so only the per-group 1-counts shape the block.  Bit 0 of the block is the
-    last row position, making integer comparison lexicographic on the reading.
-    """
-    block = 0
-    pos = m
-    new_groups = []
-    for grp in groups:
-        pos -= grp.bit_count()
-        ones = grp & col
-        if ones:
-            block |= ((1 << ones.bit_count()) - 1) << pos
-            if ones != grp:
-                new_groups.append(grp ^ ones)
-            new_groups.append(ones)
-        else:
-            new_groups.append(grp)
-    return block, tuple(new_groups)
-
-
-# ---------------------------------------------------------------------------
 # Text format: `grid m n` then `edge i j` lines, 1-based, # comments allowed
 # ---------------------------------------------------------------------------
 

@@ -36,7 +36,11 @@ can be composed with twin swaps on the b-side.  So the lowest b-candidate
 always succeeds when some isomorphism exists, and no candidate succeeds when
 none does.  The full search would therefore map each cell in ascending order
 onto its b-cell, and _descend takes that map at once and checks it like a
-leaf.
+leaf.  At any node, a b-candidate that is a twin of a candidate that failed
+fails too: swapping the two fixes every other vertex, so it maps the node's
+partition onto itself and the one candidate's subtree onto the other's.
+_descend skips it, so a failing search does not try every order of a
+side's isolated vertices.
 
 In the chain, a candidate w that is a twin of u (masks[w] == masks[u]) gets
 the generator tau = _twin_swap(A0, u, w) at every level, A0 the level root,
@@ -73,6 +77,17 @@ later step reads that order: each later level is again such a node, its
 pin is the lowest vertex of the one non-singleton cell, and its generators
 are twin swaps, which are built cell by cell.  In both cases every
 candidate of the level is a twin of u, so the moved root needs no trace.
+
+The same search deduplicates the exhaustive search (new_class).  The trace
+of the unpinned root is an isomorphism invariant: an element of K fixes the
+side cells, and round by round a vertex and its image have one signature,
+with the same cells signed.  So only a graph with a kept graph's trace can
+be isomorphic to it, and its refined root is then what a replay of the kept
+trace gives: _descend from the two roots decides, and checks every map it
+returns, so a trace that two classes share never merges them.  Every
+element of G is k or tau k, k in K, so a graph is in a kept graph's G-orbit
+exactly when it is K-isomorphic to it or to its transpose; a kept graph
+that is not tau-equivalent is also filed under its transpose's trace.
 """
 
 from __future__ import annotations
@@ -322,19 +337,19 @@ def _split_round(part, nbrs, dirty: int):
                     touched |= masks[v]
                 rest ^= low
             pos += bucket.bit_count()
-    return entries, touched
+    return tuple(entries), touched
 
 
-def _refine_part(part, nbrs, dirty: int) -> list:
+def _refine_part(part, nbrs, dirty: int) -> tuple:
     """Refine part in place until no cell can split; the trace holds the
-    entries of each round.  dirty must meet every cell whose vertices may
-    differ in signature."""
+    entries of each round, in tuples, so it can key a dict.  dirty must meet
+    every cell whose vertices may differ in signature."""
     trace = []
     while True:
         entries, dirty = _split_round(part, nbrs, dirty)
         trace.append(entries)
         if not dirty:
-            return trace
+            return tuple(trace)
 
 
 def _replay_part(part, nbrs, dirty: int, trace) -> bool:
@@ -463,12 +478,17 @@ def _descend(nbrs_a, nbrs_b, path, depth: int, part_b):
         a = (cell_a & -cell_a).bit_length() - 1
         path.append(_node(_child(part_a, branch, a), nbrs_a, nbrs_a[1][a]))
     trace = path[depth + 1][1]
+    masks_b = nbrs_b[1]
+    failed = set()
     for b in _bits(part_b[0][branch]):
+        if masks_b[b] in failed:
+            continue  # a twin of a failed candidate (module docstring)
         child = _child(part_b, branch, b)
-        if _replay_part(child, nbrs_b, nbrs_b[1][b], trace):
+        if _replay_part(child, nbrs_b, masks_b[b], trace):
             found = _descend(nbrs_a, nbrs_b, path, depth + 1, child)
             if found is not None:
                 return found
+        failed.add(masks_b[b])
     return None
 
 
@@ -517,10 +537,9 @@ def _schreier(start: int, perms, tree: dict | None = None) -> dict:
     return tree
 
 
-def _k_stabilizer(g: BiGraph, nbrs):
+def _k_stabilizer(g: BiGraph, nbrs, root):
     """Generators (as vertex perms) and exact order of the stabilizer in K,
-    and the search path from the unpinned root, where the transpose test
-    starts.
+    from root, the search path from the unpinned root (see _start).
 
     Builds a stabilizer chain: repeatedly refine with the pinned prefix
     individualized, branch on the first non-singleton cell, and find one
@@ -539,7 +558,7 @@ def _k_stabilizer(g: BiGraph, nbrs):
     pins: list[int] = []
     order = 1
     masks = nbrs[1]
-    root = level = _start(_side_cells(g.m, g.n, ()), nbrs)
+    level = root
     while True:
         part, _, branch = level[0]
         cells = [c for c in part[0] if c & (c - 1)]
@@ -572,7 +591,7 @@ def _k_stabilizer(g: BiGraph, nbrs):
                 _schreier(u, level_gens, orbit)
         order *= len(orbit)
         pins.append(u)
-    return gens, order, root
+    return gens, order
 
 
 def _vertex_map_to_gridperm(mapping, m: int, n: int) -> GridPerm:
@@ -589,21 +608,40 @@ def _fixes(p: GridPerm, edges: set) -> bool:
 
 
 def automorphisms(g: BiGraph) -> AutReport:
-    """Stabilizer of the block graph in K, and in G on square grids.
+    """Stabilizer of the block graph in K, and in G on square grids: its
+    report as a graph new to an empty table (new_class)."""
+    return new_class(g, {})
+
+
+def new_class(g: BiGraph, kept: dict, allow_tau: bool = False) -> AutReport | None:
+    """The stabilizer report of g, which the table kept then holds, or None
+    when g is isomorphic to a graph kept before: under K, and under G with
+    allow_tau (square grids only).  kept is a dict, empty at first, for the
+    graphs of one grid; it maps root traces to the neighbours and search
+    paths of kept graphs, and of their transposes (module docstring).
 
     The G part reuses the K chain: the stabilizer in G either equals the one
     in K or extends it by a single swap element, which exists exactly when g
     is isomorphic to its transpose under K.
     """
+    if allow_tau and g.m != g.n:
+        raise ValueError("transpose is only defined on square grids")
     nbrs = _neighbours(g)
-    vgens, k_order, root = _k_stabilizer(g, nbrs)
+    cells = _side_cells(g.m, g.n, ())
+    root = _start(cells, nbrs)
+    for kept_nbrs, kept_root in kept.get(root[0][1], ()):
+        # equal traces: g's refined root is the replay of the kept one's
+        if _descend(kept_nbrs, nbrs, kept_root, 0, root[0][0]) is not None:
+            return None
+    vgens, k_order = _k_stabilizer(g, nbrs, root)
     k_gens = tuple(_vertex_map_to_gridperm(p, g.m, g.n) for p in vgens)
 
     g_gens = None
     g_order = None
     tau_eq = None
     if g.m == g.n:
-        mapping = _search_iso(nbrs, root, _transposed(nbrs), _side_cells(g.m, g.n, ()))
+        tnbrs = _transposed(nbrs)
+        mapping = _search_iso(nbrs, root, tnbrs, cells)
         tau_eq = mapping is not None
         if tau_eq:
             p = _vertex_map_to_gridperm(mapping, g.m, g.n)
@@ -619,6 +657,10 @@ def automorphisms(g: BiGraph) -> AutReport:
     for p in report.g_gens or report.k_gens:
         if not _fixes(p, edges):
             raise AssertionError("stabilizer search returned a non-automorphism")
+    kept.setdefault(root[0][1], []).append((nbrs, root))
+    if allow_tau and not tau_eq:
+        troot = _start(cells, tnbrs)
+        kept.setdefault(troot[0][1], []).append((tnbrs, troot))
     return report
 
 

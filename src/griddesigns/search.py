@@ -9,11 +9,12 @@ keeps equal-degree rows and equal-degree columns in lex-leader order, so it
 yields few matrices besides the largest of each class.  One function
 decides a degree branch: its degrees already hit the 2-path and 3-claw
 targets, so each realized matrix is tested only for what they leave open
-(k >= t, the 3-path count for t = 3, the edge degrees for flag targets), a
-passing one is keyed, and a key new to the branch gets its stabilizer
-report.  Under allow-tau a branch (x, y) is skipped when its
-mirror (y, x) comes earlier, so no class lies in two searched branches and
-only a branch that is its own mirror keys under the transpose.  One loop
+(k >= t, the 3-path count for t = 3, the edge degrees for flag targets),
+and a passing one is kept with its stabilizer report when
+permgroup.new_class finds it isomorphic to no class kept in the branch.
+Under allow-tau a branch (x, y) is skipped when its mirror (y, x) comes
+earlier, so no class lies in two searched branches and only a branch that
+is its own mirror deduplicates under the transpose.  One loop
 maps that function over the searched branches, with the builtin map or a
 process pool's, adds up the branches' nodes against the run's node budget
 and yields the results in branch order, so the worker count changes neither
@@ -30,7 +31,7 @@ from itertools import combinations, repeat
 from math import comb, perm
 
 from . import criteria, permgroup
-from .bigraph import BiGraph, canonical_form, from_edge_list, parse_graph_text, three_paths
+from .bigraph import BiGraph, from_edge_list, parse_graph_text, three_paths
 
 # target -> (design, t, flag-transitive)
 TARGETS = {
@@ -310,11 +311,12 @@ def _branch_results(spec: SearchSpec, index: int, branch, deadline_ns: int | Non
     check_D/check_Dhat: k >= t, and for t = 3 its 3-path count; for flag
     targets, also one unordered degree pair on every edge.  These tests are
     invariant under K and the transpose, so only a passing matrix becomes
-    a graph and is keyed, and the first realized matrix of each passing
-    class is kept.  The transpose of a graph in branch (x, y) lies in
-    branch (y, x), so only a branch that is its own mirror keys under the
-    transpose as well.  A key new to the branch gets its stabilizer report,
-    and for flag targets the edge-orbit test.
+    a graph and goes to the branch's table of kept classes, and the first
+    realized matrix of each passing class is kept.  The transpose of a
+    graph in branch (x, y) lies in branch (y, x), so only a branch that is
+    its own mirror deduplicates under the transpose as well.  A graph new
+    to the table comes with its stabilizer report, and for flag targets it
+    gets the edge-orbit test.
     """
     state = _RealizeState(spec, index, deadline_ns)
     x, y = branch
@@ -324,7 +326,7 @@ def _branch_results(spec: SearchSpec, index: int, branch, deadline_ns: int | Non
         c, d = criteria.count_targets(design, spec.m, spec.n, 3)["p3"]
         p3 = c * perm(spec.k, 3) // d
     allow_tau = spec.dedup == "allow-tau" and x == y
-    seen: set[bytes] = set()
+    kept: dict = {}
     out = []
     for rows in _realize(x, y, state):
         # a k < t branch keeps nothing, but its nodes still count
@@ -332,11 +334,9 @@ def _branch_results(spec: SearchSpec, index: int, branch, deadline_ns: int | Non
                 or flag and not _uniform_edge_degrees(rows, x, y)):
             continue
         g = BiGraph(spec.m, spec.n, rows)
-        key = canonical_form(g, allow_transpose=allow_tau)
-        if key in seen:
+        report = permgroup.new_class(g, kept, allow_tau)
+        if report is None:
             continue
-        seen.add(key)
-        report = permgroup.automorphisms(g)
         if not flag or permgroup.is_edge_transitive(g, report, "K" if design == "D" else "G"):
             out.append((g, report))
     return out, state.nodes
@@ -361,7 +361,7 @@ def exhaustive_search(spec: SearchSpec, workers: int = 1):
 
     Deterministic: degree branches in lexicographically decreasing order from
     spec.start_branch on, matrices by the realization order, duplicates
-    within a branch dropped via the canonical forms of the matrices that
+    within a branch dropped by permgroup.new_class among the matrices that
     meet the target's criteria.  No class lies in two searched branches (a
     class's degree sequences are invariants, and under allow-tau the mirror
     branch is skipped), so the output of a resumed run is the full run's

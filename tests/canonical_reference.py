@@ -1,14 +1,17 @@
-"""The frontier canonical form as it was before the degree-partition start
-and the degree-oriented transpose key, kept as a reference for the tests.
+"""A frontier canonical form under row/column permutations, kept as the
+tests' reference classifier of block graphs.
 
-Keys from here and from `griddesigns.bigraph.canonical_form` are different
-bytes; what must agree is which graphs get equal keys.
+Two graphs get equal keys exactly when one is the image of the other under
+independent row and column permutations, and with allow_transpose also
+under the transpose.  `griddesigns.permgroup.new_class` must split graphs
+into the same classes.  Keys pack the grid sides in one byte each, so they
+need sides up to 255.
 """
 
 from collections import Counter
 
-from griddesigns import bigraph
 from griddesigns.bigraph import BiGraph, transpose
+from griddesigns.permgroup import new_class
 
 
 def canonical_form(g: BiGraph, allow_transpose: bool = False) -> bytes:
@@ -73,10 +76,18 @@ def _extend(groups: tuple[int, ...], col: int, m: int):
 
 
 def assert_same_partition(graphs, allow_transpose: bool = False):
-    """New keys are equal exactly when reference keys are equal, over all
-    pairs of `graphs`."""
-    pairs = {(bigraph.canonical_form(g, allow_transpose), canonical_form(g, allow_transpose))
-             for g in graphs}
-    new_keys = {new for new, _ in pairs}
-    ref_keys = {ref for _, ref in pairs}
-    assert len(new_keys) == len(pairs) == len(ref_keys)
+    """new_class splits `graphs` into the classes of the reference keys:
+    each graph is new to a table of the graphs before it exactly when its
+    key is new, and a later graph of a class is a duplicate in a table of
+    its class's first graph alone."""
+    kept: dict = {}
+    firsts: dict = {}
+    for g in graphs:
+        key = canonical_form(g, allow_transpose)
+        new = new_class(g, kept, allow_transpose) is not None
+        assert new == (key not in firsts), g
+        if new:
+            firsts[key] = {}
+            new_class(g, firsts[key], allow_transpose)
+        else:
+            assert new_class(g, firsts[key], allow_transpose) is None, g

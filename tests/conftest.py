@@ -102,3 +102,14 @@ def random_bigraph(rng: random.Random, max_cells: int = 64) -> BiGraph:
             break
     rows = tuple(rng.getrandbits(n) for _ in range(m))
     return BiGraph(m, n, rows)
+
+
+def cycle_union(n: int, lengths) -> BiGraph:
+    """Disjoint cycles of 2L edges, one per L in lengths, on an n x n grid."""
+    rows = [0] * n
+    first = 0
+    for length in lengths:
+        for i in range(length):
+            rows[first + i] |= (1 << (first + i)) | (1 << (first + (i + 1) % length))
+        first += length
+    return BiGraph(n, n, tuple(rows))

@@ -11,7 +11,9 @@ position dict over every degree branch.
 
 from itertools import combinations
 
-from griddesigns.bigraph import BiGraph, canonical_form
+from griddesigns.bigraph import BiGraph
+
+from canonical_reference import canonical_form
 
 
 def _combinations_masks(n: int, weight: int):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from griddesigns.bigraph import (
     BiGraph,
     GraphFormatError,
-    canonical_form,
     complement,
     degrees,
     format_graph_text,
@@ -17,10 +16,10 @@ from griddesigns.bigraph import (
 )
 from griddesigns.search import family_figure, family_path
 
-from canonical_reference import assert_same_partition
+from canonical_reference import assert_same_partition, canonical_form
 from count_reference import stats_by_enumeration
 from conftest import iso_class_reps, mask_to_graph, random_bigraph, random_gridperm
-from griddesigns.permgroup import GridPerm, apply
+from griddesigns.permgroup import GridPerm, apply, new_class
 
 
 def bigraphs(max_side=5):
@@ -153,66 +152,80 @@ class TestComplement:
         assert complement(g).k == g.m * g.n - g.k
 
 
+def is_duplicate(h, g, allow_tau=False):
+    """Whether new_class finds h isomorphic to g, in a table of g alone."""
+    kept: dict = {}
+    assert new_class(g, kept, allow_tau) is not None
+    return new_class(h, kept, allow_tau) is None
+
+
 class TestCanonicalForm:
+    """permgroup.new_class, the search's dedup, which replaced the canonical
+    form: a graph is new to a table of the classes kept before it exactly
+    when it is isomorphic to none of them."""
+
     def test_row_swap_invariant(self):
         g = from_edge_list(3, 3, [(1, 1), (2, 2), (2, 3)])
         h = from_edge_list(3, 3, [(2, 1), (1, 2), (1, 3)])
-        assert canonical_form(g) == canonical_form(h)
+        assert is_duplicate(h, g)
 
     def test_transpose_variant(self):
         g = from_edge_list(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2)])
-        assert canonical_form(g, allow_transpose=True) == canonical_form(
-            transpose(g), allow_transpose=True
-        )
+        assert is_duplicate(transpose(g), g, allow_tau=True)
+        assert not is_duplicate(transpose(g), g)
 
     def test_path_vs_claw_distinct(self):
         p3 = from_edge_list(3, 3, [(1, 1), (1, 2), (2, 2)])
         claw = from_edge_list(3, 3, [(1, 1), (1, 2), (1, 3)])
-        assert canonical_form(p3) != canonical_form(claw)
+        assert not is_duplicate(claw, p3)
 
     def test_invariant_under_group(self):
         rng = random.Random(11)
         for trial in range(25):
             g = random_bigraph(rng, max_cells=25)
             reps = 100 if trial < 5 else 10
-            key = canonical_form(g)
+            kept: dict = {}
+            assert new_class(g, kept) is not None
             for _ in range(reps):
                 p = random_gridperm(g.m, g.n, rng)
-                assert canonical_form(apply(p, g)) == key
+                assert new_class(apply(p, g), kept) is None
             if g.m == g.n:
-                gkey = canonical_form(g, allow_transpose=True)
+                kept = {}
+                assert new_class(g, kept, allow_tau=True) is not None
                 for _ in range(reps):
                     p = random_gridperm(g.m, g.n, rng, allow_swap=True)
-                    assert canonical_form(apply(p, g), allow_transpose=True) == gkey
+                    assert new_class(apply(p, g), kept, allow_tau=True) is None
 
     def test_separates_classes(self):
-        # canonical keys are pairwise distinct across orbit-enumeration class
-        # representatives: soundness and completeness in one count
+        # every orbit-enumeration class representative is new to a table of
+        # the ones before it: soundness and completeness in one count
         for m, n in [(3, 3), (2, 4), (4, 4)]:
-            reps = iso_class_reps(m, n)
-            keys = {canonical_form(g) for g in reps}
-            assert len(keys) == len(reps), (m, n)
+            kept: dict = {}
+            for g in iso_class_reps(m, n):
+                assert new_class(g, kept) is not None, g
 
     def test_sides_above_255(self):
-        empty = canonical_form(BiGraph(256, 1, (0,) * 256))
-        first = canonical_form(BiGraph(256, 1, (1,) + (0,) * 255))
-        later = canonical_form(BiGraph(256, 1, (0,) * 200 + (1,) + (0,) * 55))
-        assert first == later != empty
-        # same number of cells, so only the header tells the grids apart
-        assert empty != canonical_form(BiGraph(1, 256, (0,)))
-        g = family_path(7, 300, 300)
-        assert (canonical_form(g, allow_transpose=True)
-                == canonical_form(transpose(g), allow_transpose=True))
+        # every row a different subset of the 8 columns, so no large twin
+        # class makes the stabilizer chain long
+        rng = random.Random(7)
+        g = BiGraph(256, 8, tuple(range(256)))
+        assert is_duplicate(apply(random_gridperm(256, 8, rng), g), g)
+        assert not is_duplicate(BiGraph(256, 8, (1,) + tuple(range(1, 256))), g)
+        h = BiGraph(300, 300, tuple(rng.getrandbits(300) & rng.getrandbits(300)
+                                    for _ in range(300)))
+        assert is_duplicate(transpose(h), h, allow_tau=True)
+        assert not is_duplicate(transpose(h), h)
 
     def test_transpose_variant_counts_g_orbits(self):
-        # distinct transpose-variant keys over all 3x3 graphs equal the
-        # number of orbits under the full group (row/col perms and transpose)
-        keys = set()
+        # the 3x3 graphs new to one allow-tau table are as many as the
+        # orbits under the full group (row/col perms and transpose)
+        kept: dict = {}
+        new = 0
         orbits = set()
         seen = set()
         for mask in range(1 << 9):
             g = mask_to_graph(3, 3, mask)
-            keys.add(canonical_form(g, allow_transpose=True))
+            new += new_class(g, kept, allow_tau=True) is not None
             if mask in seen:
                 continue
             orbit = {mask}
@@ -225,7 +238,6 @@ class TestCanonicalForm:
                     [(1, 0, 2), None], [(0, 2, 1), None],
                     [None, (1, 0, 2)], [None, (0, 2, 1)],
                 ):
-                    from griddesigns.permgroup import GridPerm
                     rows = p[0] or (0, 1, 2)
                     cols = p[1] or (0, 1, 2)
                     images.append(apply(GridPerm(tuple(rows), tuple(cols)), cur))
@@ -239,7 +251,7 @@ class TestCanonicalForm:
                         frontier.append(img)
             seen |= orbit
             orbits.add(min(orbit))
-        assert len(keys) == len(orbits)
+        assert new == len(orbits)
 
 
 @st.composite
@@ -260,9 +272,8 @@ def graph_batches(draw):
 
 
 class TestCanonicalMatchesReference:
-    """Keys from the degree-partition start, with the transpose allowed the
-    lesser key of both orientations, are equal exactly when the keys of the
-    previous frontier search (tests/canonical_reference.py) are equal."""
+    """new_class, with the transpose allowed as well, splits graphs into the
+    classes of the reference keys (tests/canonical_reference.py)."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_every_class(self, m):
@@ -286,15 +297,20 @@ class TestCanonicalMatchesReference:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_transpose_key_is_the_lesser_orientation(self, m):
+        # the allow-tau reference key is the lesser of both orientations'
+        # keys; new_class finds a graph under the transpose exactly when
+        # it finds the graph or its transpose without it
         rng = random.Random(m)
-        for g in iso_class_reps(m, m):
-            for h in (g, apply(random_gridperm(m, m, rng, allow_swap=True), g)):
-                both = min(canonical_form(h), canonical_form(transpose(h)))
-                assert canonical_form(h, allow_transpose=True) == both
+        reps = iso_class_reps(m, m)
+        for g, other in zip(reps, reps[1:] + reps[:1]):
+            for h in (apply(random_gridperm(m, m, rng, allow_swap=True), g), other):
+                either = is_duplicate(h, g) or is_duplicate(transpose(h), g)
+                assert is_duplicate(h, g, allow_tau=True) == either
+                assert either == (canonical_form(h, True) == canonical_form(g, True))
 
     def test_transpose_needs_square_grid(self):
         with pytest.raises(ValueError):
-            canonical_form(BiGraph(2, 3, (1, 2)), allow_transpose=True)
+            new_class(BiGraph(2, 3, (1, 2)), {}, allow_tau=True)
 
 
 class TestTextFormat:

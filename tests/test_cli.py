@@ -623,7 +623,7 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("m, n, k, target", [
         (1, 2, 1, "d3"),    # fewer points than t: no targets, no branches
-        (256, 2, 1, "d2"),  # a side above 255 in the canonical key header
+        (256, 2, 1, "d2"),  # a side above 255
         (2, 2, 5, "d2"),    # more edges than cells
     ])
     def test_degenerate_grids_find_nothing(self, capsys, m, n, k, target):
@@ -788,18 +788,21 @@ class TestStartBranch:
         assert edge_lists(stopped) + edge_lists(resumed) == edge_lists(full)
 
     def test_one_group_per_flag_result(self, capsys, monkeypatch):
-        calls = []
-        original = permgroup.automorphisms
+        # new_class returns a stabilizer report for a new class only
+        reports = []
+        original = permgroup.new_class
 
-        def counting(g):
-            calls.append(g)
-            return original(g)
+        def counting(g, kept, allow_tau=False):
+            report = original(g, kept, allow_tau)
+            if report is not None:
+                reports.append(report)
+            return report
 
-        monkeypatch.setattr(permgroup, "automorphisms", counting)
+        monkeypatch.setattr(permgroup, "new_class", counting)
         code, out, _ = run_cli(capsys, self.ARGV)
         assert code == 0
         assert out.endswith("found = 2\n")
-        assert len(calls) == 2
+        assert len(reports) == 2
 
     def test_past_the_last_branch_finds_nothing(self, capsys):
         spec = SearchSpec(m=5, n=5, k=4, target="flag-dhat2")

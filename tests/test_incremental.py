@@ -34,7 +34,7 @@ from griddesigns.permgroup import (
 from griddesigns.search import family_cycle, family_figure, family_path
 
 import chain_reference
-from conftest import iso_class_reps
+from conftest import cycle_union, iso_class_reps
 from refine_reference import refine_from_scratch, replay_from_scratch
 
 
@@ -98,17 +98,6 @@ def check_children(run, monkeypatch):
             else:
                 failed += 1
     return failed, passed
-
-
-def cycle_union(n: int, lengths) -> BiGraph:
-    """Disjoint cycles of 2L edges, one per L in lengths, on an n x n grid."""
-    rows = [0] * n
-    first = 0
-    for length in lengths:
-        for i in range(length):
-            rows[first + i] |= (1 << (first + i)) | (1 << (first + (i + 1) % length))
-        first += length
-    return BiGraph(n, n, tuple(rows))
 
 
 def degree_twins():

@@ -1,10 +1,11 @@
 import random
+import time
 from math import factorial
 
 import pytest
 
 from griddesigns import permgroup
-from griddesigns.bigraph import BiGraph, canonical_form, from_edge_list, transpose
+from griddesigns.bigraph import BiGraph, from_edge_list, transpose
 from griddesigns.permgroup import (
     GridPerm,
     apply,
@@ -16,15 +17,18 @@ from griddesigns.permgroup import (
     identity,
     inverse,
     is_edge_transitive,
+    new_class,
     order_from_generators,
     tau_equivalent,
 )
 from griddesigns.search import family_cycle, family_figure, family_path
 
+from canonical_reference import canonical_form
 from conftest import (
     all_g_elements,
     all_k_elements,
     brute_stabilizer,
+    cycle_union,
     iso_class_reps,
     random_bigraph,
     random_gridperm,
@@ -257,11 +261,11 @@ class TestAutomorphisms:
         i = next(i for i, mask in enumerate(g.rows) if mask != g.rows[0])
         chain = permgroup._k_stabilizer
 
-        def bad_chain(h, nbrs):
-            gens, order, root = chain(h, nbrs)
+        def bad_chain(h, nbrs, root):
+            gens, order = chain(h, nbrs, root)
             swap = list(range(h.m + h.n))
             swap[0], swap[i] = i, 0
-            return gens + [swap], order, root
+            return gens + [swap], order
 
         with monkeypatch.context() as patch:
             patch.setattr(permgroup, "_k_stabilizer", bad_chain)
@@ -324,6 +328,58 @@ class TestTauEquivalence:
             g = BiGraph(m, m, tuple(rng.getrandbits(m) for _ in range(m)))
             via_canon = canonical_form(g) == canonical_form(transpose(g))
             assert tau_equivalent(g) == via_canon
+
+
+class TestNewClass:
+    def test_trace_collisions_stay_apart(self):
+        # C4+C4+C4, C12 and C8+C4 on a 6x6 grid: every vertex has degree
+        # 2, so refinement splits nothing and all share one root trace;
+        # only the descents, which all fail, tell them apart
+        graphs = [cycle_union(6, lengths) for lengths in ([2, 2, 2], [6], [4, 2])]
+        cells = permgroup._side_cells(6, 6, ())
+        traces = {permgroup._start(cells, permgroup._neighbours(g))[0][1] for g in graphs}
+        assert len(traces) == 1
+        rng = random.Random(41)
+        for allow_tau in (False, True):
+            kept: dict = {}
+            assert all(new_class(g, kept, allow_tau) is not None for g in graphs)
+            relabelled = apply(random_gridperm(6, 6, rng, allow_swap=allow_tau), graphs[1])
+            assert new_class(relabelled, kept, allow_tau) is None
+
+    def test_failing_descent_skips_twins(self, monkeypatch):
+        # C4 + C6 + K2 against C10 + K2 on 10x10 share one root trace; the
+        # smallest root cells hold the 4 isolated rows and columns, and
+        # trying every order of those twins took 3,880 replays to fail
+        h = BiGraph(10, 10, (24, 24, 6, 5, 3, 32, 0, 0, 0, 0))
+        g = BiGraph(10, 10, (24, 20, 10, 5, 3, 32, 0, 0, 0, 0))
+        cells = permgroup._side_cells(10, 10, ())
+        nbrs_h, nbrs_g = permgroup._neighbours(h), permgroup._neighbours(g)
+        root_h, root_g = permgroup._start(cells, nbrs_h), permgroup._start(cells, nbrs_g)
+        assert root_h[0][1] == root_g[0][1]
+        replays = []
+        replay = permgroup._replay_part
+
+        def counting(*args):
+            replays.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(permgroup, "_replay_part", counting)
+        assert permgroup._descend(nbrs_h, nbrs_g, root_h, 0, root_g[0][0]) is None
+        assert len(replays) <= 11
+
+    @pytest.mark.parametrize("m, limit", [(12, 0.1), (20, 1.0)])
+    def test_perfect_matching_in_time(self, m, limit):
+        # its stabilizer is Sym(m), on which an exhaustive labelling search
+        # is factorial
+        rng = random.Random(m)
+        g = BiGraph(m, m, tuple(1 << i for i in range(m)))
+        h = apply(random_gridperm(m, m, rng, allow_swap=True), g)
+        start = time.process_time()
+        kept: dict = {}
+        report = new_class(g, kept, allow_tau=True)
+        assert new_class(h, kept, allow_tau=True) is None
+        assert time.process_time() - start < limit
+        assert report.g_order == 2 * factorial(m)
 
 
 class TestEdgeTransitivity:

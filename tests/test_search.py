@@ -12,11 +12,11 @@ from math import comb
 
 import pytest
 
-from griddesigns.bigraph import BiGraph, canonical_form, degrees, stats, three_paths
+from griddesigns.bigraph import BiGraph, degrees, stats, three_paths
 from griddesigns.cli import main
 from griddesigns.criteria import check_D, check_Dhat, count_targets, evaluate
 from griddesigns.oracle import materialize, orbit_verdicts
-from griddesigns import bigraph, criteria, search
+from griddesigns import bigraph, criteria, permgroup, search
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
 from griddesigns.search import (
     TARGETS,
@@ -36,7 +36,7 @@ from griddesigns.search import (
 )
 
 import search_reference
-from canonical_reference import assert_same_partition
+from canonical_reference import assert_same_partition, canonical_form
 from conftest import iso_class_reps, random_gridperm
 
 
@@ -471,8 +471,8 @@ def _meets_target(g, target):
 
 def _assert_branch_matches_reference(spec, x, y, full):
     """The reference keys every matrix, and every branch under the transpose
-    if allow-tau; _branch_results keys only the matrices that meet the
-    target, and under the transpose only in a branch that is its own
+    if allow-tau; _branch_results deduplicates only the matrices that meet
+    the target, and under the transpose only in a branch that is its own
     mirror.  Returns the number of results."""
     results, _ = _branch_results(spec, 0, (x, y), None)
     got = [g.rows for g, _ in results]
@@ -576,17 +576,18 @@ class TestWhatTheBranchLeavesOpen:
 
 class TestCriteriaBeforeKeys:
     """Only a realized matrix that meets the target's criteria (and, for a
-    flag target, the edge-degree test) is keyed."""
+    flag target, the edge-degree test) goes to permgroup.new_class."""
 
     @pytest.fixture
     def keyed(self, monkeypatch):
         graphs = []
+        new_class = permgroup.new_class
 
-        def spy(g, allow_transpose=False):
+        def spy(g, kept, allow_tau=False):
             graphs.append(g)
-            return canonical_form(g, allow_transpose=allow_transpose)
+            return new_class(g, kept, allow_tau)
 
-        monkeypatch.setattr(search, "canonical_form", spy)
+        monkeypatch.setattr(permgroup, "new_class", spy)
         return graphs
 
     @pytest.fixture
