@@ -3,20 +3,25 @@
 Before any graph search, the candidate parameters must make the exact count
 targets of the criteria module integral; these scans enumerate the tuples
 that survive.  Each level t of the target table folds into one modulus q_t,
-and k survives when q_t | k(k-1)...(k-t+1) for every level.  The survivors
-are residue classes: for each prime power p^e of q_2 q_3 the admissible
-residues mod p^e are few, and the Chinese remainder theorem combines them,
-so a scan's work follows the number of tuples it returns, not the number of
-k it could test.  `feasible_grids` yields one ascending k list per grid, so
-a caller can write a scan grid by grid; the three list functions flatten
-it.  All arithmetic is exact and the output is sorted and deterministic.
-A scan runs in the calling process and takes no worker count: a process
-pool only added start-up cost.
+and k survives when q_t | k(k-1)...(k-t+1) for every level.  A grid is
+decided level by level, and dropped at the first level with a prime power
+no k in 3..mn/2 meets: p^a of q_2 above mn/2 (p^a divides k or k-1, both
+at most mn/2), an odd p^b of q_3 above mn/2 (p divides at most one of k,
+k-1, k-2), or 2^b of q_3 above mn (the 2-part of k(k-1)(k-2) is at most
+2k).  q_3 is factored as its exponents of q_2's primes, by division, and
+trial division of what is left.  The survivors are residue classes: for
+each prime power p^e of q_2 q_3 the admissible residues mod p^e are few,
+and the Chinese remainder theorem combines them.  `feasible_grids` yields
+one ascending k list per grid, so a caller can write a scan grid by grid;
+the three list functions flatten it.  All arithmetic is exact and the
+output is sorted and deterministic.  A scan runs in the calling process and
+takes no worker count: a process pool only added start-up cost.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cache
 from math import gcd, lcm
 
@@ -30,9 +35,13 @@ def _modulus(design: str, m: int, n: int, t: int) -> int:
     return lcm(*(d // gcd(c, d) for c, d in count_targets(design, m, n, t).values()))
 
 
-def _factor(q: int) -> dict[int, int]:
-    """Prime -> exponent in q, by trial division."""
+def _factor(q: int, primes: Iterable[int] = ()) -> dict[int, int]:
+    """Prime -> exponent in q: the given primes by division, the rest by trial."""
     out = {}
+    for p in primes:
+        while q % p == 0:
+            out[p] = out.get(p, 0) + 1
+            q //= p
     p = 2
     while p * p <= q:
         while q % p == 0:
@@ -73,14 +82,23 @@ def _lift2(a: int, b: int) -> tuple[int, ...]:
 
 def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
     """The k in 3..mn/2 for which every target up to level t is integral,
-    in increasing order."""
+    in increasing order.
+
+    Level 2 is decided first, so a grid it drops never computes q_3.  No k
+    meets p^a of q_2 above mn/2 (p^a divides k or k-1, both at most mn/2),
+    odd p^b of q_3 above mn/2 (p divides at most one of k, k-1, k-2), or
+    2^b of q_3 above mn (for even k one of k, k-2 is twice an odd number,
+    so the 2-part of k(k-1)(k-2) is at most 2k).
+    """
     bound = m * n // 2
-    q2 = _modulus(design, m, n, 2)
-    q3 = _modulus(design, m, n, 3) if t == 3 else 1
-    f2, f3 = _factor(q2), _factor(q3)
-    levels = [(p, f2.get(p, 0), f3.get(p, 0)) for p in f2 | f3]
-    classes = sorted(((p ** max(a, b), _residues(p, a, b)) for p, a, b in levels),
-                     reverse=True)
+    f2 = _factor(_modulus(design, m, n, 2))
+    if any(p ** a > bound for p, a in f2.items()):
+        return []
+    f3 = _factor(_modulus(design, m, n, 3), f2) if t == 3 else {}
+    if any(p ** b > (m * n if p == 2 else bound) for p, b in f3.items()):
+        return []
+    classes = sorted([(p ** max(a := f2.get(p, 0), b := f3.get(p, 0)), _residues(p, a, b))
+                      for p in f2 | f3], reverse=True)
     # combine by CRT, largest prime power first, until the modulus passes
     # the bound; each root is then one candidate, and the prime powers not
     # combined only filter
@@ -91,8 +109,9 @@ def _feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
         roots = [s + mod * ((r - s) * inv % pe) for s in roots for r in rs]
         mod *= pe
     roots.sort()
-    ks = [k for base in range(0, bound + 1, mod) for r in roots
-          if 3 <= (k := base + r) <= bound]
+    # whole periods are ascending, so 3..bound is one slice
+    ks = [base + r for base in range(0, bound + 1, mod) for r in roots]
+    ks = ks[bisect_left(ks, 3):bisect_right(ks, bound)]
     for pe, rs in classes:
         ks = [k for k in ks if k % pe in rs]
     return ks

@@ -3,15 +3,18 @@ from itertools import groupby
 
 import pytest
 
+from griddesigns import scanner
 from griddesigns.scanner import (
+    _factor,
     _feasible_ks,
+    _modulus,
     _residues,
     feasible_grids,
     scan_general_3design,
     scan_square_2design,
     scan_square_3design,
 )
-from scan_reference import feasible_ks
+from scan_reference import factor, feasible_ks
 
 GOLDEN_SQUARE3 = [
     [11, 36], [25, 91], [38, 105], [41, 805], [54, 1365], [74, 2025], [87, 2256],
@@ -153,16 +156,87 @@ class TestResidueClasses:
         for m in range(2, 151):
             assert _feasible_ks("Dhat", m, m, t) == feasible_ks("Dhat", m, m, t), m
 
+    # the range of the benchmark's general3 scan, with its 549 grids that
+    # stop at level 2
     def test_d3(self):
-        for m in range(2, 46):
-            for n in range(2, 46):
+        for m in range(2, 61):
+            for n in range(2, 61):
                 assert _feasible_ks("D", m, n, 3) == feasible_ks("D", m, n, 3), (m, n)
+
+    # the level the first exit decides, which no scan mode runs alone
+    def test_d2(self):
+        for m in range(2, 61):
+            for n in range(2, 61):
+                assert _feasible_ks("D", m, n, 2) == feasible_ks("D", m, n, 2), (m, n)
 
     # m + 1 a high power of 2 or 3, so q_2 and q_3 hold that prime power
     @pytest.mark.parametrize("m", [63, 80, 127, 242, 255])
     @pytest.mark.parametrize("design, t", [("Dhat", 2), ("Dhat", 3), ("D", 2), ("D", 3)])
     def test_high_prime_powers(self, m, design, t):
         assert _feasible_ks(design, m, m, t) == feasible_ks(design, m, m, t)
+
+
+class TestExits:
+    """A grid is dropped at the first level with a prime power that no k in
+    3..mn/2 can meet, and the drop agrees with trying every k."""
+
+    def _spy(self, monkeypatch):
+        asked, residues = [], []
+        monkeypatch.setattr(scanner, "_modulus",
+                            lambda *args: asked.append(args[3]) or _modulus(*args))
+        monkeypatch.setattr(scanner, "_residues",
+                            lambda *args: residues.append(args) or _residues(*args))
+        return asked, residues
+
+    def test_level2(self, monkeypatch):
+        # q_2 = 22 and 11 > 4 * 3 / 2: level 3 is never computed
+        assert _modulus("D", 4, 3, 2) == 22
+        asked, residues = self._spy(monkeypatch)
+        assert _feasible_ks("D", 4, 3, 3) == feasible_ks("D", 4, 3, 3) == []
+        assert asked == [2] and residues == []
+
+    def test_level3(self, monkeypatch):
+        # q_2 = 14 passes (7 <= 15 // 2); q_3 = 546 = 2 * 3 * 7 * 13, 13 > 7
+        assert _modulus("D", 5, 3, 2) == 14
+        assert _modulus("D", 5, 3, 3) == 546
+        asked, residues = self._spy(monkeypatch)
+        assert _feasible_ks("D", 5, 3, 3) == feasible_ks("D", 5, 3, 3) == []
+        assert asked == [2, 3] and residues == []
+
+    # every q_2 <= 40 and q_3 <= 300, so each exit is met at its edge: on
+    # 4x4 k = 8 has 2^4 = mn | 8 * 7 * 6, and 2^5 > mn has no k
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 3), (7, 5)])
+    def test_every_small_modulus(self, monkeypatch, m, n):
+        for q2 in range(1, 41):
+            for q3 in range(1, 301):
+                monkeypatch.setattr(scanner, "_modulus", lambda d, m, n, t: (q2, q3)[t - 2])
+                want = [k for k in range(3, m * n // 2 + 1)
+                        if k * (k - 1) % q2 == 0 and k * (k - 1) * (k - 2) % q3 == 0]
+                assert _feasible_ks("D", m, n, 3) == want, (q2, q3)
+
+
+class TestFactor:
+    """_factor against dividing by every d, with and without primes given
+    first: q_3 is factored after q_2's primes are divided out."""
+
+    def test_every_small_q(self):
+        for q in range(1, 10001):
+            want = factor(q)
+            for primes in ((), want, factor(q + 1), (2, 3, 5, 7)):
+                assert _factor(q, primes) == want, (q, primes)
+
+    def test_primes_and_prime_powers(self):
+        for q in [1, 2, 3, 9973, 65537, 2 ** 31 - 1, 2 ** 40, 3 ** 25, 7919 ** 3,
+                  9973 * 9967, 2 ** 10 * 9973 ** 2]:
+            assert _factor(q) == factor(q) == _factor(q, factor(q)), q
+
+    def test_general3_pairs(self):
+        for m in range(2, 61):
+            for n in range(2, m + 1):
+                q2, q3 = _modulus("D", m, n, 2), _modulus("D", m, n, 3)
+                f2 = _factor(q2)
+                assert f2 == factor(q2), (m, n)
+                assert _factor(q3, f2) == factor(q3), (m, n)
 
 
 class TestFeasibleGrids:
