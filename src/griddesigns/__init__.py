@@ -33,7 +33,6 @@ from .oracle import (
     BudgetExceededError,
     ExplicitDesign,
     flag_transitive_direct,
-    lambda_table,
     materialize,
     orbit_ratio_check,
     orbit_verdicts,
@@ -46,11 +45,6 @@ from .permgroup import (
     group_order,
     is_edge_transitive,
     tau_equivalent,
-)
-from .scanner import (
-    scan_general_3design,
-    scan_square_2design,
-    scan_square_3design,
 )
 from .search import (
     SearchBudgetError,
@@ -83,7 +77,6 @@ __all__ = [
     "BudgetExceededError",
     "ExplicitDesign",
     "flag_transitive_direct",
-    "lambda_table",
     "materialize",
     "orbit_ratio_check",
     "orbit_verdicts",
@@ -94,9 +87,6 @@ __all__ = [
     "group_order",
     "is_edge_transitive",
     "tau_equivalent",
-    "scan_general_3design",
-    "scan_square_2design",
-    "scan_square_3design",
     "SearchBudgetError",
     "SearchSpec",
     "exhaustive_search",

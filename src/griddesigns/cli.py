@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,9 +33,9 @@ def _read_graph(path: str) -> BiGraph:
 
 
 def _positive(text: str) -> int:
-    """An integer of at least 1: --workers of search (the pool is capped at
-    the CPU count and the number of branches), --max-blocks and
-    --max-subsets."""
+    """The argparse type of search --workers (the pool is capped at the CPU
+    count and the number of branches), --max-blocks and --max-subsets: an
+    integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -47,21 +46,10 @@ def _positive(text: str) -> int:
 
 
 def _budget_from(args) -> oracle.Budget:
-    """Budget from the flags, else GRIDDESIGNS_BUDGET_BLOCKS/_SUBSETS, else
-    the default.  An environment value that is not an integer of at least 1
-    is a usage error naming the variable."""
-    limits = {}
-    for field, var in (("max_blocks", "GRIDDESIGNS_BUDGET_BLOCKS"),
-                       ("max_subsets", "GRIDDESIGNS_BUDGET_SUBSETS")):
-        value = getattr(args, field)
-        if value is None and var in os.environ:
-            try:
-                value = _positive(os.environ[var])
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"{var}: {exc}") from None
-        if value is not None:
-            limits[field] = value
-    return oracle.Budget(**limits)
+    """Budget from --max-blocks and --max-subsets, the default for a flag not
+    given."""
+    return oracle.Budget(**{field: value for field in ("max_blocks", "max_subsets")
+                            if (value := getattr(args, field)) is not None})
 
 
 def _report_dict(rep: criteria.CriteriaReport) -> dict:

@@ -258,23 +258,21 @@ def _cover(groups: dict, t: int) -> Counter:
     return coverage
 
 
-def _histogram(coverage: Counter, m: int, n: int, t: int, depth: int,
-               width: int) -> dict[int, int]:
+def _histogram(coverage: Counter, m: int, n: int, t: int) -> dict[int, int]:
     """{coverage count: number of t-subsets} over all C(mn, t) t-subsets of
     the m x n grid, from the counts of the covered ones inside the window of
-    the first `depth` rows and first `width` columns: min(t, m) x min(t, n)
-    for `orbit_verdicts`, all of the grid for `lambda_table`.
+    the first min(t, m) rows and first min(t, n) columns.
 
     The counts must not change under row and column permutations, as for
     the K-closed block lists of `orbit_verdicts`.  Then the keys of one count
     meeting exactly s of the window's rows and r of its columns split evenly
-    over the C(depth, s)·C(width, r) such row and column sets, and stand for
-    C(m, s)·C(n, r) sets on the grid; keys that do not split evenly prove
-    the coverage not symmetric and raise AssertionError.  A side the window
-    spans whole is neither counted nor scaled (s or r is 0), so on the whole
-    grid every divisor is 1, nothing is assumed, and `lambda_table` takes
-    any design.  A key's span is the OR of its cells' row and column bits,
-    and s and r are read off once per distinct (count, span)."""
+    over the C(min(t, m), s)·C(min(t, n), r) such row and column sets, and
+    stand for C(m, s)·C(n, r) sets on the grid; keys that do not split
+    evenly prove the coverage not symmetric and raise AssertionError.  A
+    side the window spans whole is neither counted nor scaled (s or r is
+    0).  A key's span is the OR of its cells' row and column bits, and s and
+    r are read off once per distinct (count, span)."""
+    depth, width = min(t, m), min(t, n)
     rows = (1 << depth) - 1 if depth < m else 0
     cols = ((1 << width) - 1) << depth if width < n else 0
     bits = {i * n + j: 1 << i | 1 << (depth + j) for i in range(depth) for j in range(width)}
@@ -333,10 +331,11 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
 def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> dict:
     """{group: (blocks, is_t_design, histogram)} for each of `groups` ("K",
     "G" or both, in that order): the block count of `materialize` and the
-    coverage histogram of `lambda_table`, from one closure of B's row
-    multiset, built and counted once.  k >= t is required so that the
-    constant coverage is a positive lambda; blocks smaller than t cover
-    every t-subset zero times, which does not count as a design.
+    histogram {coverage count: number of t-subsets} over all C(mn, t)
+    t-subsets of the grid, from one closure of B's row multiset, built and
+    counted once.  k >= t is required so that the constant coverage is a
+    positive lambda; blocks smaller than t cover every t-subset zero times,
+    which does not count as a design.
 
     Two K-orbits are equal or disjoint, the G-orbit of B is K-orbit(B)
     united with K-orbit(B^T), and tau K tau = K, so tau maps K-orbit(B)
@@ -347,7 +346,7 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     tau = K as the window scaling rests on K-invariance; `materialize(g,
     "G")`, which closes both starts, does not.  Nothing is sorted: a
     histogram does not depend on the order of the blocks.  Refusals come in
-    the order of materialize, then lambda_table, per group.
+    the order of materialize, then the t-subsets budget, per group.
 
     Only the t-subsets inside the window of the first L = min(t, m) rows
     and the first M = min(t, n) columns are counted, serially, and the
@@ -377,8 +376,7 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
             _check_blocks(2 * b, budget)
         _check_subsets(m * n, t, budget)
 
-    depth, width = min(t, m), min(t, n)
-    coverage = _cover(_window(seen, m, n, depth, width), t)
+    coverage = _cover(_window(seen, m, n, min(t, m), min(t, n)), t)
     out, hist = {}, None
     for group in ("K", "G"):
         if group == "G" and flipped:
@@ -388,18 +386,9 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
             hist = None
         if group in groups:
             if hist is None:
-                hist = _histogram(coverage, m, n, t, depth, width)
+                hist = _histogram(coverage, m, n, t)
             out[group] = (b, len(hist) == 1 and g.k >= t, hist)
     return out
-
-
-def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dict[int, int]:
-    """Histogram {coverage count: number of t-subsets} over all C(v, t)
-    t-subsets of the points of an explicit design, counted serially.  The
-    design is a t-design exactly when the histogram has a single key and
-    k >= t."""
-    _check_subsets(d.v, t, budget or DEFAULT_BUDGET)
-    return _histogram(_cover({1: d.blocks}, t), d.m, d.n, t, d.m, d.n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ k-1, k-2), or 2^b of q_3 above mn (the 2-part of k(k-1)(k-2) is at most
 trial division of what is left.  The survivors are residue classes: for
 each prime power p^e of q_2 q_3 the admissible residues mod p^e are few,
 and the Chinese remainder theorem combines them.  `feasible_grids` yields
-one ascending k list per grid, so a caller can write a scan grid by grid;
-the three list functions flatten it.  All arithmetic is exact and the
-output is sorted and deterministic.  A scan runs in the calling process and
-takes no worker count: a process pool only added start-up cost.
+one ascending k list per grid, so a caller can write a scan grid by grid.
+All arithmetic is exact and the output is sorted and deterministic.  A scan
+runs in the calling process and takes no worker count: a process pool only
+added start-up cost.
 """
 
 from __future__ import annotations
@@ -141,24 +141,3 @@ def feasible_grids(mode: str, max_m: int, max_n: int | None = None
         grids = ((m, m) for m in range(2, max_m + 1))
     return ((m, n, ks) for m, n in grids if (ks := _feasible_ks(design, m, n, t)))
 
-
-def scan_square_3design(max_m: int) -> list[list[int]]:
-    """All [m, k] with 2 <= m <= max_m and 3 <= k <= m^2/2 for which a Dhat
-    3-design on an m x m grid is arithmetically possible."""
-    return [[m, k] for m, _, ks in feasible_grids("square3", max_m) for k in ks]
-
-
-def scan_square_2design(max_m: int) -> list[list[int]]:
-    """All [m, k] passing the Dhat 2-design divisibility (m+1 | k(k-1))."""
-    return [[m, k] for m, _, ks in feasible_grids("square2", max_m) for k in ks]
-
-
-def scan_general_3design(max_m: int, max_n: int) -> list[list[int]]:
-    """All [m, n, k] (convention m >= n >= 2, 3 <= k <= mn/2) for which a D
-    3-design is arithmetically possible, ordered by (m, n, k).
-
-    The ordering is lexicographic on the side pair: the smallest feasible
-    tuple is [8, 2, 6] and the next side pair is (11, 7), with e.g. [17, 2,
-    12] coming later even though its grid is smaller.
-    """
-    return [[m, n, k] for m, n, ks in feasible_grids("general3", max_m, max_n) for k in ks]

@@ -1,15 +1,17 @@
 """Reference block orbits on frozensets.
 
-This is the original engine behind ``oracle.materialize``,
-``oracle.lambda_table`` and ``oracle.flag_transitive_direct``: every block is
-a frozenset of cells and every generator a cell permutation, the transpose
-included, closed block by block.  The library instead closes only the row
-multisets under adjacent column swaps and lists each multiset's row orders
-as ascending cell tuples.  This engine keeps its frozensets inside and
-returns its blocks as ascending cell tuples in lexicographic order, so the
-tests hold the two engines to the same blocks in the same order, the same
-histograms and the same flag verdicts.  `is_complete` tells a design whose
-blocks are all k-subsets of the points.
+This is the original engine behind ``oracle.materialize`` and
+``oracle.flag_transitive_direct``: every block is a frozenset of cells and
+every generator a cell permutation, the transpose included, closed block by
+block.  The library instead closes only the row multisets under adjacent
+column swaps and lists each multiset's row orders as ascending cell tuples.
+This engine keeps its frozensets inside and returns its blocks as ascending
+cell tuples in lexicographic order, so the tests hold the two engines to
+the same blocks in the same order, the same histograms and the same flag
+verdicts.  `lambda_table` counts the histogram
+of an explicit design on its whole blocks, with no symmetry assumed, against
+which the tests hold `oracle.orbit_verdicts`.  `is_complete` tells a design
+whose blocks are all k-subsets of the points.
 """
 
 from __future__ import annotations
@@ -91,7 +93,14 @@ def coverage_of_blocks(args) -> Counter:
     return coverage
 
 
-def lambda_table(d: ExplicitDesign, t: int) -> dict[int, int]:
+def lambda_table(d: ExplicitDesign, t: int, budget: Budget | None = None) -> dict[int, int]:
+    """{coverage count: number of t-subsets} over all C(v, t) t-subsets of
+    the points; more t-subsets than the budget allows are refused."""
+    budget = budget or DEFAULT_BUDGET
+    if comb(d.v, t) > budget.max_subsets:
+        raise BudgetExceededError(
+            f"{comb(d.v, t)} t-subsets exceed budget of {budget.max_subsets}"
+        )
     coverage = coverage_of_blocks((d.blocks, t))
     hist = Counter(coverage.values())
     uncovered = comb(d.v, t) - len(coverage)

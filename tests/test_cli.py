@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 import griddesigns
-from griddesigns import oracle, permgroup, scanner
+from griddesigns import oracle, permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
 from griddesigns.cli import main
-from griddesigns.scanner import scan_square_2design
 from griddesigns.search import (
     SearchSpec,
     degree_branches,
@@ -23,6 +22,8 @@ from griddesigns.search import (
     family_figure,
     family_path,
 )
+
+from scan_reference import flat_scan
 
 
 @pytest.fixture
@@ -128,16 +129,6 @@ class TestVerify:
         assert "block orbit exceeds budget of 500000 blocks" in err
         assert best[3] - best[0] < 0.1
 
-    def test_env_budget_override(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "p5.grid"
-        path.write_text(format_graph_text(family_path(5, 4, 4)))
-        monkeypatch.setenv("GRIDDESIGNS_BUDGET_BLOCKS", "10")
-        code, _, err = run_cli(
-            capsys, ["verify", str(path), "--t", "2", "--group", "G", "--with-oracle"]
-        )
-        assert code == 3
-        assert "budget" in err
-
     def test_generators_in_report(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, ["verify", p4_file, "--t", "2", "--group", "G"])
         assert "generator = " in out
@@ -200,13 +191,12 @@ class TestVerifyOracleGroups:
         assert err == f"error: {message}\n"
 
     def test_no_explicit_design(self, capsys, monkeypatch, not_tau_file):
-        # the verify path neither sorts blocks into a design nor counts one
-        # design per group
+        # the verify path sorts no blocks into a design: it counts one
+        # closure through orbit_verdicts
         def refuse(*args, **kwargs):
             raise AssertionError("verify built an explicit design")
 
         monkeypatch.setattr(oracle, "materialize", refuse)
-        monkeypatch.setattr(oracle, "lambda_table", refuse)
         code, out, _ = run_cli(
             capsys, ["verify", not_tau_file, "--t", "2", "--group", "both", "--with-oracle"])
         assert code == 1
@@ -299,15 +289,14 @@ class TestScan:
         code, out, _ = run_cli(capsys, ["scan", "--square2", "--max-m", "80"])
         assert code == 0
         assert out == "".join(f"feasible m={m} n={m} k={k} target=square2\n"
-                              for m, k in scan_square_2design(80))
+                              for m, k in flat_scan("square2", 80))
 
 
 def _flat_triples(mode, bounds):
-    """What a scan prints, from the list functions: [m, n, k] per tuple."""
+    """What a scan prints, listed whole: [m, n, k] per tuple."""
     if mode == "general3":
-        return scanner.scan_general_3design(*bounds)
-    scan = scanner.scan_square_3design if mode == "square3" else scanner.scan_square_2design
-    return [[m, m, k] for m, k in scan(*bounds)]
+        return flat_scan(mode, *bounds)
+    return [[m, m, k] for m, k in flat_scan(mode, *bounds)]
 
 
 def _scan_argv(mode, bounds, fmt):
@@ -366,16 +355,6 @@ class TestScanStreams:
     def test_bad_bound(self, capsys, mode, bounds, message, fmt):
         code, out, err = run_cli(capsys, _scan_argv(mode, bounds, fmt))
         assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    def test_no_flat_lists(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("scan built a flat tuple list")
-
-        for name in ("scan_square_3design", "scan_square_2design", "scan_general_3design"):
-            monkeypatch.setattr(scanner, name, refuse)
-        for mode, bounds in self.SCANS[::2]:
-            for fmt in ("text", "json"):
-                assert run_cli(capsys, _scan_argv(mode, bounds, fmt))[0] == 0
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_memory_stays_small(self, monkeypatch, fmt):
@@ -471,13 +450,12 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("extra", [[], ["--flags"], ["--ratio", "--format", "json"]])
     def test_no_explicit_design(self, capsys, monkeypatch, tmp_path, extra):
-        # without --export-blocks the command decides through orbit_verdicts:
-        # no sorted design, no histogram of one
+        # without --export-blocks the command decides through orbit_verdicts
+        # and builds no sorted design
         def refuse(*args, **kwargs):
             raise AssertionError("oracle built an explicit design")
 
         monkeypatch.setattr(oracle, "materialize", refuse)
-        monkeypatch.setattr(oracle, "lambda_table", refuse)
         path = tmp_path / "c6.grid"
         path.write_text(format_graph_text(family_cycle(6, 4)))
         code, out, _ = run_cli(
@@ -543,18 +521,16 @@ class TestBudgetValidation:
     @pytest.mark.parametrize("var", ["GRIDDESIGNS_BUDGET_BLOCKS",
                                      "GRIDDESIGNS_BUDGET_SUBSETS"])
     def test_env_below_one(self, capsys, monkeypatch, empty_file, fig2_file, var, value):
+        # budgets come from the flags alone: these variables once set them,
+        # and now nothing reads them, whatever they hold
+        argvs = (["oracle", empty_file, "--t", "2"],
+                 ["oracle", fig2_file, "--t", "3", "--max-blocks", "2240"],
+                 ["verify", fig2_file, "--t", "3", "--with-oracle"],
+                 ["verify", fig2_file, "--t", "3"])
+        unset = [run_cli(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in unset] == [1, 0, 0, 0]
         monkeypatch.setenv(var, value)
-        for argv in (["oracle", empty_file, "--t", "2"],
-                     ["oracle", fig2_file, "--t", "3"],
-                     ["verify", fig2_file, "--t", "3", "--with-oracle"]):
-            code, err = exit_code(capsys, argv)
-            assert code == 2
-            assert var in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch, fig2_file):
-        monkeypatch.setenv("GRIDDESIGNS_BUDGET_BLOCKS", "0")
-        code, _ = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "2240"])
-        assert code == 0
+        assert [run_cli(capsys, argv) for argv in argvs] == unset
 
     @pytest.mark.parametrize("flag", ["--max-blocks", "--max-subsets"])
     def test_verify_flag_needs_with_oracle(self, capsys, fig2_file, flag):
@@ -563,14 +539,18 @@ class TestBudgetValidation:
         assert out == ""
         assert f"{flag} applies only with --with-oracle" in err
 
-    @pytest.mark.parametrize("var", ["GRIDDESIGNS_BUDGET_BLOCKS",
-                                     "GRIDDESIGNS_BUDGET_SUBSETS"])
-    def test_verify_env_without_oracle_is_not_read(self, capsys, monkeypatch,
-                                                   fig2_file, var):
-        monkeypatch.setenv(var, "1")
-        code, out, _ = run_cli(capsys, ["verify", fig2_file, "--t", "3"])
-        assert code == 0
-        assert "D_3design = yes" in out
+    @pytest.mark.parametrize("graph, t, flag, message", [
+        (format_graph_text(family_figure("fig1")), "3", "--max-subsets",
+         "block orbit exceeds budget of 500000 blocks"),
+        ("grid 11 11\nedge 1 1\n", "4", "--max-blocks",
+         "8495410 t-subsets exceed budget of 5000000"),
+    ], ids=["max-subsets", "max-blocks"])
+    def test_one_flag_keeps_the_other_default(self, capsys, tmp_path, graph, t, flag, message):
+        path = tmp_path / "g.grid"
+        path.write_text(graph)
+        code, err = exit_code(capsys, ["oracle", str(path), "--t", t, flag, "100000000"])
+        assert code == 3
+        assert message in err
 
     def test_positive_budget_still_refuses(self, capsys, fig2_file):
         code, err = exit_code(capsys, ["oracle", fig2_file, "--t", "3", "--max-blocks", "1"])

@@ -20,7 +20,6 @@ from griddesigns.oracle import (
     ExplicitDesign,
     export_block_list,
     flag_transitive_direct,
-    lambda_table,
     materialize,
     orbit_ratio_check,
     orbit_verdicts,
@@ -29,7 +28,7 @@ from griddesigns.permgroup import automorphisms, group_order, is_edge_transitive
 from griddesigns.search import family_cycle, family_figure, family_path
 
 import oracle_reference
-from oracle_reference import is_complete
+from oracle_reference import is_complete, lambda_table
 from conftest import iso_class_reps
 
 
@@ -95,9 +94,8 @@ class TestLambdaTable:
         assert orbit_verdicts(g, 2, ["K"]) == {"K": (9, False, {0: comb(9, 2)})}
 
     def test_budget_refusal(self):
-        d = materialize(family_path(4, 3, 3), "G")
-        with pytest.raises(BudgetExceededError):
-            lambda_table(d, 3, Budget(max_subsets=10))
+        with pytest.raises(BudgetExceededError, match="84 t-subsets exceed budget of 10"):
+            orbit_verdicts(family_path(4, 3, 3), 3, ["G"], Budget(max_subsets=10))
 
 
 class TestOrbitRatio:
@@ -240,7 +238,7 @@ class TestExport:
 def _assert_same_design(g, group, budget=None):
     """The library and the frozenset reference agree on the blocks (order
     included), the export text, the histograms for t = 1..4, counted on all
-    blocks by lambda_table and on row prefixes by orbit_verdicts, and the
+    blocks by the reference and on window cuts by orbit_verdicts, and the
     flag verdict; or all three routes refuse the budget with the same
     message."""
     try:
@@ -255,8 +253,7 @@ def _assert_same_design(g, group, budget=None):
     assert d == want
     assert export_block_list(d) == export_block_list(want)
     for t in (1, 2, 3, 4):
-        hist = oracle_reference.lambda_table(want, t)
-        assert lambda_table(d, t) == hist
+        hist = lambda_table(want, t)
         verdict = len(hist) == 1 and want.k >= t
         assert orbit_verdicts(g, t, [group], budget) == {group: (want.b, verdict, hist)}
     if d.k:
@@ -268,7 +265,7 @@ def _reference_output(g, group, t, fmt, flags):
     """What the oracle command prints, rendered from the frozenset
     reference's blocks, histogram and flag verdict; and its block list."""
     d = oracle_reference.materialize(g, group)
-    hist = oracle_reference.lambda_table(d, t)
+    hist = lambda_table(d, t)
     payload = {"group": group, "t": t, "blocks": d.b,
                "histogram": {str(c): num for c, num in hist.items()},
                "is_design": len(hist) == 1 and d.k >= t}
@@ -494,7 +491,7 @@ class TestCriteriaAgreeBeyond4x4:
 
 def _verdicts_by_materialize(g, t, groups, budget=None):
     """The route through one explicit design per group: materialize, then
-    lambda_table."""
+    the reference histogram of its whole blocks."""
     out = {}
     for group in groups:
         d = materialize(g, group, budget)
@@ -504,9 +501,9 @@ def _verdicts_by_materialize(g, t, groups, budget=None):
 
 
 def _assert_same_verdicts(g, ts, budget=None):
-    """For each t in ts, orbit_verdicts equals materialize + lambda_table
-    for K, and on a square grid for K, G and both, in the order asked; or
-    both routes refuse the budget with the same message."""
+    """For each t in ts, orbit_verdicts equals materialize + the reference
+    lambda_table for K, and on a square grid for K, G and both, in the order
+    asked; or both routes refuse the budget with the same message."""
     designs = {}
     for group in ("K", "G") if g.m == g.n else ("K",):
         try:
@@ -589,28 +586,29 @@ class TestOrbitVerdicts:
         g = family_path(5, 4, 4)
         seen, _ = oracle._multisets([tuple(sorted(g.rows))], g.n, 10 ** 6)
         coverage = oracle._cover(oracle._window(seen, g.m, g.n, 2, 2), 2)
-        assert oracle._histogram(coverage, 4, 4, 2, 2, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
+        assert oracle._histogram(coverage, 4, 4, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
         key = next(key for key in coverage if key[-1] < g.n)  # both cells in row 0
         for change in (-1, 1):
             broken = coverage.copy()
             broken[key] += change
             with pytest.raises(AssertionError, match="row and column permutations"):
-                oracle._histogram(broken, 4, 4, 2, 2, 2)
+                oracle._histogram(broken, 4, 4, 2)
         # one covered pair in row 0 of a 3x2 grid, and none in row 1
         with pytest.raises(AssertionError, match="row and column permutations"):
-            oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 2, 2)
+            oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2)
         # symmetric in rows but not in columns: on a 2x3 grid the pair in
         # column 0 is covered and the pair in column 1 is not
         with pytest.raises(AssertionError, match="row and column permutations"):
-            oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2, 2, 2)
-        assert oracle._histogram(Counter({(0, 3): 1, (1, 4): 1}), 2, 3, 2, 2, 2) == {0: 12, 1: 3}
-        # on the whole grid nothing is scaled, so any design is counted as it
-        # is, asymmetric in rows or in columns
-        assert oracle._histogram(Counter({(0, 1): 1}), 3, 2, 2, 3, 2) == {0: 14, 1: 1}
-        assert oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2, 2, 3) == {0: 14, 1: 1}
+            oracle._histogram(Counter({(0, 3): 1}), 2, 3, 2)
+        assert oracle._histogram(Counter({(0, 3): 1, (1, 4): 1}), 2, 3, 2) == {0: 12, 1: 3}
+        # a side the window spans whole is not scaled: at t = 3 the window is
+        # all of a 3x2 or 2x3 grid, so any coverage is counted as it is,
+        # asymmetric in rows or in columns
+        assert oracle._histogram(Counter({(0, 1, 2): 1}), 3, 2, 3) == {0: 19, 1: 1}
+        assert oracle._histogram(Counter({(0, 3, 4): 1}), 2, 3, 3) == {0: 19, 1: 1}
 
     def test_large_table_matches_whole_count(self):
-        # 43,200 blocks at t = 4 on 6x5, counted whole by lambda_table
+        # 43,200 blocks at t = 4 on 6x5, counted whole by the reference lambda_table
         g = from_edge_list(6, 5, [(2, 1), (2, 2), (3, 5), (4, 2), (4, 3),
                                   (4, 4), (5, 5), (6, 1), (6, 3), (6, 5)])
         d = materialize(g, "K")

@@ -18,12 +18,12 @@ from griddesigns.permgroup import (
     inverse,
     is_edge_transitive,
     new_class,
-    order_from_generators,
     tau_equivalent,
 )
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from canonical_reference import canonical_form
+from schreier_reference import order_from_generators
 from conftest import (
     all_g_elements,
     all_k_elements,
@@ -194,6 +194,25 @@ class TestAutomorphisms:
             rep = automorphisms(g)
             perms = [vertex_map(p, g.m, g.n) for p in rep.g_gens]
             assert order_from_generators(perms, g.m + g.n) == rep.g_order, g
+
+    def test_order_from_generators_by_enumeration(self):
+        # the reference count itself, against the group listed by closing
+        # the identity under the generators, on up to 6 points
+        rng = random.Random(29)
+        for _ in range(40):
+            npoints = rng.randint(1, 6)
+            perms = [tuple(rng.sample(range(npoints), npoints))
+                     for _ in range(rng.randint(0, 3))]
+            group = {tuple(range(npoints))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for q in perms:
+                    image = tuple(q[x] for x in p)
+                    if image not in group:
+                        group.add(image)
+                        frontier.append(image)
+            assert order_from_generators(perms, npoints) == len(group), perms
 
     def test_complement_has_same_stabilizer_order(self):
         # an element fixes an edge set iff it fixes the complementary one

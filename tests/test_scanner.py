@@ -10,11 +10,8 @@ from griddesigns.scanner import (
     _modulus,
     _residues,
     feasible_grids,
-    scan_general_3design,
-    scan_square_2design,
-    scan_square_3design,
 )
-from scan_reference import factor, feasible_ks
+from scan_reference import factor, feasible_ks, flat_scan
 
 GOLDEN_SQUARE3 = [
     [11, 36], [25, 91], [38, 105], [41, 805], [54, 1365], [74, 2025], [87, 2256],
@@ -31,37 +28,37 @@ GOLDEN_SQUARE3_1000 = GOLDEN_SQUARE3 + [
 
 class TestSquare3:
     def test_golden_to_100(self):
-        assert scan_square_3design(100) == GOLDEN_SQUARE3
+        assert flat_scan("square3", 100) == GOLDEN_SQUARE3
 
     def test_empty_below_11(self):
-        assert scan_square_3design(10) == []
+        assert flat_scan("square3", 10) == []
 
     def test_smallest_case(self):
-        assert scan_square_3design(11) == [[11, 36]]
+        assert flat_scan("square3", 11) == [[11, 36]]
 
     def test_golden_to_1000(self):
-        assert scan_square_3design(1000) == GOLDEN_SQUARE3_1000
+        assert flat_scan("square3", 1000) == GOLDEN_SQUARE3_1000
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
-            scan_square_3design(1)
+            flat_scan("square3", 1)
 
 
 class TestGeneral3:
     def test_firsts(self):
-        out = scan_general_3design(20, 20)
+        out = flat_scan("general3", 20, 20)
         assert out[0] == [8, 2, 6]
         assert out[1] == [11, 7, 20]
 
     def test_ordering_is_lexicographic(self):
-        out = scan_general_3design(20, 20)
+        out = flat_scan("general3", 20, 20)
         assert out == sorted(out)
 
     def test_convention_m_ge_n(self):
-        assert all(m >= n >= 2 for m, n, _ in scan_general_3design(18, 18))
+        assert all(m >= n >= 2 for m, n, _ in flat_scan("general3", 18, 18))
 
     def test_targets_integral(self):
-        for m, n, k in scan_general_3design(15, 15):
+        for m, n, k in flat_scan("general3", 15, 15):
             v = m * n
             assert Fraction(k * (k - 1) * (n - 1), 2 * (v - 1)).denominator == 1
             assert Fraction(k * (k - 1) * (m - 1), 2 * (v - 1)).denominator == 1
@@ -78,26 +75,26 @@ class TestGeneral3:
 
 class TestSquare2:
     def test_path_parameters_present(self):
-        out = scan_square_2design(30)
+        out = flat_scan("square2", 30)
         for m in range(3, 31):
             assert [m, m + 1] in out
 
     def test_cycle_parameters_present(self):
-        out = scan_square_2design(30)
+        out = flat_scan("square2", 30)
         for m in range(4, 31, 2):
             assert [m, m + 2] in out
 
     def test_4_7_absent(self):
-        assert [4, 7] not in scan_square_2design(10)
+        assert [4, 7] not in flat_scan("square2", 10)
 
     def test_square3_subset_of_square2(self):
-        sq3 = scan_square_3design(60)
-        sq2 = scan_square_2design(60)
+        sq3 = flat_scan("square3", 60)
+        sq2 = flat_scan("square2", 60)
         for pair in sq3:
             assert pair in sq2
 
     def test_targets_integral(self):
-        for m, k in scan_square_2design(12):
+        for m, k in flat_scan("square2", 12):
             assert (k * (k - 1)) % (m + 1) == 0
 
 
@@ -132,20 +129,18 @@ class TestCompleteness:
     """Every tuple in range whose targets are all integral, and no other,
     is what a scan prints."""
 
-    @pytest.mark.parametrize("t, scan", [
-        (2, scan_square_2design), (3, scan_square_3design),
-    ])
-    def test_square(self, t, scan):
+    @pytest.mark.parametrize("t, mode", [(2, "square2"), (3, "square3")])
+    def test_square(self, t, mode):
         want = [[m, k] for m in range(2, 41) for k in range(3, m * m // 2 + 1)
                 if _integral(_dhat_targets(m, k, t))]
         assert want
-        assert scan(40) == want
+        assert flat_scan(mode, 40) == want
 
     def test_general3(self):
         want = [[m, n, k] for m in range(2, 17) for n in range(2, m + 1)
                 for k in range(3, m * n // 2 + 1) if _integral(_d3_targets(m, n, k))]
         assert want
-        assert scan_general_3design(16, 16) == want
+        assert flat_scan("general3", 16, 16) == want
 
 
 class TestResidueClasses:
@@ -240,14 +235,15 @@ class TestFactor:
 
 
 class TestFeasibleGrids:
-    """The grouped generator is the flat lists, one ascending k list per
-    grid, grids in (m, n) order."""
+    """The grouped generator gives one nonempty ascending k list per grid,
+    grids in (m, n) order; regrouped by grid, the square3 golden list gives
+    the same grids."""
 
     @pytest.mark.parametrize("mode, bounds, flat", [
-        ("square3", (1000,), lambda: [[m, m, k] for m, k in scan_square_3design(1000)]),
-        ("square2", (120,), lambda: [[m, m, k] for m, k in scan_square_2design(120)]),
-        ("general3", (60, 60), lambda: scan_general_3design(60, 60)),
-        ("general3", (40, 25), lambda: scan_general_3design(40, 25)),
+        ("square3", (1000,), lambda: [[m, m, k] for m, k in GOLDEN_SQUARE3_1000]),
+        ("square2", (120,), lambda: [[m, m, k] for m, k in flat_scan("square2", 120)]),
+        ("general3", (60, 60), lambda: flat_scan("general3", 60, 60)),
+        ("general3", (40, 25), lambda: flat_scan("general3", 40, 25)),
     ])
     def test_regrouped_is_flat(self, mode, bounds, flat):
         grids = list(feasible_grids(mode, *bounds))

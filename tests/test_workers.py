@@ -11,7 +11,6 @@ import pytest
 from griddesigns.bigraph import from_edge_list
 from griddesigns.cli import main
 from griddesigns.oracle import orbit_verdicts
-from griddesigns.scanner import scan_general_3design, scan_square_2design, scan_square_3design
 from griddesigns.search import (
     SearchBudgetError,
     SearchSpec,
@@ -21,6 +20,8 @@ from griddesigns.search import (
     exhaustive_search,
     family_figure,
 )
+
+from scan_reference import flat_scan
 
 
 class FakePool:
@@ -92,7 +93,7 @@ class TestPoolSize:
 
 class TestCapAtCallSites:
     # The scans take no worker count and run in the calling process: they
-    # start no pool, and `scan` prints exactly the library's lists.
+    # start no pool, and `scan` prints exactly the tuples of feasible_grids.
     @staticmethod
     def _assert_serial(scans, capsys, fake_pool):
         for found, argv in scans:
@@ -103,14 +104,14 @@ class TestCapAtCallSites:
     def test_scanner_capped_at_cpu_count(self, monkeypatch, fake_pool, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         self._assert_serial([
-            ([[m, m, k] for m, k in scan_square_3design(40)], "--square3 --max-m 40"),
-            ([[m, m, k] for m, k in scan_square_2design(12)], "--square2 --max-m 12"),
+            ([[m, m, k] for m, k in flat_scan("square3", 40)], "--square3 --max-m 40"),
+            ([[m, m, k] for m, k in flat_scan("square2", 12)], "--square2 --max-m 12"),
         ], capsys, fake_pool)
 
     def test_scanner_capped_at_job_count(self, monkeypatch, fake_pool, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         self._assert_serial([
-            (scan_general_3design(14, 14), "--general3 --max-m 14 --max-n 14"),
+            (flat_scan("general3", 14, 14), "--general3 --max-m 14 --max-n 14"),
         ], capsys, fake_pool)
 
     def test_search_capped_at_branch_count(self, monkeypatch, fake_pool):
@@ -149,7 +150,7 @@ class TestCapAtCallSites:
         def refuse(*args):
             raise AssertionError("the oracle read the CPU count")
 
-        scan_square_3design(40)
+        flat_scan("square3", 40)
         with monkeypatch.context() as patch:
             patch.setattr(os, "cpu_count", refuse)
             orbit_verdicts(from_edge_list(3, 3, [(1, 1), (1, 2)]), 2, ["K", "G"])
