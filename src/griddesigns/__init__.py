@@ -22,6 +22,7 @@ from .bigraph import (
 from .criteria import (
     CaseReport,
     CriteriaReport,
+    DesignReport,
     check_D,
     check_Dhat,
     classify_case,
@@ -68,6 +69,7 @@ __all__ = [
     "transpose",
     "CaseReport",
     "CriteriaReport",
+    "DesignReport",
     "check_D",
     "check_Dhat",
     "classify_case",

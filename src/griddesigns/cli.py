@@ -52,6 +52,13 @@ def _budget_from(args) -> oracle.Budget:
                             if (value := getattr(args, field)) is not None})
 
 
+def _designs(rep: criteria.CriteriaReport):
+    """(design name, group name, report) for D under K and, on square grids,
+    for Dhat under G."""
+    pairs = [("D", "K", rep.d), ("Dhat", "G", rep.dhat)]
+    return [pair for pair in pairs if pair[2] is not None]
+
+
 def _report_dict(rep: criteria.CriteriaReport) -> dict:
     def big(x):
         return None if x is None else str(x)
@@ -61,25 +68,18 @@ def _report_dict(rep: criteria.CriteriaReport) -> dict:
         "n": rep.n,
         "k": rep.k,
         "outside_standard_range": rep.outside_standard_range,
-        "d": {
-            "is_2design": rep.d_is_2design,
-            "is_3design": rep.d_is_3design,
-            "lambda_2": big(rep.lambda_d_2),
-            "lambda_3": big(rep.lambda_d_3),
-            "blocks": big(rep.b_d),
-            "stabilizer_order": big(rep.k_order),
-        },
     }
-    if rep.dhat_is_2design is not None:
-        out["dhat"] = {
-            "is_2design": rep.dhat_is_2design,
-            "is_3design": rep.dhat_is_3design,
-            "lambda_2": big(rep.lambda_dhat_2),
-            "lambda_3": big(rep.lambda_dhat_3),
-            "blocks": big(rep.b_dhat),
-            "stabilizer_order": big(rep.g_order),
-            "tau_equivalent": rep.tau_equivalent,
+    for name, _, design in _designs(rep):
+        out[name.lower()] = {
+            "is_2design": design.is_2design,
+            "is_3design": design.is_3design,
+            "lambda_2": big(design.lambda_2),
+            "lambda_3": big(design.lambda_3),
+            "blocks": big(design.blocks),
+            "stabilizer_order": big(design.stabilizer_order),
         }
+    if rep.dhat is not None:
+        out["dhat"]["tau_equivalent"] = rep.tau_equivalent
         out["case_2"] = rep.case_2.label
         out["case_3"] = rep.case_3.label
     return out
@@ -94,24 +94,16 @@ def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport):
     print(f"k = {rep.k}")
     if rep.outside_standard_range:
         print("warning = k outside the standing range 3 <= k <= mn/2")
-    print(f"stabilizer_order_K = {rep.k_order}")
-    print(f"blocks_D = {rep.b_d}")
-    print(f"D_2design = {yn(rep.d_is_2design)}")
-    if rep.lambda_d_2 is not None:
-        print(f"lambda_D_2 = {rep.lambda_d_2}")
-    print(f"D_3design = {yn(rep.d_is_3design)}")
-    if rep.lambda_d_3 is not None:
-        print(f"lambda_D_3 = {rep.lambda_d_3}")
-    if rep.dhat_is_2design is not None:
-        print(f"stabilizer_order_G = {rep.g_order}")
-        print(f"blocks_Dhat = {rep.b_dhat}")
-        print(f"tau_equivalent = {yn(rep.tau_equivalent)}")
-        print(f"Dhat_2design = {yn(rep.dhat_is_2design)}")
-        if rep.lambda_dhat_2 is not None:
-            print(f"lambda_Dhat_2 = {rep.lambda_dhat_2}")
-        print(f"Dhat_3design = {yn(rep.dhat_is_3design)}")
-        if rep.lambda_dhat_3 is not None:
-            print(f"lambda_Dhat_3 = {rep.lambda_dhat_3}")
+    for name, group, design in _designs(rep):
+        print(f"stabilizer_order_{group} = {design.stabilizer_order}")
+        print(f"blocks_{name} = {design.blocks}")
+        if group == "G":
+            print(f"tau_equivalent = {yn(rep.tau_equivalent)}")
+        for t in (2, 3):
+            print(f"{name}_{t}design = {yn(getattr(design, f'is_{t}design'))}")
+            if (lam := getattr(design, f"lambda_{t}")) is not None:
+                print(f"lambda_{name}_{t} = {lam}")
+    if rep.dhat is not None:
         print(f"case_t2 = {rep.case_2.label}")
         print(f"case_t3 = {rep.case_3.label}")
     gens = aut.g_gens if aut.g_gens is not None else aut.k_gens
@@ -120,13 +112,10 @@ def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport):
 
 
 def _verdict(rep: criteria.CriteriaReport, t: int, group: str) -> bool:
-    d = rep.d_is_2design if t == 2 else rep.d_is_3design
-    if group == "K":
-        return d
-    dhat = rep.dhat_is_2design if t == 2 else rep.dhat_is_3design
-    if group == "G":
-        return bool(dhat)
-    return d or bool(dhat)
+    """Whether the design of `group` ("K", "G" or "both", either one) is a
+    t-design; Dhat is none off square grids."""
+    return any(getattr(design, f"is_{t}design")
+               for _, grp, design in _designs(rep) if group in (grp, "both"))
 
 
 def _cmd_verify(args) -> int:
@@ -290,7 +279,7 @@ def _cmd_search(args) -> int:
                 (out_dir / f"result_{idx:04d}.grid").write_text(format_graph_text(g))
             if args.format == "text":
                 # printed as found, so a budget stop keeps the finished branches
-                lam = getattr(rep, f"lambda_{design.lower()}_{t}")
+                lam = getattr(getattr(rep, design.lower()), f"lambda_{t}")
                 edges = " ".join(f"({i},{j})" for i, j in g.edges())
                 print(f"result {idx}: k={rep.k} lambda={lam} edges {edges}")
     except search.SearchBudgetError as exc:

@@ -15,7 +15,7 @@ lambda_t (v)_t = b (k)_t with b = |group| / |stabilizer| (K for D, G for Dhat).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import perm
 
 from .bigraph import BiGraph, SubgraphStats, stats
@@ -44,26 +44,31 @@ class CaseReport:
 
 
 @dataclass(frozen=True)
+class DesignReport:
+    """Verdicts of one design, D or Dhat.  With an AutReport it also holds
+    the lambdas of the positive verdicts, the block count b and the order
+    of the block's stabilizer in the design's group (K for D, G for Dhat)."""
+
+    is_2design: bool
+    is_3design: bool
+    lambda_2: int | None
+    lambda_3: int | None
+    blocks: int | None
+    stabilizer_order: int | None
+
+
+@dataclass(frozen=True)
 class CriteriaReport:
-    """Full criteria evaluation for one block graph."""
+    """Full criteria evaluation for one block graph: a DesignReport for D,
+    and on square grids one for Dhat (None otherwise)."""
 
     m: int
     n: int
     k: int
-    d_is_2design: bool
-    d_is_3design: bool
-    dhat_is_2design: bool | None
-    dhat_is_3design: bool | None
+    d: DesignReport
+    dhat: DesignReport | None
     case_2: CaseReport | None
     case_3: CaseReport | None
-    lambda_d_2: int | None
-    lambda_d_3: int | None
-    lambda_dhat_2: int | None
-    lambda_dhat_3: int | None
-    b_d: int | None
-    b_dhat: int | None
-    k_order: int | None
-    g_order: int | None
     tau_equivalent: bool | None
     outside_standard_range: bool  # k outside 3 <= k <= mn/2
 
@@ -117,31 +122,32 @@ def _hits(st: SubgraphStats, design: str, m: int, n: int, k: int, t: int,
 
 
 def _check(g: BiGraph, design: str, st: SubgraphStats | None = None,
-           aut: AutReport | None = None):
-    """check_D (design "D", the orbit under K) or check_Dhat ("Dhat", the
-    orbit under G), from st = stats(g) when the caller has it."""
+           aut: AutReport | None = None) -> DesignReport:
+    """The report of design "D" (the orbit under K) or "Dhat" (the orbit
+    under G), from st = stats(g) when the caller has it."""
     m, n, k = g.m, g.n, g.k
     if design == "Dhat" and m != n:
         raise ValueError("Dhat criteria require a square grid")
-    if m * n < 2 or k < 2:
-        return False, False, None, None
-    if st is None:
-        st = stats(g)
-    is2 = _hits(st, design, m, n, k, 2)
-    is3 = is2 and k >= 3 and _hits(st, design, m, n, k, 3)
+    is2 = is3 = False
+    if m * n >= 2 and k >= 2:
+        if st is None:
+            st = stats(g)
+        is2 = _hits(st, design, m, n, k, 2)
+        is3 = is2 and k >= 3 and _hits(st, design, m, n, k, 3)
+    if aut is None:
+        return DesignReport(is2, is3, None, None, None, None)
+    group, stab = ("K", aut.k_order) if design == "D" else ("G", aut.g_order)
+    if stab is None:
+        raise ValueError("AutReport has no G data")
     lams = [None, None]
-    if aut is not None:
-        group, stab = ("K", aut.k_order) if design == "D" else ("G", aut.g_order)
-        if stab is None:
-            raise ValueError("AutReport has no G data")
-        for t, hit in ((2, is2), (3, is3)):
-            if hit:
-                lam, rem = divmod(group_order(m, n, group) * perm(k, t),
-                                  stab * perm(m * n, t))
-                if rem:
-                    raise ArithmeticError(f"lambda_{t} of {design} is not an integer")
-                lams[t - 2] = lam
-    return is2, is3, *lams
+    for t, hit in ((2, is2), (3, is3)):
+        if hit:
+            lam, rem = divmod(group_order(m, n, group) * perm(k, t),
+                              stab * perm(m * n, t))
+            if rem:
+                raise ArithmeticError(f"lambda_{t} of {design} is not an integer")
+            lams[t - 2] = lam
+    return DesignReport(is2, is3, *lams, group_order(m, n, group) // stab, stab)
 
 
 def check_D(g: BiGraph, aut: AutReport | None = None):
@@ -154,7 +160,7 @@ def check_D(g: BiGraph, aut: AutReport | None = None):
     the level-3 targets.  Non-integral right-hand sides simply fail.
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
-    return _check(g, "D", aut=aut)
+    return astuple(_check(g, "D", aut=aut))[:4]
 
 
 def check_Dhat(g: BiGraph, aut: AutReport | None = None):
@@ -165,7 +171,7 @@ def check_Dhat(g: BiGraph, aut: AutReport | None = None):
     level-3 targets of count_targets("Dhat", m, m, 3).
     Returns (is_2design, is_3design, lambda_2, lambda_3).
     """
-    return _check(g, "Dhat", aut=aut)
+    return astuple(_check(g, "Dhat", aut=aut))[:4]
 
 
 def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
@@ -180,14 +186,15 @@ def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
     if t not in (2, 3):
         raise ValueError("t must be 2 or 3")
     st = stats(g)
-    return _case(g, st, aut, t, _check(g, "D", st)[t - 2], _check(g, "Dhat", st)[t - 2])
+    return _case(g, st, aut, t, _check(g, "D", st), _check(g, "Dhat", st))
 
 
 def _case(g: BiGraph, st: SubgraphStats, aut: AutReport, t: int,
-          d_design: bool, dhat_design: bool) -> CaseReport:
-    """classify_case, given stats(g) and the level-t verdicts of D and Dhat."""
+          d: DesignReport, dhat: DesignReport) -> CaseReport:
+    """classify_case, given stats(g) and the reports of D and Dhat."""
     if aut.tau_equivalent is None:
         raise ValueError("AutReport has no G data")
+    d_design, dhat_design = (getattr(rep, f"is_{t}design") for rep in (d, dhat))
     m, k = g.m, g.k
 
     # the half shares are D's row-side targets on the square grid; on a
@@ -221,33 +228,20 @@ def evaluate(g: BiGraph, aut: AutReport | None = None) -> CriteriaReport:
     AutReport, lambdas only for positive verdicts.  The subgraph counts are
     computed once, and so is each design's check."""
     st = stats(g)
-    d2, d3, lam_d2, lam_d3 = _check(g, "D", st, aut)
-    h2 = h3 = lam_h2 = lam_h3 = None
-    case_2 = case_3 = b_dhat = None
+    d = _check(g, "D", st, aut)
+    dhat = case_2 = case_3 = None
     if g.m == g.n:
-        h2, h3, lam_h2, lam_h3 = _check(g, "Dhat", st, aut)
+        dhat = _check(g, "Dhat", st, aut)
         if aut is not None:
-            case_2 = _case(g, st, aut, 2, d2, h2)
-            case_3 = _case(g, st, aut, 3, d3, h3)
-            b_dhat = group_order(g.m, g.n, "G") // aut.g_order
+            case_2, case_3 = (_case(g, st, aut, t, d, dhat) for t in (2, 3))
     return CriteriaReport(
         m=g.m,
         n=g.n,
         k=g.k,
-        d_is_2design=d2,
-        d_is_3design=d3,
-        dhat_is_2design=h2,
-        dhat_is_3design=h3,
+        d=d,
+        dhat=dhat,
         case_2=case_2,
         case_3=case_3,
-        lambda_d_2=lam_d2,
-        lambda_d_3=lam_d3,
-        lambda_dhat_2=lam_h2,
-        lambda_dhat_3=lam_h3,
-        b_d=group_order(g.m, g.n, "K") // aut.k_order if aut else None,
-        b_dhat=b_dhat,
-        k_order=aut.k_order if aut else None,
-        g_order=aut.g_order if aut else None,
         tau_equivalent=aut.tau_equivalent if aut else None,
         outside_standard_range=outside_standard_range(g),
     )

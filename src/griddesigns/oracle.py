@@ -8,9 +8,12 @@ closure over blocks: the multisets of a block's rows are closed under
 adjacent column swaps, and each block is built once, as an ascending cell
 tuple, from one distinct row order of one multiset.  Flag-transitivity is
 counted the same way, without listing flags: the same closure runs on the
-block's row multiset with the point's row marked.  Everything here is
-independent of the degree formulas in the criteria module; agreement between
-the two routes is the package's central correctness check.
+block's row multiset with the point's row marked.  Every orbit is one
+start's closure under K: K has index 2 in G and tau K tau = K, so a G-orbit
+is that K-orbit when the closure holds the transposed start, and the K-orbit
+and its transpose otherwise.  Everything here is independent of the degree
+formulas in the criteria module; agreement between the two routes is the
+package's central correctness check.
 
 The verdicts close the block's row multiset once and count its coverage in
 one serial pass on the window of the first L = min(t, m) rows and M =
@@ -20,9 +23,7 @@ counts once, weighted by the blocks cut to it: a sub-multiset U of L cut
 rows of a row multiset S weighs arr(S)·prod fall(c_u, d_u), where arr(S),
 S's number of row orders, is the same for every S of one closure, and the
 weight summed over the closure must divide by fall(m, L), or
-AssertionError is raised.  The G coverage is the K coverage plus its
-transpose, unless the closure holds the transposed block's multiset (see
-`orbit_verdicts`).
+AssertionError is raised.
 
 Budgets are explicit and refusal is deterministic; nothing is silently
 truncated.
@@ -148,33 +149,31 @@ def _shape(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return values, counts, sizes
 
 
-def _multisets(starts, n: int, limit: int) -> tuple[set, int]:
+def _multisets(start: tuple[int, ...], n: int, limit: int) -> tuple[set, int]:
     """(multisets, total row orders) of the closure of the start row
-    multisets under adjacent column swaps, closed one start at a time.
+    multiset under adjacent column swaps: its K-orbit.
 
     A row is the mask of its cells' columns in bits 0..n-1; bits n..2n-1
     may mark one column, and a swap of columns c, c+1 moves both bit pairs.
     A swap keeps the multiplicities of a multiset's rows, so every multiset
-    reached from one start has that start's number of row orders, taken
-    once per start.  The closure stops once the total passes `limit`; a
-    total above `limit` is then only a lower bound on the orbit's."""
+    of the closure has the start's number of row orders.  The closure stops
+    once the total passes `limit`; a total above `limit` is then only a
+    lower bound on the orbit's.  A G-orbit takes no second closure (see the
+    module docstring)."""
     swaps = [(1 | 1 << n) << c for c in range(n - 1)]
-    total = 0
+    arr = _arrangements(start)
     seen = set()
-    for start in starts:
-        arr = _arrangements(start)
-        frontier = [start]
-        while frontier and total <= limit:
-            rows = frontier.pop()
-            if rows in seen:
-                continue
-            seen.add(rows)
-            total += arr
-            for pairs in swaps:
-                image = tuple(sorted([r ^ ((r ^ r >> 1) & pairs) * 3 for r in rows]))
-                if image not in seen:
-                    frontier.append(image)
-    return seen, total
+    frontier = [start]
+    while frontier and len(seen) * arr <= limit:
+        rows = frontier.pop()
+        if rows in seen:
+            continue
+        seen.add(rows)
+        for pairs in swaps:
+            image = tuple(sorted([r ^ ((r ^ r >> 1) & pairs) * 3 for r in rows]))
+            if image not in seen:
+                frontier.append(image)
+    return seen, len(seen) * arr
 
 
 def _check_blocks(total: int, budget: Budget) -> None:
@@ -192,23 +191,24 @@ def _check_subsets(v: int, t: int, budget: Budget) -> None:
         )
 
 
-def _blocks(shapes, n: int) -> list[tuple[int, ...]]:
-    """Every block of every distinct row order of the multisets with these
-    shapes (see _shape), each built once as an ascending cell tuple, grouped
-    by multiset and not sorted.
+def _blocks(closure, n: int) -> list[tuple[int, ...]]:
+    """Every block of every distinct row order of the multisets of one
+    start's closure, each built once as an ascending cell tuple, grouped by
+    multiset and not sorted.
 
     Per multiset, `cells` holds the cells of every distinct row in each row
-    position, position major; one picker per row order takes its block out
-    of `cells` in a single C call.  The pickers depend only on the
-    multiplicities and the sizes, so multisets with equal ones share them."""
-    pickers: dict[tuple, list[itemgetter]] = {}
+    position, position major (in the order of `_shape`); one picker per row
+    order takes its block out of `cells` in a single C call.  The pickers
+    depend only on the multiplicities and the sizes, which column swaps
+    keep, so the whole closure shares one list of them."""
+    shapes = list(map(_shape, closure))
+    _, counts, sizes = shapes[0]
+    pickers = _pickers(counts, sizes)
     blocks: list[tuple[int, ...]] = []
-    for values, counts, sizes in shapes:
+    for values, _, _ in shapes:
         cells = tuple(p * n + j for p in range(sum(counts)) for r in values
                       for j in range(n) if r >> j & 1)
-        if (counts, sizes) not in pickers:
-            pickers[counts, sizes] = _pickers(counts, sizes)
-        blocks += [pick(cells) for pick in pickers[counts, sizes]]
+        blocks += [pick(cells) for pick in pickers]
     return blocks
 
 
@@ -302,28 +302,31 @@ def materialize(g: BiGraph, group: str = "K", budget: Budget | None = None) -> E
     multiset, and a row permutation reorders the rows; two different
     multisets share no row order.  So the K-orbit is the disjoint union,
     over the closure of the row multiset under adjacent column swaps, of
-    each multiset's distinct row orders.  For G the closure also starts from
-    the transposed block's multiset, since K has index 2 in G and the
-    G-orbit of B is K-orbit(B) united with K-orbit(B^T).  The orbit size
-    times the block stabilizer order equals the group order.
+    each multiset's distinct row orders.  The G-orbit is the K-orbit when
+    the closure holds the transposed block's multiset, and otherwise the
+    K-orbit and its transpose, each block's cells i·n + j moved to j·n + i
+    (see `orbit_verdicts`).  The orbit size times the block stabilizer
+    order equals the group order.
 
     A multiset whose distinct rows occur c_1..c_s times has m!/prod c_i!
     row orders.  The closure keeps a running total of them and raises
-    BudgetExceededError as soon as it passes the budget, before any block is
-    built, rather than returning a partial orbit.  Each block is built once,
-    as an ascending cell tuple, and the blocks are returned sorted, for
-    `export_block_list`; the verdicts come from `orbit_verdicts`, which sorts
-    nothing.
+    BudgetExceededError as soon as it passes the budget, and then on a
+    G-orbit of twice that total, before any block is built, rather than
+    returning a partial orbit.  Each block is built once, as an ascending
+    cell tuple, and the blocks are returned sorted, for `export_block_list`;
+    the verdicts come from `orbit_verdicts`, which sorts nothing.
     """
     budget = budget or DEFAULT_BUDGET
     _check_group(g.m, g.n, group)
     m, n = g.m, g.n
-    starts = [tuple(sorted(g.rows))]
-    if group == "G":
-        starts.append(tuple(sorted(g.columns())))
-    seen, total = _multisets(starts, n, budget.max_blocks)
+    seen, total = _multisets(tuple(sorted(g.rows)), n, budget.max_blocks)
     _check_blocks(total, budget)
-    blocks = _blocks(map(_shape, seen), n)
+    flipped = group == "G" and tuple(sorted(g.columns())) not in seen
+    if flipped:
+        _check_blocks(2 * total, budget)
+    blocks = _blocks(seen, n)
+    if flipped:
+        blocks += [tuple(sorted([c % n * n + c // n for c in block])) for block in blocks]
     blocks.sort()
     return ExplicitDesign(m, n, tuple(blocks), group)
 
@@ -343,10 +346,10 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     multiset holds B^T's, the G result is the K result; otherwise G has 2b
     blocks, and its coverage is the K coverage plus its transpose, each key
     mapped cell by cell by i·n + j -> j·n + i.  The G count rests on tau K
-    tau = K as the window scaling rests on K-invariance; `materialize(g,
-    "G")`, which closes both starts, does not.  Nothing is sorted: a
-    histogram does not depend on the order of the blocks.  Refusals come in
-    the order of materialize, then the t-subsets budget, per group.
+    tau = K as the window scaling rests on K-invariance, as `materialize`
+    and the flag test do.  Nothing is sorted: a histogram does not depend
+    on the order of the blocks.  Refusals come in the order of materialize,
+    then the t-subsets budget, per group.
 
     Only the t-subsets inside the window of the first L = min(t, m) rows
     and the first M = min(t, n) columns are counted, serially, and the
@@ -366,7 +369,7 @@ def orbit_verdicts(g: BiGraph, t: int, groups, budget: Budget | None = None) -> 
     for group in groups:
         _check_group(g.m, g.n, group)
     m, n = g.m, g.n
-    seen, b = _multisets([tuple(sorted(g.rows))], n, budget.max_blocks)
+    seen, b = _multisets(tuple(sorted(g.rows)), n, budget.max_blocks)
     _check_blocks(b, budget)
     if "K" in groups:
         _check_subsets(m * n, t, budget)
@@ -483,8 +486,8 @@ def flag_transitive_direct(g: BiGraph, group: str, b: int,
     differs from every other row, so, as for blocks in `materialize`, the
     K-orbit of the flag is the disjoint union, over the closure of its
     pointed multiset under adjacent column swaps, of each multiset's
-    distinct row orders; for G the closure also starts from (c^T, B^T).
-    Every block is an image of g's block, so the design is flag-transitive
+    distinct row orders; for G, as for blocks, twice that unless the
+    closure holds (c^T, B^T).  Every block is an image of g's block, so the design is flag-transitive
     iff the orbit of one flag of g's block holds all b·k flags."""
     budget = budget or DEFAULT_BUDGET
     if g.k == 0:
@@ -496,10 +499,10 @@ def flag_transitive_direct(g: BiGraph, group: str, b: int,
         )
     _check_group(g.m, g.n, group)
     i, j = g.edges()[0]
-    starts = [_pointed(g.rows, i - 1, j - 1, g.n)]
-    if group == "G":
-        starts.append(_pointed(g.columns(), j - 1, i - 1, g.n))
-    return _multisets(starts, g.n, nflags)[1] == nflags
+    seen, total = _multisets(_pointed(g.rows, i - 1, j - 1, g.n), g.n, nflags)
+    if group == "G" and _pointed(g.columns(), j - 1, i - 1, g.n) not in seen:
+        total *= 2
+    return total == nflags
 
 
 def export_block_list(d: ExplicitDesign) -> str:

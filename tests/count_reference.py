@@ -57,22 +57,24 @@ def check_D_tau_reduced(g: BiGraph) -> bool | None:
     return st.p2_total == Fraction(g.k * (g.k - 1), g.m + 1)
 
 
-def paper_lambda(report: CriteriaReport, field: str) -> Fraction:
-    """The paper's closed form of one lambda of a report, named by its
-    CriteriaReport field, from the grid, k and the stabilizer orders; the
-    caller asks only where the report has that lambda."""
+def paper_lambda(report: CriteriaReport, design: str, t: int) -> Fraction:
+    """The paper's closed form of lambda_t of one design of a report, named
+    by its CriteriaReport field ("d" or "dhat"), from the grid, k and that
+    design's stabilizer order; the caller asks only where the report has
+    that lambda."""
     m, n, k = report.m, report.n, report.k
     v = m * n
-    if field == "lambda_d_2":
+    stab = getattr(report, design).stabilizer_order
+    if (design, t) == ("d", 2):
         return Fraction(k * (k - 1) * factorial(m - 1) * factorial(n - 1),
-                        (v - 1) * report.k_order)
-    if field == "lambda_d_3":
+                        (v - 1) * stab)
+    if (design, t) == ("d", 3):
         return Fraction(k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(n - 1),
-                        (v - 1) * (v - 2) * report.k_order)
-    if field == "lambda_dhat_2":
+                        (v - 1) * (v - 2) * stab)
+    if (design, t) == ("dhat", 2):
         return Fraction(2 * k * (k - 1) * factorial(m - 1) * factorial(m - 2),
-                        (m + 1) * report.g_order)
-    if field == "lambda_dhat_3":
+                        (m + 1) * stab)
+    if (design, t) == ("dhat", 3):
         return Fraction(2 * k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(m - 2),
-                        (m + 1) * (m * m - 2) * report.g_order)
-    raise ValueError(f"unknown lambda field {field!r}")
+                        (m + 1) * (m * m - 2) * stab)
+    raise ValueError(f"unknown lambda {design!r}, t = {t}")

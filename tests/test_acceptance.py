@@ -137,7 +137,7 @@ def test_criterion_7_block_size_four_search():
         lams = []
         for g in results:
             rep = evaluate(g, automorphisms(g))
-            lams.append(rep.lambda_dhat_2)
+            lams.append(rep.dhat.lambda_2)
         assert sorted(lams) == [12, 18]
 
 
@@ -262,4 +262,4 @@ def test_criterion_11_fig3_criteria():
         assert digits[:2] == "96"
         # counting identity at full scale
         rep = evaluate(g, aut)
-        assert rep.lambda_d_3 * comb(38 * 38, 3) == rep.b_d * comb(105, 3)
+        assert rep.d.lambda_3 * comb(38 * 38, 3) == rep.d.blocks * comb(105, 3)

@@ -22,6 +22,7 @@ PUBLIC = [
     "transpose",
     "CaseReport",
     "CriteriaReport",
+    "DesignReport",
     "check_D",
     "check_Dhat",
     "classify_case",

@@ -469,9 +469,9 @@ class TestOracleCommand:
         closures = []
         real = oracle._multisets
 
-        def spy(starts, n, limit):
-            closures.append(list(starts))
-            return real(starts, n, limit)
+        def spy(start, n, limit):
+            closures.append(start)
+            return real(start, n, limit)
 
         monkeypatch.setattr(oracle, "_multisets", spy)
         path = tmp_path / "p5.grid"

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from griddesigns import criteria
+from griddesigns import cli, criteria
 from griddesigns.bigraph import BiGraph, from_edge_list, stats
 from griddesigns.criteria import (
     check_D,
@@ -14,7 +14,7 @@ from griddesigns.criteria import (
     evaluate,
     outside_standard_range,
 )
-from griddesigns.permgroup import AutReport, automorphisms
+from griddesigns.permgroup import AutReport, automorphisms, group_order
 from griddesigns.search import family_cycle, family_figure, family_path
 
 from conftest import iso_class_reps
@@ -190,7 +190,7 @@ class TestInvariants:
 
     def test_block_counts(self):
         rep = evaluate(family_figure("fig2"), automorphisms(family_figure("fig2")))
-        assert rep.b_d == 2240
+        assert rep.d.blocks == 2240
 
     def test_case3_discriminator_consistency(self):
         # the direct verdict comparison and the count discriminators agree
@@ -205,11 +205,10 @@ class TestInvariants:
                     assert case.dhat_is_design and not case.d_is_design
 
 
+# (design field of the report, t) -> (its lambda field, its verdict field)
 LAMBDA_VERDICTS = {
-    "lambda_d_2": "d_is_2design",
-    "lambda_d_3": "d_is_3design",
-    "lambda_dhat_2": "dhat_is_2design",
-    "lambda_dhat_3": "dhat_is_3design",
+    (design, t): (f"lambda_{t}", f"is_{t}design")
+    for design in ("d", "dhat") for t in (2, 3)
 }
 
 
@@ -219,11 +218,15 @@ def paper_lambda_count(g) -> int:
     number of lambdas checked."""
     rep = evaluate(g, automorphisms(g))
     checked = 0
-    for field, verdict in LAMBDA_VERDICTS.items():
-        lam = getattr(rep, field)
-        assert (lam is not None) == bool(getattr(rep, verdict)), (g, field)
+    for (design, t), (field, verdict) in LAMBDA_VERDICTS.items():
+        record = getattr(rep, design)
+        if record is None:  # Dhat exists on square grids only
+            assert design == "dhat" and rep.m != rep.n, g
+            continue
+        lam = getattr(record, field)
+        assert (lam is not None) == getattr(record, verdict), (g, design, t)
         if lam is not None:
-            assert lam == paper_lambda(rep, field), (g, field)
+            assert lam == paper_lambda(rep, design, t), (g, design, t)
             checked += 1
     return checked
 
@@ -277,3 +280,35 @@ class TestExactLambda:
         assert check(g)[:2] == (True, True)
         with pytest.raises(ArithmeticError):
             check(g, aut)
+
+
+class TestDesignReport:
+    def test_every_class_up_to_3x3(self):
+        # one record per design: check_D and check_Dhat are its first four
+        # fields, its block count is |group| / stabilizer order, and the
+        # CLI's verdict for K, G and both reads the same fields
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for g in iso_class_reps(m, n):
+                    aut = automorphisms(g)
+                    rep = evaluate(g, aut)
+                    bare = evaluate(g)
+                    records = [("K", rep.d, bare.d, check_D, aut.k_order)]
+                    if m == n:
+                        records.append(("G", rep.dhat, bare.dhat, check_Dhat, aut.g_order))
+                    else:
+                        assert rep.dhat is None and bare.dhat is None
+                    for group, record, unsized, check, stab in records:
+                        fields = (record.is_2design, record.is_3design,
+                                  record.lambda_2, record.lambda_3)
+                        assert check(g, aut) == fields, (g, group)
+                        assert check(g) == fields[:2] + (None, None), (g, group)
+                        assert unsized == criteria.DesignReport(*fields[:2], *[None] * 4)
+                        assert record.stabilizer_order == stab
+                        assert record.blocks * stab == group_order(m, n, group)
+                    for t in (2, 3):
+                        verdicts = {group: getattr(record, f"is_{t}design")
+                                    for group, record, *_ in records}
+                        assert cli._verdict(rep, t, "K") == verdicts["K"]
+                        assert cli._verdict(rep, t, "G") == verdicts.get("G", False)
+                        assert cli._verdict(rep, t, "both") == any(verdicts.values())

@@ -471,7 +471,7 @@ class TestCriteriaAgreeBeyond4x4:
                 aut = automorphisms(g)
                 rep = evaluate(g, aut)
                 for group in groups:
-                    b = rep.b_d if group == "K" else rep.b_dhat
+                    b = (rep.d if group == "K" else rep.dhat).blocks
                     try:
                         got = [orbit_verdicts(g, t, [group], AGREE_BUDGET)[group]
                                for t in (2, 3)]
@@ -584,7 +584,7 @@ class TestOrbitVerdicts:
         # and refuses counts that do not split evenly over the row and
         # column sets
         g = family_path(5, 4, 4)
-        seen, _ = oracle._multisets([tuple(sorted(g.rows))], g.n, 10 ** 6)
+        seen, _ = oracle._multisets(tuple(sorted(g.rows)), g.n, 10 ** 6)
         coverage = oracle._cover(oracle._window(seen, g.m, g.n, 2, 2), 2)
         assert oracle._histogram(coverage, 4, 4, 2) == orbit_verdicts(g, 2, ["K"])["K"][2]
         key = next(key for key in coverage if key[-1] < g.n)  # both cells in row 0
@@ -687,13 +687,13 @@ class TestOrbitVerdicts:
         closures = []
         real = oracle._multisets
 
-        def spy(starts, n, limit):
-            closures.append(list(starts))
-            return real(starts, n, limit)
+        def spy(start, n, limit):
+            closures.append(start)
+            return real(start, n, limit)
 
         monkeypatch.setattr(oracle, "_multisets", spy)
         assert orbit_verdicts(NOT_TAU, 2, ("G",))["G"][0] == 18
-        assert closures == [[tuple(sorted(NOT_TAU.rows))]]
+        assert closures == [tuple(sorted(NOT_TAU.rows))]
 
     @pytest.mark.parametrize("group", ["K", "G"])
     def test_window_entries_are_cut_blocks(self, group):
@@ -706,7 +706,7 @@ class TestOrbitVerdicts:
                 total = limit = 20_000
                 while total >= limit:  # orbits small enough to list
                     g = _random_graph(rng, m, n, rng.randint(1, min(m * n, 9)))
-                    seen, total = oracle._multisets([tuple(sorted(g.rows))], n, limit)
+                    seen, total = oracle._multisets(tuple(sorted(g.rows)), n, limit)
                     flipped = group == "G" and tuple(sorted(g.columns())) not in seen
                     total *= 2 if flipped else 1
                 blocks = materialize(g, group).blocks
@@ -732,12 +732,12 @@ class TestOrbitVerdicts:
                 total = limit = 20_000
                 while total >= limit:  # orbits small enough to count twice
                     g = _random_graph(rng, m, m, rng.randint(1, min(m * m, 9)))
-                    total = oracle._multisets([tuple(sorted(g.rows))], m, limit)[1]
+                    total = oracle._multisets(tuple(sorted(g.rows)), m, limit)[1]
                 graphs.append(g)
         for g in graphs:
             m = g.m
-            seen, _ = oracle._multisets([tuple(sorted(g.rows))], m, 10 ** 6)
-            flipped, _ = oracle._multisets([tuple(sorted(g.columns()))], m, 10 ** 6)
+            seen, _ = oracle._multisets(tuple(sorted(g.rows)), m, 10 ** 6)
+            flipped, _ = oracle._multisets(tuple(sorted(g.columns())), m, 10 ** 6)
             for t in (1, 2, 3, 4):
                 L = min(t, m)
                 coverage = oracle._cover(oracle._window(seen, m, m, L, L), t)
@@ -751,3 +751,42 @@ class TestOrbitVerdicts:
         monkeypatch.setattr(oracle, "_arrangements", lambda rows: 1)
         with pytest.raises(AssertionError, match="whole number of row orders"):
             orbit_verdicts(g, 2, ["K"])
+
+
+CASE3 = from_edge_list(3, 3, [(1, 1), (1, 3), (2, 1), (2, 2)])
+
+
+class TestGFromOneClosure:
+    """materialize and the flag test close one start under K, as
+    orbit_verdicts does; B^T is outside B's closure for both graphs, so the
+    G-orbit is the K-orbit and its transpose."""
+
+    @pytest.mark.parametrize("g", [NOT_TAU, CASE3], ids=["not-tau", "case3"])
+    def test_one_start_each(self, monkeypatch, g):
+        b_k = materialize(g, "K").b
+        want = oracle_reference.materialize(g, "G")
+        starts = []
+        real = oracle._multisets
+
+        def spy(start, n, limit):
+            starts.append(start)
+            return real(start, n, limit)
+
+        monkeypatch.setattr(oracle, "_multisets", spy)
+        d = materialize(g, "G")
+        assert starts == [tuple(sorted(g.rows))]
+        assert d.blocks == want.blocks and d.b == 2 * b_k
+        starts.clear()
+        i, j = g.edges()[0]
+        assert flag_transitive_direct(g, "G", d.b) == oracle_reference.flag_transitive_direct(want)
+        assert starts == [oracle._pointed(g.rows, i - 1, j - 1, g.n)]
+
+    @pytest.mark.parametrize("g", [NOT_TAU, CASE3], ids=["not-tau", "case3"])
+    def test_g_budget_boundary(self, g):
+        # 2b is refused before any block is built, with the K-orbit's message
+        b = 2 * materialize(g, "K").b
+        with pytest.raises(BudgetExceededError) as exc:
+            materialize(g, "G", Budget(max_blocks=b - 1))
+        assert str(exc.value) == f"block orbit exceeds budget of {b - 1} blocks"
+        assert materialize(g, "G", Budget(max_blocks=b)).blocks == \
+            oracle_reference.materialize(g, "G").blocks

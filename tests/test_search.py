@@ -82,8 +82,8 @@ class TestFamilyCycle:
     def test_cycle8_lambda_720(self):
         g = family_cycle(8, 6)
         rep = evaluate(g, automorphisms(g))
-        assert rep.dhat_is_2design and rep.lambda_dhat_2 == 720
-        assert rep.g_order == 64
+        assert rep.dhat.is_2design and rep.dhat.lambda_2 == 720
+        assert rep.dhat.stabilizer_order == 64
 
     def test_rejects_odd_or_small(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestExhaustiveSearch:
         lams = set()
         for g in results:
             rep = evaluate(g, automorphisms(g))
-            lams.add(rep.lambda_dhat_2)
+            lams.add(rep.dhat.lambda_2)
         assert lams == {12, 18}
 
     def test_3x3_k4_dhat2_is_the_path(self):
