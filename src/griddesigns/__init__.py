@@ -23,9 +23,6 @@ from .criteria import (
     CaseReport,
     CriteriaReport,
     DesignReport,
-    check_D,
-    check_Dhat,
-    classify_case,
     count_targets,
     evaluate,
 )
@@ -70,9 +67,6 @@ __all__ = [
     "CaseReport",
     "CriteriaReport",
     "DesignReport",
-    "check_D",
-    "check_Dhat",
-    "classify_case",
     "count_targets",
     "evaluate",
     "Budget",

@@ -15,7 +15,7 @@ lambda_t (v)_t = b (k)_t with b = |group| / |stabilizer| (K for D, G for Dhat).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import perm
 
 from .bigraph import BiGraph, SubgraphStats, stats
@@ -24,7 +24,8 @@ from .permgroup import AutReport, group_order
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Trichotomy of a t-design on a square grid, with the discriminators.
+    """Trichotomy of a t-design on a square grid, by the verdicts of the
+    report's d and dhat records, with the discriminators.
 
     case1: D = Dhat (tau-equivalent) and D is a t-design.
     case2: D != Dhat and D is a t-design (then Dhat is too).
@@ -37,8 +38,6 @@ class CaseReport:
 
     t: int
     label: str
-    d_is_design: bool
-    dhat_is_design: bool
     row_2paths_match: bool
     row_claws_match: bool | None  # only meaningful for t = 3
 
@@ -121,17 +120,16 @@ def _hits(st: SubgraphStats, design: str, m: int, n: int, k: int, t: int,
                if names is None or name in names)
 
 
-def _check(g: BiGraph, design: str, st: SubgraphStats | None = None,
+def _check(g: BiGraph, design: str, st: SubgraphStats,
            aut: AutReport | None = None) -> DesignReport:
     """The report of design "D" (the orbit under K) or "Dhat" (the orbit
-    under G), from st = stats(g) when the caller has it."""
+    under G, square grids only), from st = stats(g).  A 2-design hits the
+    level-2 targets of count_targets: for D the 2-paths of each type, e.g.
+    k(k-1)(n-1) / (2(mn-1)) for type R, for Dhat the total k(k-1)/(m+1); a
+    3-design also hits level 3.  Non-integral right-hand sides simply fail."""
     m, n, k = g.m, g.n, g.k
-    if design == "Dhat" and m != n:
-        raise ValueError("Dhat criteria require a square grid")
     is2 = is3 = False
     if m * n >= 2 and k >= 2:
-        if st is None:
-            st = stats(g)
         is2 = _hits(st, design, m, n, k, 2)
         is3 = is2 and k >= 3 and _hits(st, design, m, n, k, 3)
     if aut is None:
@@ -150,48 +148,12 @@ def _check(g: BiGraph, design: str, st: SubgraphStats | None = None,
     return DesignReport(is2, is3, *lams, group_order(m, n, group) // stab, stab)
 
 
-def check_D(g: BiGraph, aut: AutReport | None = None):
-    """Verdicts (and lambdas, when aut is given) for the row/column-orbit
-    design D.
-
-    2-design: the counts of 2-paths of each type hit their targets in
-    count_targets("D", m, n, 2), e.g. k(k-1)(n-1) / (2(mn-1)) for type R.
-    3-design: additionally the two 3-claw counts and the 3-path count hit
-    the level-3 targets.  Non-integral right-hand sides simply fail.
-    Returns (is_2design, is_3design, lambda_2, lambda_3).
-    """
-    return astuple(_check(g, "D", aut=aut))[:4]
-
-
-def check_Dhat(g: BiGraph, aut: AutReport | None = None):
-    """Verdicts (and lambdas) for the full-group design Dhat; m = n required.
-
-    2-design: total 2-paths = k(k-1)/(m+1).
-    3-design: additionally the total 3-claws and the 3-paths hit the
-    level-3 targets of count_targets("Dhat", m, m, 3).
-    Returns (is_2design, is_3design, lambda_2, lambda_3).
-    """
-    return astuple(_check(g, "Dhat", aut=aut))[:4]
-
-
-def classify_case(g: BiGraph, aut: AutReport, t: int) -> CaseReport:
-    """Place a square-grid block graph in the t-design trichotomy.
-
-    The case-3 side condition (row-side 2-path count, and for t = 3 also the
-    row-side 3-claw count, off their half-share values) is evaluated and
-    reported; it must agree with the direct comparison of the two verdicts.
-    """
-    if g.m != g.n:
-        raise ValueError("case classification requires a square grid")
-    if t not in (2, 3):
-        raise ValueError("t must be 2 or 3")
-    st = stats(g)
-    return _case(g, st, aut, t, _check(g, "D", st), _check(g, "Dhat", st))
-
-
 def _case(g: BiGraph, st: SubgraphStats, aut: AutReport, t: int,
           d: DesignReport, dhat: DesignReport) -> CaseReport:
-    """classify_case, given stats(g) and the reports of D and Dhat."""
+    """Place a square-grid block graph in the t-design trichotomy, given
+    stats(g) and the reports of D and Dhat.  The case-3 side condition
+    (row-side 2-path count, and for t = 3 also the row-side 3-claw count,
+    off their half-share values) must agree with the verdicts."""
     if aut.tau_equivalent is None:
         raise ValueError("AutReport has no G data")
     d_design, dhat_design = (getattr(rep, f"is_{t}design") for rep in (d, dhat))
@@ -220,12 +182,13 @@ def _case(g: BiGraph, st: SubgraphStats, aut: AutReport, t: int,
         else:
             assert dhat_design and (not row_2paths_match or not row_claws_match)
 
-    return CaseReport(t, label, d_design, dhat_design, row_2paths_match, row_claws_match)
+    return CaseReport(t, label, row_2paths_match, row_claws_match)
 
 
 def evaluate(g: BiGraph, aut: AutReport | None = None) -> CriteriaReport:
-    """Assemble the full report; block counts and lambdas appear only with an
-    AutReport, lambdas only for positive verdicts.  The subgraph counts are
+    """The one criteria entry point: the report of both designs, with block
+    counts and lambdas only given an AutReport (lambdas only for positive
+    verdicts), and then on square grids the cases.  The subgraph counts are
     computed once, and so is each design's check."""
     st = stats(g)
     d = _check(g, "D", st, aut)

@@ -307,16 +307,16 @@ def _branch_results(spec: SearchSpec, index: int, branch, deadline_ns: int | Non
     realizes a node after deadline_ns.
 
     The branch's degrees hit the 2-path and 3-claw targets, so a realized
-    matrix is tested only for what they leave open, which with them is
-    check_D/check_Dhat: k >= t, and for t = 3 its 3-path count; for flag
-    targets, also one unordered degree pair on every edge.  These tests are
-    invariant under K and the transpose, so only a passing matrix becomes
-    a graph and goes to the branch's table of kept classes, and the first
-    realized matrix of each passing class is kept.  The transpose of a
-    graph in branch (x, y) lies in branch (y, x), so only a branch that is
-    its own mirror deduplicates under the transpose as well.  A graph new
-    to the table comes with its stabilizer report, and for flag targets it
-    gets the edge-orbit test.
+    matrix is tested only for what they leave open, which with them is the
+    design's verdict in its evaluate record: k >= t, and for t = 3 its
+    3-path count; for flag targets, also one unordered degree pair on every
+    edge.  These tests are invariant under K and the transpose, so only a
+    passing matrix becomes a graph and goes to the branch's table of kept
+    classes, and the first realized matrix of each passing class is kept.
+    The transpose of a graph in branch (x, y) lies in branch (y, x), so only
+    a branch that is its own mirror deduplicates under the transpose as
+    well.  A graph new to the table comes with its stabilizer report, and
+    for flag targets it gets the edge-orbit test.
     """
     state = _RealizeState(spec, index, deadline_ns)
     x, y = branch

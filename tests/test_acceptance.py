@@ -13,7 +13,7 @@ from math import comb, factorial
 import pytest
 
 from griddesigns.bigraph import complement, stats
-from griddesigns.criteria import check_D, check_Dhat, classify_case, evaluate
+from griddesigns.criteria import evaluate
 from griddesigns.oracle import (
     ExplicitDesign,
     flag_transitive_direct,
@@ -70,9 +70,8 @@ def test_criterion_2_general3_firsts():
 def test_criterion_3_fig2_end_to_end():
     with criterion(3, "8x2 witness verifies as 3-(16,6,80), criteria and oracle", 30):
         g = family_figure("fig2")
-        aut = automorphisms(g)
-        is2, is3, _, lam3 = check_D(g, aut)
-        assert is2 and is3 and lam3 == 80
+        d = evaluate(g, automorphisms(g)).d
+        assert d.is_2design and d.is_3design and d.lambda_3 == 80
         assert orbit_verdicts(g, 3, ["K"]) == {"K": (2240, True, {80: 560})}
 
 
@@ -87,11 +86,11 @@ def test_criterion_4_fig1_criteria():
         aut = automorphisms(g)
         assert aut.g_order == 576
         assert aut.tau_equivalent is False
-        is2, is3, _, lam3 = check_Dhat(g, aut)
-        assert is2 and is3
-        assert lam3 == 137_168_640_000
+        rep = evaluate(g, aut)
+        assert rep.dhat.is_2design and rep.dhat.is_3design
+        assert rep.dhat.lambda_3 == 137_168_640_000
         # the row/column-orbit design fails already at t = 2
-        assert check_D(g)[0] is False
+        assert rep.d.is_2design is False
         assert st.p2_r != st.p2_c
 
 
@@ -101,11 +100,11 @@ def test_criterion_5_path_family():
             k = m + 1
             g = family_path(k, m, m)
             aut = automorphisms(g)
-            is2, _, lam2, _ = check_Dhat(g, aut)
-            assert is2, m
+            rep = evaluate(g, aut)
+            assert rep.dhat.is_2design, m
+            lam2 = rep.dhat.lambda_2
             assert lam2 == path_lambda_closed_form(k), m
-            case = classify_case(g, aut, 2)
-            assert case.label == ("case1" if m % 2 == 0 else "case3"), m
+            assert rep.case_2.label == ("case1" if m % 2 == 0 else "case3"), m
             if m <= 5:
                 _, verdict, hist = orbit_verdicts(g, 2, ["G"])["G"]
                 assert verdict is True
@@ -120,8 +119,8 @@ def test_criterion_6_cycle_family():
             k = m + 2
             g = family_cycle(k, m)
             aut = automorphisms(g)
-            is2, _, lam2, _ = check_Dhat(g, aut)
-            assert is2 and lam2 == cycle_lambda_closed_form(k), m
+            dhat = evaluate(g, aut).dhat
+            assert dhat.is_2design and dhat.lambda_2 == cycle_lambda_closed_form(k), m
             assert is_edge_transitive(g, aut, "G") is True, m
             if m == 4:
                 b, verdict, hist = orbit_verdicts(g, 2, ["G"])["G"]
@@ -188,11 +187,11 @@ def test_criterion_8_criteria_oracle_equivalence():
         disagreements = []
         for entry in get_sweep():
             g = entry["g"]
-            d2, d3, _, _ = check_D(g)
-            expected = {("K", 2): d2, ("K", 3): d3}
+            rep = evaluate(g)
+            expected = {("K", 2): rep.d.is_2design, ("K", 3): rep.d.is_3design}
             if entry["g_design"] is not None:
-                h2, h3, _, _ = check_Dhat(g)
-                expected.update({("G", 2): h2, ("G", 3): h3})
+                expected.update({("G", 2): rep.dhat.is_2design,
+                                 ("G", 3): rep.dhat.is_3design})
             groups = ["K", "G"] if entry["g_design"] is not None else ["K"]
             for t in (2, 3):
                 for group, (_, got, _) in orbit_verdicts(g, t, groups).items():
@@ -244,11 +243,11 @@ def test_criterion_11_fig3_criteria():
         aut = automorphisms(g)
         assert aut.k_order == 2**9 * factorial(3) * factorial(4) * factorial(5) ** 2
         assert aut.tau_equivalent is False
-        d2, d3, lam_d2, lam_d3 = check_D(g, aut)
-        assert d2 and d3
-        h2, h3, _, lam_h3 = check_Dhat(g, aut)
-        assert h2 and h3
-        assert lam_h3 == 2 * lam_d3
+        rep = evaluate(g, aut)
+        assert rep.d.is_2design and rep.d.is_3design
+        assert rep.dhat.is_2design and rep.dhat.is_3design
+        lam_d3 = rep.d.lambda_3
+        assert rep.dhat.lambda_3 == 2 * lam_d3
         m, k = 38, 105
         closed_form = Fraction(
             k * (k - 1) * (k - 2) * factorial(m - 1) * factorial(m - 2),
@@ -261,5 +260,4 @@ def test_criterion_11_fig3_criteria():
         assert len(digits) == 77
         assert digits[:2] == "96"
         # counting identity at full scale
-        rep = evaluate(g, aut)
         assert rep.d.lambda_3 * comb(38 * 38, 3) == rep.d.blocks * comb(105, 3)

@@ -6,14 +6,7 @@ import pytest
 
 from griddesigns import cli, criteria
 from griddesigns.bigraph import BiGraph, from_edge_list, stats
-from griddesigns.criteria import (
-    check_D,
-    check_Dhat,
-    classify_case,
-    count_targets,
-    evaluate,
-    outside_standard_range,
-)
+from griddesigns.criteria import count_targets, evaluate, outside_standard_range
 from griddesigns.permgroup import AutReport, automorphisms, group_order
 from griddesigns.search import family_cycle, family_figure, family_path
 
@@ -80,35 +73,32 @@ class TestCountTargets:
 class TestCheckD:
     def test_fig2_is_3design_lambda_80(self):
         g = family_figure("fig2")
-        aut = automorphisms(g)
-        is2, is3, lam2, lam3 = check_D(g, aut)
-        assert is2 and is3
-        assert lam3 == 80
+        d = evaluate(g, automorphisms(g)).d
+        assert d.is_2design and d.is_3design
+        assert d.lambda_3 == 80
 
     def test_path5_2design_lambda_48(self):
         g = family_path(5, 4, 4)
-        aut = automorphisms(g)
-        is2, is3, lam2, lam3 = check_D(g, aut)
-        assert is2 and not is3
-        assert lam2 == 48 == path_lambda_closed_form(5)
+        d = evaluate(g, automorphisms(g)).d
+        assert d.is_2design and not d.is_3design
+        assert d.lambda_2 == 48 == path_lambda_closed_form(5)
 
     def test_path4_in_3x3_not_2design(self):
         g = family_path(4, 3, 3)
-        assert check_D(g)[0] is False
+        assert evaluate(g).d.is_2design is False
 
     def test_verdict_without_aut_has_no_lambda(self):
-        g = family_figure("fig2")
-        is2, is3, lam2, lam3 = check_D(g)
-        assert is2 and is3 and lam2 is None and lam3 is None
+        d = evaluate(family_figure("fig2")).d
+        assert d.is_2design and d.is_3design
+        assert d.lambda_2 is None and d.lambda_3 is None
 
 
 class TestCheckDhat:
     def test_fig1_3design_lambda(self):
         g = family_figure("fig1")
-        aut = automorphisms(g)
-        is2, is3, lam2, lam3 = check_Dhat(g, aut)
-        assert is2 and is3
-        assert lam3 == 137168640000
+        dhat = evaluate(g, automorphisms(g)).dhat
+        assert dhat.is_2design and dhat.is_3design
+        assert dhat.lambda_3 == 137168640000
 
     def test_path_2design_iff_m_is_k_minus_1(self):
         # the diagonal path has k-1 two-paths, so the count condition
@@ -118,45 +108,45 @@ class TestCheckDhat:
                 if k // 2 + 1 > m or (k + 1) // 2 > m:
                     continue
                 g = family_path(k, m, m)
-                assert check_Dhat(g)[0] == (m == k - 1)
+                assert evaluate(g).dhat.is_2design == (m == k - 1)
 
     def test_cycle6_lambda_12(self):
         g = family_cycle(6, 4)
         aut = automorphisms(g)
-        is2, _, lam2, _ = check_Dhat(g, aut)
-        assert is2 and lam2 == 12 == cycle_lambda_closed_form(6)
+        dhat = evaluate(g, aut).dhat
+        assert dhat.is_2design and dhat.lambda_2 == 12 == cycle_lambda_closed_form(6)
         assert aut.g_order == 12
 
     def test_requires_square(self):
-        with pytest.raises(ValueError):
-            check_Dhat(BiGraph(2, 3, (1, 2)))
+        # off square grids there is no Dhat, and so no case
+        g = BiGraph(2, 3, (1, 2))
+        for rep in (evaluate(g), evaluate(g, automorphisms(g))):
+            assert rep.dhat is rep.case_2 is rep.case_3 is None
 
 
 class TestClassify:
     def test_path5_case1(self):
         g = family_path(5, 4, 4)
-        case = classify_case(g, automorphisms(g), 2)
-        assert case.label == "case1"
+        assert evaluate(g, automorphisms(g)).case_2.label == "case1"
 
     def test_path4_case3(self):
         g = family_path(4, 3, 3)
-        case = classify_case(g, automorphisms(g), 2)
+        case = evaluate(g, automorphisms(g)).case_2
         assert case.label == "case3"
         assert not case.row_2paths_match
 
     def test_fig1_case3_at_t3(self):
         g = family_figure("fig1")
-        aut = automorphisms(g)
-        assert classify_case(g, aut, 3).label == "case3"
-        assert classify_case(g, aut, 2).d_is_design is False
+        rep = evaluate(g, automorphisms(g))
+        assert rep.case_3.label == "case3"
+        assert rep.d.is_2design is False
 
     def test_fig3_case2_at_t3(self):
         # both designs exist but the graph is not transpose-equivalent
         g = family_figure("fig3")
-        aut = automorphisms(g)
-        case = classify_case(g, aut, 3)
-        assert case.label == "case2"
-        assert case.d_is_design and case.dhat_is_design
+        rep = evaluate(g, automorphisms(g))
+        assert rep.case_3.label == "case2"
+        assert rep.d.is_3design and rep.dhat.is_3design
 
 
 class TestInvariants:
@@ -168,16 +158,15 @@ class TestInvariants:
         # k(k-1)/(m+1) = 6/4 is not an integer: nothing qualifies
         for g in iso_class_reps(3, 3):
             if g.k == 3:
-                assert check_Dhat(g)[0] is False
+                assert evaluate(g).dhat.is_2design is False
 
     def test_monotone_implication_square_sweep(self):
         for g in iso_class_reps(3, 3) + iso_class_reps(2, 2):
-            d2, d3, _, _ = check_D(g)
-            h2, h3, _, _ = check_Dhat(g)
-            if d2:
-                assert h2
-            if d3:
-                assert h3
+            rep = evaluate(g)
+            if rep.d.is_2design:
+                assert rep.dhat.is_2design
+            if rep.d.is_3design:
+                assert rep.dhat.is_3design
 
     def test_tau_reduced_path_agrees(self):
         for g in iso_class_reps(3, 3):
@@ -186,7 +175,7 @@ class TestInvariants:
             aut = automorphisms(g)
             reduced = check_D_tau_reduced(g)
             if aut.tau_equivalent and reduced is not None:
-                assert check_D(g)[0] == reduced
+                assert evaluate(g).d.is_2design == reduced
 
     def test_block_counts(self):
         rep = evaluate(family_figure("fig2"), automorphisms(family_figure("fig2")))
@@ -198,11 +187,11 @@ class TestInvariants:
         for _ in range(120):
             m = rng.randint(2, 4)
             g = BiGraph(m, m, tuple(rng.getrandbits(m) for _ in range(m)))
-            aut = automorphisms(g)
+            rep = evaluate(g, automorphisms(g))
             for t in (2, 3):
-                case = classify_case(g, aut, t)
-                if case.label == "case3":
-                    assert case.dhat_is_design and not case.d_is_design
+                if getattr(rep, f"case_{t}").label == "case3":
+                    assert getattr(rep.dhat, f"is_{t}design")
+                    assert not getattr(rep.d, f"is_{t}design")
 
 
 # (design field of the report, t) -> (its lambda field, its verdict field)
@@ -212,11 +201,30 @@ LAMBDA_VERDICTS = {
 }
 
 
-def paper_lambda_count(g) -> int:
+def trichotomy(rep, t) -> str:
+    """The case of t on a square grid, from the two verdicts and the
+    transpose test: none unless Dhat is a t-design, case 3 when D is not,
+    then case 1 or 2 as D = Dhat or not."""
+    d, dhat = (getattr(record, f"is_{t}design") for record in (rep.d, rep.dhat))
+    if not dhat:
+        return "none"
+    if not d:
+        return "case3"
+    return "case1" if rep.tau_equivalent else "case2"
+
+
+def paper_lambda_count(g, labels=None) -> int:
     """Check every lambda of evaluate(g) against the paper's closed form;
-    a lambda is reported exactly for the positive verdicts.  Returns the
-    number of lambdas checked."""
+    a lambda is reported exactly for the positive verdicts.  On square
+    grids, also check each case label against `trichotomy`, and add it to
+    `labels` when given.  Returns the number of lambdas checked."""
     rep = evaluate(g, automorphisms(g))
+    if rep.m == rep.n:
+        for t in (2, 3):
+            label = getattr(rep, f"case_{t}").label
+            assert label == trichotomy(rep, t), (g, t)
+            if labels is not None:
+                labels.add(label)
     checked = 0
     for (design, t), (field, verdict) in LAMBDA_VERDICTS.items():
         record = getattr(rep, design)
@@ -233,10 +241,12 @@ def paper_lambda_count(g) -> int:
 
 class TestPaperLambdas:
     def test_every_class_up_to_4x4(self):
-        checked = sum(paper_lambda_count(g)
+        labels = set()
+        checked = sum(paper_lambda_count(g, labels)
                       for m in range(1, 5) for n in range(1, 5)
                       for g in iso_class_reps(m, n))
         assert checked >= 100
+        assert labels == {"case1", "case2", "case3", "none"}
 
     @pytest.mark.parametrize("which, lambdas", [("fig1", 2), ("fig2", 2), ("fig3", 4)])
     def test_figures(self, which, lambdas):
@@ -270,22 +280,24 @@ class TestOneCountPerReport:
 
 
 class TestExactLambda:
-    @pytest.mark.parametrize("check, which, aut", [
-        (check_D, "fig2", AutReport(k_gens=(), k_order=11)),
-        (check_Dhat, "fig1", AutReport(k_gens=(), k_order=11, g_gens=(), g_order=11,
-                                       tau_equivalent=False)),
+    # D is no design on fig1, so there the error comes from Dhat
+    @pytest.mark.parametrize("design, which, aut", [
+        ("D", "fig2", AutReport(k_gens=(), k_order=11)),
+        ("Dhat", "fig1", AutReport(k_gens=(), k_order=11, g_gens=(), g_order=11,
+                                   tau_equivalent=False)),
     ])
-    def test_non_integral_lambda_raises(self, check, which, aut):
+    def test_non_integral_lambda_raises(self, design, which, aut):
         g = family_figure(which)
-        assert check(g)[:2] == (True, True)
-        with pytest.raises(ArithmeticError):
-            check(g, aut)
+        record = getattr(evaluate(g), design.lower())
+        assert (record.is_2design, record.is_3design) == (True, True)
+        with pytest.raises(ArithmeticError, match=f"of {design} is not an integer"):
+            evaluate(g, aut)
 
 
 class TestDesignReport:
     def test_every_class_up_to_3x3(self):
-        # one record per design: check_D and check_Dhat are its first four
-        # fields, its block count is |group| / stabilizer order, and the
+        # one record per design: without an AutReport it holds the verdicts
+        # alone, its block count is |group| / stabilizer order, and the
         # CLI's verdict for K, G and both reads the same fields
         for m in range(1, 4):
             for n in range(1, 4):
@@ -293,17 +305,14 @@ class TestDesignReport:
                     aut = automorphisms(g)
                     rep = evaluate(g, aut)
                     bare = evaluate(g)
-                    records = [("K", rep.d, bare.d, check_D, aut.k_order)]
+                    records = [("K", rep.d, bare.d, aut.k_order)]
                     if m == n:
-                        records.append(("G", rep.dhat, bare.dhat, check_Dhat, aut.g_order))
+                        records.append(("G", rep.dhat, bare.dhat, aut.g_order))
                     else:
                         assert rep.dhat is None and bare.dhat is None
-                    for group, record, unsized, check, stab in records:
-                        fields = (record.is_2design, record.is_3design,
-                                  record.lambda_2, record.lambda_3)
-                        assert check(g, aut) == fields, (g, group)
-                        assert check(g) == fields[:2] + (None, None), (g, group)
-                        assert unsized == criteria.DesignReport(*fields[:2], *[None] * 4)
+                    for group, record, unsized, stab in records:
+                        assert unsized == criteria.DesignReport(
+                            record.is_2design, record.is_3design, *[None] * 4)
                         assert record.stabilizer_order == stab
                         assert record.blocks * stab == group_order(m, n, group)
                     for t in (2, 3):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from griddesigns import oracle
 from griddesigns.bigraph import BiGraph, format_graph_text, from_edge_list
 from griddesigns.cli import main
-from griddesigns.criteria import check_D, check_Dhat, evaluate
+from griddesigns.criteria import evaluate
 from griddesigns.oracle import (
     Budget,
     BudgetExceededError,
@@ -471,19 +471,18 @@ class TestCriteriaAgreeBeyond4x4:
                 aut = automorphisms(g)
                 rep = evaluate(g, aut)
                 for group in groups:
-                    b = (rep.d if group == "K" else rep.dhat).blocks
+                    record = rep.d if group == "K" else rep.dhat
                     try:
                         got = [orbit_verdicts(g, t, [group], AGREE_BUDGET)[group]
                                for t in (2, 3)]
                     except BudgetExceededError:
-                        assert b > AGREE_BUDGET.max_blocks
+                        assert record.blocks > AGREE_BUDGET.max_blocks
                         refused += 1
                         continue
                     stab = aut.k_order if group == "K" else aut.g_order
                     assert got[0][0] * stab == group_order(m, n, group)
-                    check = check_D if group == "K" else check_Dhat
-                    is2, is3, _, _ = check(g, aut)
-                    assert [verdict for _, verdict, _ in got] == [is2, is3]
+                    verdicts = [verdict for _, verdict, _ in got]
+                    assert verdicts == [record.is_2design, record.is_3design]
                     checked += 1
         assert checked + refused == 25 * len(groups)
         assert checked > refused

@@ -14,7 +14,7 @@ import pytest
 
 from griddesigns.bigraph import BiGraph, degrees, stats, three_paths
 from griddesigns.cli import main
-from griddesigns.criteria import check_D, check_Dhat, count_targets, evaluate
+from griddesigns.criteria import count_targets, evaluate
 from griddesigns.oracle import materialize, orbit_verdicts
 from griddesigns import bigraph, criteria, permgroup, search
 from griddesigns.permgroup import apply, automorphisms, is_edge_transitive
@@ -97,11 +97,11 @@ class TestFamilyCycle:
 class TestFamilyFigure:
     def test_fig2_is_3design(self):
         g = family_figure("fig2")
-        assert check_D(g)[1] is True
+        assert evaluate(g).d.is_3design is True
 
     def test_fig1_dhat_3design(self):
         g = family_figure("fig1")
-        assert check_Dhat(g)[1] is True
+        assert evaluate(g).dhat.is_3design is True
         assert stats(g).p3 == 300
 
     def test_fig3_shape(self):
@@ -153,7 +153,7 @@ class TestExhaustiveSearch:
         results = [g for g, _ in exhaustive_search(spec)]
         assert results, "the diagonal path qualifies, so results exist"
         for g in results:
-            assert check_Dhat(g)[0]
+            assert evaluate(g).dhat.is_2design
             assert orbit_verdicts(g, 2, ["G"])["G"][1]
 
     def test_dedup_soundness(self):
@@ -193,8 +193,8 @@ class TestExhaustiveSearch:
             for g in iso_class_reps(m, n):
                 if g.k != k:
                     continue
-                hit = check_D(g)[0] if target == "d2" else check_Dhat(g)[0]
-                if hit:
+                rep = evaluate(g)
+                if (rep.d if target == "d2" else rep.dhat).is_2design:
                     naive.add(canonical_form(g, allow_transpose=(m == n)))
             assert got == naive
 
@@ -464,7 +464,7 @@ def _meets_target(g, target):
     """The target test from the criteria and, for flag targets, the edge
     orbit of the full stabilizer."""
     design, t, flag = TARGETS[target]
-    if not (check_D if design == "D" else check_Dhat)(g)[t - 2]:
+    if not getattr(getattr(evaluate(g), design.lower()), f"is_{t}design"):
         return False
     return not flag or is_edge_transitive(g, automorphisms(g), "K" if design == "D" else "G")
 
@@ -543,7 +543,7 @@ class TestLexLeaderRealization:
 class TestWhatTheBranchLeavesOpen:
     def test_residual_test_equals_criteria_up_to_5x5(self):
         # on a degree branch, k >= t and for t = 3 the 3-path count decide
-        # what check_D/check_Dhat decide, on every matrix the unpruned
+        # the design's verdict in evaluate, on every matrix the unpruned
         # reference realizes; dedup and the flag leave the criteria alone
         seen = set()
         verdicts = set()
@@ -552,7 +552,6 @@ class TestWhatTheBranchLeavesOpen:
             if (spec.m, spec.n, spec.k, design, t) in seen:
                 continue
             seen.add((spec.m, spec.n, spec.k, design, t))
-            check = check_D if design == "D" else check_Dhat
             branches = degree_branches(spec)
             p3 = None
             if t == 3 and branches:
@@ -561,7 +560,8 @@ class TestWhatTheBranchLeavesOpen:
             for x, y in branches:
                 for rows in search_reference._realize(x, y, _RealizeState(spec, 0)):
                     residual = spec.k >= t and (p3 is None or three_paths(rows, x, y) == p3)
-                    assert residual == check(BiGraph(spec.m, spec.n, rows))[t - 2], (spec, rows)
+                    record = getattr(evaluate(BiGraph(spec.m, spec.n, rows)), design.lower())
+                    assert residual == getattr(record, f"is_{t}design"), (spec, rows)
                     verdicts.add((design, t, residual))
         assert len(verdicts) == 8  # both verdicts for D and Dhat, t = 2 and 3
 
@@ -602,7 +602,7 @@ class TestCriteriaBeforeKeys:
                 return f(*args, **kwargs)
             return wrapper
 
-        for module, name in [(criteria, "check_D"), (criteria, "check_Dhat"),
+        for module, name in [(criteria, "evaluate"), (criteria, "_check"),
                              (criteria, "stats"), (bigraph, "stats"),
                              (bigraph, "degrees"), (search, "BiGraph")]:
             monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
@@ -631,7 +631,7 @@ class TestFlagPrecheck:
         # but the graph is not tau-equivalent, so no element of its G
         # stabilizer maps a row star onto the column star
         g = BiGraph(7, 7, (0b1110000, 0b0001110, 1, 1, 1, 0, 0))
-        assert _uniform_edge_degrees(g.rows, *degrees(g)) and check_Dhat(g)[0]
+        assert _uniform_edge_degrees(g.rows, *degrees(g)) and evaluate(g).dhat.is_2design
         assert not is_edge_transitive(g, automorphisms(g), "G")
         assert list(exhaustive_search(SearchSpec(m=7, n=7, k=9, target="flag-dhat2"))) == []
 
