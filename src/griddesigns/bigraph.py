@@ -173,8 +173,7 @@ def parse_graph_text(text: str) -> BiGraph:
     """Parse the grid/edge text format; raises GraphFormatError with the
     offending line number."""
     m = n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,6 +190,7 @@ def parse_graph_text(text: str) -> BiGraph:
                 raise GraphFormatError("grid sizes must be integers", lineno) from None
             if m < 1 or n < 1:
                 raise GraphFormatError("grid sides must be positive", lineno)
+            rows = [0] * m
         elif parts[0] == "edge":
             if m is None:
                 raise GraphFormatError("edge before grid line", lineno)
@@ -202,15 +202,15 @@ def parse_graph_text(text: str) -> BiGraph:
                 raise GraphFormatError("edge indices must be integers", lineno) from None
             if not (1 <= i <= m) or not (1 <= j <= n):
                 raise GraphFormatError(f"edge ({i},{j}) out of range", lineno)
-            if (i, j) in seen:
+            bit = 1 << (j - 1)
+            if rows[i - 1] & bit:
                 raise GraphFormatError(f"duplicate edge ({i},{j})", lineno)
-            edges.append((i, j))
-            seen.add((i, j))
+            rows[i - 1] |= bit
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if m is None:
         raise GraphFormatError("missing grid line")
-    return from_edge_list(m, n, edges)
+    return BiGraph(m, n, tuple(rows))
 
 
 def format_graph_text(g: BiGraph) -> str:

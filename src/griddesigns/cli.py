@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import criteria, oracle, permgroup, scanner, search
-from .bigraph import BiGraph, GraphFormatError, parse_graph_text, format_graph_text
+from .bigraph import BiGraph, parse_graph_text, format_graph_text
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -50,6 +50,16 @@ def _budget_from(args) -> oracle.Budget:
     given."""
     return oracle.Budget(**{field: value for field in ("max_blocks", "max_subsets")
                             if (value := getattr(args, field)) is not None})
+
+
+def _yn(value) -> str:
+    return "yes" if value else "no"
+
+
+def _oracle_record(b: int, verdict: bool, hist: dict, t: int) -> dict:
+    """The JSON record of one group's oracle run."""
+    return {"blocks": b, "t": t, "is_design": verdict,
+            "histogram": {str(c): num for c, num in hist.items()}}
 
 
 def _designs(rep: criteria.CriteriaReport):
@@ -86,9 +96,6 @@ def _report_dict(rep: criteria.CriteriaReport) -> dict:
 
 
 def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport):
-    def yn(v):
-        return "yes" if v else "no"
-
     print(f"m = {rep.m}")
     print(f"n = {rep.n}")
     print(f"k = {rep.k}")
@@ -98,9 +105,9 @@ def _print_report_text(rep: criteria.CriteriaReport, aut: permgroup.AutReport):
         print(f"stabilizer_order_{group} = {design.stabilizer_order}")
         print(f"blocks_{name} = {design.blocks}")
         if group == "G":
-            print(f"tau_equivalent = {yn(rep.tau_equivalent)}")
+            print(f"tau_equivalent = {_yn(rep.tau_equivalent)}")
         for t in (2, 3):
-            print(f"{name}_{t}design = {yn(getattr(design, f'is_{t}design'))}")
+            print(f"{name}_{t}design = {_yn(getattr(design, f'is_{t}design'))}")
             if (lam := getattr(design, f"lambda_{t}")) is not None:
                 print(f"lambda_{name}_{t} = {lam}")
     if rep.dhat is not None:
@@ -123,12 +130,10 @@ def _cmd_verify(args) -> int:
         for flag, value in (("--max-blocks", args.max_blocks),
                             ("--max-subsets", args.max_subsets)):
             if value is not None:
-                print(f"error: {flag} applies only with --with-oracle", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"{flag} applies only with --with-oracle")
     g = _read_graph(args.file)
     if args.group == "G" and g.m != g.n:
-        print("error: group G requires a square grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("group G requires a square grid")
     aut = permgroup.automorphisms(g)
     rep = criteria.evaluate(g, aut)
     payload = _report_dict(rep)
@@ -138,15 +143,8 @@ def _cmd_verify(args) -> int:
         if g.m != g.n:
             groups = ["K"]  # G alone was refused above
         verdicts = oracle.orbit_verdicts(g, args.t, groups, _budget_from(args))
-        payload["oracle"] = {
-            grp: {
-                "blocks": b,
-                "t": args.t,
-                "histogram": {str(c): num for c, num in hist.items()},
-                "is_design": verdict,
-            }
-            for grp, (b, verdict, hist) in verdicts.items()
-        }
+        payload["oracle"] = {grp: _oracle_record(*result, args.t)
+                             for grp, result in verdicts.items()}
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -156,25 +154,19 @@ def _cmd_verify(args) -> int:
             print(f"oracle_{grp}_blocks = {data['blocks']}")
             for cov, num in data["histogram"].items():
                 print(f"oracle_{grp}_coverage_{cov} = {num}")
-            print(f"oracle_{grp}_is_{args.t}design = "
-                  + ("yes" if data["is_design"] else "no"))
+            print(f"oracle_{grp}_is_{args.t}design = {_yn(data['is_design'])}")
     return EXIT_POSITIVE if _verdict(rep, args.t, args.group) else EXIT_NEGATIVE
 
 
 def _cmd_scan(args) -> int:
     modes = [m for m in scanner.MODES if getattr(args, m)]
     if len(modes) != 1:
-        print("error: choose exactly one of --square3/--square2/--general3",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("choose exactly one of --square3/--square2/--general3")
     mode = modes[0]
     if mode == "general3" and args.max_n is None:
-        print("error: --general3 needs --max-n", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--general3 needs --max-n")
     if mode != "general3" and args.max_n is not None:
-        print(f"error: --max-n applies only to --general3, not --{mode}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--max-n applies only to --general3, not --{mode}")
     # a bad bound raises here, before anything is written
     grids = scanner.feasible_grids(mode, args.max_m, args.max_n)
     # one write per grid: the output is never held whole, and no string is
@@ -215,16 +207,9 @@ def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
     budget = _budget_from(args)
     if args.ratio and args.t not in (2, 3):
-        print("error: --ratio needs --t 2 or 3", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--ratio needs --t 2 or 3")
     b, verdict, hist = oracle.orbit_verdicts(g, args.t, [args.group], budget)[args.group]
-    payload = {
-        "group": args.group,
-        "t": args.t,
-        "blocks": b,
-        "histogram": {str(c): num for c, num in hist.items()},
-        "is_design": verdict,
-    }
+    payload = {"group": args.group, **_oracle_record(b, verdict, hist, args.t)}
     if args.flags:
         payload["flag_transitive"] = oracle.flag_transitive_direct(
             g, args.group, b, budget)
@@ -247,15 +232,13 @@ def _cmd_oracle(args) -> int:
         print(f"blocks = {b}")
         for cov, num in hist.items():
             print(f"coverage {cov} subsets {num}")
-        print(f"{args.t}design = " + ("yes" if verdict else "no"))
+        print(f"{args.t}design = {_yn(verdict)}")
         if "flag_transitive" in payload:
-            print("flag_transitive = "
-                  + ("yes" if payload["flag_transitive"] else "no"))
+            print(f"flag_transitive = {_yn(payload['flag_transitive'])}")
         if "orbit_ratio_design" in payload:
             for rec in payload["orbits"]:
                 print(f"orbit {rec['name']} size {rec['size']} count {rec['count']}")
-            print("orbit_ratio_design = "
-                  + ("yes" if payload["orbit_ratio_design"] else "no"))
+            print(f"orbit_ratio_design = {_yn(payload['orbit_ratio_design'])}")
     return EXIT_POSITIVE if verdict else EXIT_NEGATIVE
 
 
@@ -394,9 +377,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (oracle.BudgetExceededError, search.SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

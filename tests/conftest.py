@@ -113,3 +113,19 @@ def cycle_union(n: int, lengths) -> BiGraph:
             rows[first + i] |= (1 << (first + i)) | (1 << (first + (i + 1) % length))
         first += length
     return BiGraph(n, n, tuple(rows))
+
+
+# Every GraphFormatError of parse_graph_text: (text, line, message).
+PARSE_ERRORS = [
+    ("grid 2 2\ngrid 2 2\n", 2, "line 2: repeated grid line"),
+    ("grid 2\n", 1, "line 1: grid line needs two integers"),
+    ("grid 2 x\n", 1, "line 1: grid sizes must be integers"),
+    ("grid 0 2\n", 1, "line 1: grid sides must be positive"),
+    ("edge 1 1\ngrid 2 2\n", 1, "line 1: edge before grid line"),
+    ("grid 2 2\nedge 1\n", 2, "line 2: edge line needs two integers"),
+    ("grid 2 2\nedge 1 y\n", 2, "line 2: edge indices must be integers"),
+    ("# c\n\ngrid 2 2\nedge 3 1\n", 4, "line 4: edge (3,1) out of range"),
+    ("grid 2 2\nedge 1 1\nedge 1 1\n", 3, "line 3: duplicate edge (1,1)"),
+    ("grid 2 2\nvertex 1\n", 2, "line 2: unknown record 'vertex'"),
+    ("# nothing\n", None, "missing grid line"),
+]

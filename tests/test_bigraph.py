@@ -18,7 +18,13 @@ from griddesigns.search import family_figure, family_path
 
 from canonical_reference import assert_same_partition, canonical_form
 from count_reference import stats_by_enumeration
-from conftest import iso_class_reps, mask_to_graph, random_bigraph, random_gridperm
+from conftest import (
+    PARSE_ERRORS,
+    iso_class_reps,
+    mask_to_graph,
+    random_bigraph,
+    random_gridperm,
+)
 from griddesigns.permgroup import GridPerm, apply, new_class
 
 
@@ -58,6 +64,16 @@ class TestConstruction:
     def test_zero_side_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list(0, 2, [])
+
+    @pytest.mark.parametrize("m, n, rows, message", [
+        (0, 1, (), "grid sides must be positive"),
+        (2, 2, (0,), "row mask count does not match m"),
+        (1, 2, (4,), "row mask has bits outside the column range"),
+    ])
+    def test_bad_masks_rejected(self, m, n, rows, message):
+        with pytest.raises(ValueError) as exc:
+            BiGraph(m, n, rows)
+        assert str(exc.value) == message
 
 
 class TestDegrees:
@@ -335,3 +351,18 @@ class TestTextFormat:
     def test_missing_grid(self):
         with pytest.raises(GraphFormatError):
             parse_graph_text("# nothing\n")
+
+    @pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+    def test_every_error(self, text, line, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph_text(text)
+        assert (exc.value.line, str(exc.value)) == (line, message)
+
+    def test_edges_in_any_order(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_bigraph(rng)
+            edges = g.edges()
+            rng.shuffle(edges)
+            text = f"grid {g.m} {g.n}\n" + "".join(f"edge {i} {j}\n" for i, j in edges)
+            assert parse_graph_text(text) == g

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import griddesigns
 from griddesigns import oracle, permgroup
 from griddesigns.bigraph import format_graph_text, parse_graph_text
-from griddesigns.cli import main
+from griddesigns.cli import _positive, main
 from griddesigns.search import (
     SearchSpec,
     degree_branches,
@@ -23,6 +24,7 @@ from griddesigns.search import (
     family_path,
 )
 
+from conftest import PARSE_ERRORS
 from scan_reference import flat_scan
 
 
@@ -569,6 +571,75 @@ class TestRatioNeedsT2or3:
     def test_t4_without_ratio_runs(self, capsys, fig2_file):
         code, _ = exit_code(capsys, ["oracle", fig2_file, "--group", "K", "--t", "4"])
         assert code == 1
+
+
+class TestErrorCorpus:
+    """Every usage, parse and file error ends in main: nothing on stdout,
+    one `error:` line on stderr, exit 2."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.grid" for name in ("SQUARE", "WIDE", "BAD")}
+        paths["SQUARE"].write_text(format_graph_text(family_path(4, 3, 3)))
+        paths["WIDE"].write_text("grid 2 3\nedge 1 1\n")
+        paths["BAD"].write_text("grid 2 2\nedge 3 1\n")
+        paths["MISSING"] = tmp_path / "missing.grid"
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("argv, message", [
+        ("verify {SQUARE} --max-blocks 5", "--max-blocks applies only with --with-oracle"),
+        ("verify {SQUARE} --max-subsets 5", "--max-subsets applies only with --with-oracle"),
+        ("verify {WIDE} --group G", "group G requires a square grid"),
+        ("verify {WIDE} --group G --with-oracle", "group G requires a square grid"),
+        ("scan --max-m 10", "choose exactly one of --square3/--square2/--general3"),
+        ("scan --square3 --general3 --max-m 10",
+         "choose exactly one of --square3/--square2/--general3"),
+        ("scan --general3 --max-m 10", "--general3 needs --max-n"),
+        ("scan --square2 --max-m 10 --max-n 4",
+         "--max-n applies only to --general3, not --square2"),
+        ("oracle {SQUARE} --ratio --t 4", "--ratio needs --t 2 or 3"),
+        ("oracle {WIDE} --group G", "G requires a square grid"),
+        ("family cycle --k 5 --m 4", "cycles need an even k >= 4"),
+        ("search --m 2 --n 3 --k 2 --target d2 --dedup allow-tau",
+         "allow-tau dedup requires a square grid"),
+        ("verify {MISSING}", "[Errno 2] No such file or directory: '{MISSING}'"),
+        ("oracle {MISSING}", "[Errno 2] No such file or directory: '{MISSING}'"),
+    ])
+    def test_usage_errors(self, capsys, files, argv, message):
+        got = run_cli(capsys, argv.format(**files).split())
+        assert got == (2, "", f"error: {message.format(**files)}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    @pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+    def test_parse_errors(self, capsys, tmp_path, command, text, line, message):
+        path = tmp_path / "g.grid"
+        path.write_text(text)
+        assert run_cli(capsys, [command, str(path)]) == (2, "", f"error: {message}\n")
+
+    def test_flag_before_the_parse_error(self, capsys, files):
+        bad = ["verify", files["BAD"]]
+        assert run_cli(capsys, bad) == (2, "", "error: line 2: edge (3,1) out of range\n")
+        assert run_cli(capsys, bad + ["--max-blocks", "5"]) == (
+            2, "", "error: --max-blocks applies only with --with-oracle\n")
+
+    def test_ratio_before_the_orbit_budget(self, capsys, files):
+        argv = ["oracle", files["SQUARE"], "--t", "4", "--max-blocks", "1"]
+        assert run_cli(capsys, argv)[0] == 3
+        assert run_cli(capsys, argv + ["--ratio"]) == (
+            2, "", "error: --ratio needs --t 2 or 3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x", "not an integer: 'x'"),
+        ("0", "must be at least 1, got 0"),
+    ])
+    def test_positive(self, capsys, files, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            _positive(text)
+        assert str(exc.value) == message
+        code, err = exit_code(capsys, ["oracle", files["SQUARE"], "--max-blocks", text])
+        assert code == 2
+        assert err.endswith(f"error: argument --max-blocks: {message}\n")
+
 
 class TestSearchCommand:
     def test_search_writes_results(self, capsys, tmp_path):

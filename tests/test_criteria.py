@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -122,6 +123,21 @@ class TestCheckDhat:
         g = BiGraph(2, 3, (1, 2))
         for rep in (evaluate(g), evaluate(g, automorphisms(g))):
             assert rep.dhat is rep.case_2 is rep.case_3 is None
+
+
+class TestNoGData:
+    # a square-grid report that lacks the G stabilizer, or only tau
+    # equivalence, cannot give Dhat's lambda or the case
+    @pytest.mark.parametrize("missing", [
+        {"g_gens": None, "g_order": None, "tau_equivalent": None},
+        {"tau_equivalent": None},
+    ])
+    def test_rejected(self, missing):
+        g = family_path(4, 3, 3)
+        aut = replace(automorphisms(g), **missing)
+        with pytest.raises(ValueError) as exc:
+            evaluate(g, aut)
+        assert str(exc.value) == "AutReport has no G data"
 
 
 class TestClassify:

@@ -99,6 +99,16 @@ class TestLambdaTable:
 
 
 class TestOrbitRatio:
+    @pytest.mark.parametrize("m, group, t, message", [
+        (2, "G", 4, "t must be 2 or 3"),
+        (2, "H", 2, "unknown group 'H'"),
+        (3, "G", 2, "G requires a square grid"),
+    ])
+    def test_rejected(self, m, group, t, message):
+        with pytest.raises(ValueError) as exc:
+            orbit_ratio_check(from_edge_list(2, m, [(1, 1)]), group, t)
+        assert str(exc.value) == message
+
     def test_fig1_counts(self):
         g = family_figure("fig1")
         ok, records = orbit_ratio_check(g, "G", 3)

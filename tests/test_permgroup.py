@@ -111,6 +111,21 @@ class TestGroupOrder:
         with pytest.raises(ValueError):
             group_order(3, 2, "G")
 
+    def test_unknown_group(self):
+        with pytest.raises(ValueError, match=r"^unknown group 'H'$"):
+            group_order(2, 2, "H")
+
+
+class TestRejectedShapes:
+    def test_swap_needs_square(self):
+        with pytest.raises(ValueError, match=r"^swap elements require m = n$"):
+            GridPerm((0,), (0, 1), True)
+
+    def test_apply_needs_matching_sizes(self):
+        with pytest.raises(ValueError,
+                           match=r"^permutation sizes do not match the grid$"):
+            apply(identity(2, 3), BiGraph(3, 2, (1, 2, 3)))
+
 
 class TestAutomorphisms:
     def test_path5_in_4x4(self):
@@ -419,6 +434,16 @@ class TestEdgeTransitivity:
         with pytest.raises(ValueError):
             is_edge_transitive(g, automorphisms(g), "K")
 
+    @pytest.mark.parametrize("m, group, message", [
+        (3, "G", "no G data in this report (grid is not square)"),
+        (2, "H", "unknown group 'H'"),
+    ])
+    def test_bad_group_rejected(self, m, group, message):
+        g = from_edge_list(2, m, [(1, 1)])
+        with pytest.raises(ValueError) as exc:
+            is_edge_transitive(g, automorphisms(g), group)
+        assert str(exc.value) == message
+
     def test_brute_force_agreement(self):
         # single K-orbit on edges iff the brute-force stabilizer acts with one
         # orbit, for all 3x3 graphs with at least one edge
@@ -455,3 +480,4 @@ class TestSerialization:
         assert gridperm_text(p) == "rowcyc (1 2) colcyc (2 3)"
         q = GridPerm((0, 1), (0, 1), True)
         assert gridperm_text(q) == "swap"
+        assert gridperm_text(identity(2, 3)) == "identity"

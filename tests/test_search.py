@@ -40,6 +40,16 @@ from canonical_reference import assert_same_partition, canonical_form
 from conftest import iso_class_reps, random_gridperm
 
 
+class TestRejected:
+    def test_unknown_dedup(self):
+        with pytest.raises(ValueError, match=r"^unknown dedup mode 'bogus'$"):
+            SearchSpec(m=3, n=3, k=3, target="d2", dedup="bogus")
+
+    def test_empty_path(self):
+        with pytest.raises(ValueError, match=r"^k must be positive$"):
+            family_path(0, 3, 3)
+
+
 class TestFamilyPath:
     def test_odd_degrees(self):
         x, y = degrees(family_path(5, 4, 4))
